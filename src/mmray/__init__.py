@@ -2,9 +2,11 @@
 
 Models 60-90 GHz propagation in corridors and tunnels with up to two
 specular reflections per ray, Fresnel wall interactions, transmissive
-obstacle slabs, and three antenna systems; produces narrowband received
-power sweeps, channel impulse responses, power delay profiles, and delay
-spread statistics.
+obstacle slabs, and three power-normalized antenna systems. Per receiver
+it gives narrowband received power, channel impulse responses, power
+delay profiles and delay spread statistics; run_sweep_grid and
+delay_spread_table evaluate whole receiver sweeps. The runtime needs
+only numpy and pyyaml.
 """
 
 from .antenna import (
@@ -23,8 +25,6 @@ from .channel import (
     DelaySpreadTable,
     PowerDelayProfile,
     SweepGrid,
-    SweepResult,
-    SweepSample,
     dbm_to_watts,
     delay_spread_table,
     impulse_response,
@@ -33,7 +33,6 @@ from .channel import (
     received_power,
     rms_delay_spread,
     run_sweep_grid,
-    sweep_receiver,
     watts_to_dbm,
 )
 from .cli import (
@@ -101,8 +100,6 @@ __all__ = [
     "SlabCrossing",
     "Surface",
     "SweepGrid",
-    "SweepResult",
-    "SweepSample",
     "ValidationReport",
     "build_bent_tunnel",
     "build_environment",
@@ -131,7 +128,6 @@ __all__ = [
     "serialize_scenario",
     "slab_transmission",
     "solve_pattern_exponent",
-    "sweep_receiver",
     "system_preset",
     "validate_environment",
     "watts_to_dbm",

@@ -1,8 +1,9 @@
 """Antenna systems: isotropic, vertical-dipole-like omni, and directive horn.
 
-Patterns are cos-power shapes whose exponent is solved numerically so the
-gain averaged over the full sphere equals 1 (total radiated power is
-conserved). Gains are linear power factors applied per ray.
+Patterns are cos-power shapes whose exponent is solved so the gain averaged
+over the full sphere equals 1 (total radiated power is conserved). The
+sphere averages have closed forms; the exponent is found by bisection.
+Gains are linear power factors applied per ray.
 """
 
 from __future__ import annotations
@@ -10,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import bisect
 
 from .geometry import Vec3, norm
 
@@ -22,7 +21,7 @@ from .geometry import Vec3, norm
 # otherwise underflow it): -40 dB, avoids exact zeros in coherent sums.
 BACK_LOBE_GAIN = 1e-4
 
-_KINDS = ("isotropic", "omni", "horn")
+KINDS = ("isotropic", "omni", "horn")
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,8 @@ class AntennaSystem:
     pattern_exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown antenna kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown antenna kind {self.kind!r}; expected one of {KINDS}")
         b = self.boresight
         n = norm(b)
         if not 1e-12 < n < math.inf:
@@ -63,20 +62,20 @@ def _sphere_average(kind: str, exponent: float, peak_linear: float) -> float:
     if kind == "isotropic":
         return peak_linear
     if kind == "omni":
-        # (1/4pi) * integral over azimuth and elevation of G cos^n(el).
-        val, _ = quad(lambda el: math.cos(el) ** (exponent + 1.0), 0.0, math.pi / 2)
-        return peak_linear * val
-    # horn: front hemisphere keeps max(G cos^m(psi), floor), back is floor.
-    if peak_linear > BACK_LOBE_GAIN and exponent > 0.0:
-        crossover = math.acos((BACK_LOBE_GAIN / peak_linear) ** (1.0 / exponent))
-        pts = [crossover]
-    else:
-        pts = None
-    front, _ = quad(
-        lambda psi: max(peak_linear * math.cos(psi) ** exponent, BACK_LOBE_GAIN)
-        * math.sin(psi),
-        0.0, math.pi / 2, points=pts)
-    return 0.5 * front + 0.5 * BACK_LOBE_GAIN
+        # (1/4pi) * integral of G cos^n(el) over the sphere
+        # = G * integral_0^{pi/2} cos^{n+1}(el) d(el).
+        log_ratio = math.lgamma((exponent + 2.0) / 2.0) - math.lgamma((exponent + 3.0) / 2.0)
+        return peak_linear * math.sqrt(math.pi) / 2.0 * math.exp(log_ratio)
+    if kind == "horn":
+        # Front hemisphere keeps max(G cos^m(psi), floor), the back is floor.
+        # With u = cos(psi) the front is integral_0^1 max(G u^m, floor) du;
+        # G u^m drops below the floor at u = c (the solver only asks for
+        # peaks above the floor).
+        floor = BACK_LOBE_GAIN
+        c = (floor / peak_linear) ** (1.0 / exponent) if exponent > 0.0 else 0.0
+        front = peak_linear * (1.0 - c ** (exponent + 1.0)) / (exponent + 1.0) + floor * c
+        return 0.5 * front + 0.5 * floor
+    raise ValueError(f"unknown antenna kind {kind!r}; expected one of {KINDS}")
 
 
 def solve_pattern_exponent(kind: str, peak_gain_dbi: float) -> float:
@@ -87,7 +86,8 @@ def solve_pattern_exponent(kind: str, peak_gain_dbi: float) -> float:
         return 0.0
     peak = 10.0 ** (peak_gain_dbi / 10.0)
     f = lambda x: _sphere_average(kind, x, peak) - 1.0
-    if f(0.0) <= 0.0:
+    f0 = f(0.0)
+    if f0 <= 0.0:
         raise ValueError(
             f"peak gain {peak_gain_dbi} dBi too low to normalize a {kind} pattern")
     hi = 64.0
@@ -96,7 +96,17 @@ def solve_pattern_exponent(kind: str, peak_gain_dbi: float) -> float:
         if hi > 1e7:
             raise ValueError(
                 f"peak gain {peak_gain_dbi} dBi too high to normalize (beam too narrow)")
-    return bisect(f, 0.0, hi, xtol=1e-9)
+    # Bisection on [0, hi] that steps like scipy.optimize.bisect with
+    # xtol=1e-9 and rtol=4*eps, so it returns the same exponents bit for bit.
+    lo, step = 0.0, hi
+    while True:
+        step *= 0.5
+        mid = lo + step
+        f_mid = f(mid)
+        if f_mid * f0 >= 0.0:
+            lo = mid
+        if f_mid == 0.0 or step < 1e-9 + 4.0 * math.ulp(1.0) * mid:
+            return mid
 
 
 def make_system(kind: str, tx_power_dbm: float, peak_gain_dbi: float,
@@ -120,6 +130,15 @@ _PRESETS = {
 _PRESET_ALIASES = {"isotropic": "system1", "omni": "system2", "horn": "system3"}
 
 
+def preset_parameters(name: str) -> Tuple[str, float, float]:
+    """(kind, tx power dBm, peak gain dBi) of a preset name or kind alias."""
+    key = _PRESET_ALIASES.get(name, name)
+    if key not in _PRESETS:
+        known = sorted(_PRESETS) + sorted(_PRESET_ALIASES)
+        raise ValueError(f"unknown antenna preset {name!r} (known: {', '.join(known)})")
+    return _PRESETS[key]
+
+
 @lru_cache(maxsize=None)
 def system_preset(name: str) -> AntennaSystem:
     """One of the three studied configurations.
@@ -128,12 +147,7 @@ def system_preset(name: str) -> AntennaSystem:
     system2: omnidirectional, 20 dBm, 8.5 dBi
     system3: horn, 10 dBm, 20.8 dBi
     """
-    key = _PRESET_ALIASES.get(name, name)
-    if key not in _PRESETS:
-        known = sorted(_PRESETS) + sorted(_PRESET_ALIASES)
-        raise ValueError(f"unknown antenna preset {name!r}; expected one of {known}")
-    kind, power, peak = _PRESETS[key]
-    return make_system(kind, power, peak)
+    return make_system(*preset_parameters(name))
 
 
 def gain(sys: AntennaSystem,
@@ -150,7 +164,7 @@ def gain(sys: AntennaSystem,
     if pts.shape[-1] != 3:
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if (np.abs(norms - 1.0) > 1e-6).any():
         raise ValueError("direction must be a unit vector")
 
     if sys.kind == "isotropic":
@@ -160,7 +174,7 @@ def gain(sys: AntennaSystem,
         out = sys.peak_gain_linear * cos_el ** sys.pattern_exponent
     else:
         b = np.asarray(boresight if boresight is not None else sys.boresight, float)
-        b = b / np.linalg.norm(b)
+        b = b / math.sqrt(b @ b)
         cos_psi = pts @ b
         front = np.maximum(
             sys.peak_gain_linear * np.clip(cos_psi, 0.0, 1.0) ** sys.pattern_exponent,

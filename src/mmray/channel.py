@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,23 +77,14 @@ class PowerDelayProfile:
     bin_width: float
     first_arrival: float
 
-
-@dataclass(frozen=True)
-class SweepSample:
-    """Received power at one receiver position, one entry per antenna system."""
-
-    distance: float              # arclength from the transmitter end, m
-    powers: Tuple[float, ...]    # dBm; NO_COVERAGE where no path exists
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Power-versus-distance sweep at a single carrier frequency."""
-
-    environment: str
-    frequency: float
-    sample_count: int
-    samples: Tuple[SweepSample, ...]
+    @cached_property
+    def _moments(self) -> Tuple[float, float]:
+        """(RMS delay spread, mean excess delay), computed once per profile."""
+        if not self.taps:
+            raise ValueError("empty power delay profile")
+        delays, powers = np.array(self.taps).T
+        rms, excess = _delay_moments(delays, powers, self.first_arrival)
+        return float(rms), float(excess)
 
 
 @dataclass(eq=False)
@@ -135,33 +126,41 @@ class DelaySpreadTable:
 # Tap construction
 # ---------------------------------------------------------------------------
 
-def _complex_amplitudes(paths: Sequence[PathContribution],
-                        sys: AntennaSystem,
-                        carrier: CarrierConfig,
-                        rx_boresight: Optional[Vec3] = None,
-                        atmospheric_loss_db_per_m: float = 0.0) -> np.ndarray:
-    """Per-path complex amplitudes in sqrt-watt units.
+def _tap_amplitudes(paths: Sequence[PathContribution],
+                    systems: Sequence[AntennaSystem],
+                    frequencies: Sequence[float],
+                    rx_boresight: Optional[Vec3] = None,
+                    atmospheric_loss_db_per_m: float = 0.0) -> np.ndarray:
+    """Complex tap amplitudes in sqrt-watt units, shape (systems, carriers, paths).
 
-    amplitude_i = sqrt(T_R) * sqrt(a_t a_r) * (lambda/4pi) * refl_i *
-                  trans_i * exp(-j k d_i) / d_i
+    amplitude[s, f, i] = geo[s, i] * prop[f, i] with
+      geo  = sqrt(T_R a_t a_r) * refl_i                         real
+      prop = (lambda/4pi) * trans_i * exp(-j k d_i) / d_i       complex
+    (prop also carries the atmospheric loss, if any), so gains are evaluated
+    once per system and slab transmission once per carrier. rx_boresight
+    defaults to each system's own reversed boresight.
     """
-    if rx_boresight is None:
-        rx_boresight = neg(sys.boresight)
     n = len(paths)
     dep = np.array([p.departure_dir for p in paths], float).reshape(n, 3)
     arr = np.array([p.arrival_dir for p in paths], float).reshape(n, 3)
-    a_t = gain(sys, dep)
-    a_r = gain(sys, -arr, boresight=rx_boresight)
     d = np.array([p.length for p in paths])
     refl = np.array([p.reflection_product for p in paths])
-    trans = np.array([p.transmission_product(carrier.frequency) for p in paths],
-                     complex)
-    amps = (np.sqrt(a_t * a_r) * refl * trans
-            * np.exp(-1j * carrier.wavenumber * d) / d)
+
+    geo = np.empty((len(systems), n))
+    for s, sys in enumerate(systems):
+        rx_b = rx_boresight if rx_boresight is not None else neg(sys.boresight)
+        a_t = gain(sys, dep)
+        a_r = gain(sys, -arr, boresight=rx_b)
+        geo[s] = np.sqrt(a_t * a_r) * refl * math.sqrt(sys.tx_power_watts)
+
+    freqs = np.array(frequencies, float).reshape(-1, 1)
+    trans = np.array([[p.transmission_product(f) for p in paths]
+                      for f in frequencies], complex)
+    k = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
+    prop = SPEED_OF_LIGHT / (4.0 * math.pi) / freqs * trans * np.exp(-1j * k * d) / d
     if atmospheric_loss_db_per_m > 0.0:
-        amps = amps * 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
-    scale = math.sqrt(sys.tx_power_watts) * carrier.wavelength / (4.0 * math.pi)
-    return scale * amps
+        prop *= 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
+    return geo[:, None, :] * prop
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -177,9 +176,9 @@ def received_power(paths: Sequence[PathContribution],
     """
     if not paths:
         return NO_COVERAGE
-    amps = _complex_amplitudes(paths, sys, carrier, rx_boresight,
-                               atmospheric_loss_db_per_m)
-    return watts_to_dbm(abs(np.sum(amps)) ** 2)
+    amps = _tap_amplitudes(paths, (sys,), (carrier.frequency,), rx_boresight,
+                           atmospheric_loss_db_per_m)[0, 0]
+    return watts_to_dbm(abs(amps.sum()) ** 2)
 
 
 def impulse_response(paths: Sequence[PathContribution],
@@ -193,10 +192,10 @@ def impulse_response(paths: Sequence[PathContribution],
     """
     if not paths:
         return []
-    amps = _complex_amplitudes(paths, sys, carrier, rx_boresight,
-                               atmospheric_loss_db_per_m)
-    taps = [ChannelTap(delay=p.delay, amplitude=complex(a), power=abs(a) ** 2)
-            for p, a in zip(paths, amps)]
+    amps = _tap_amplitudes(paths, (sys,), (carrier.frequency,), rx_boresight,
+                           atmospheric_loss_db_per_m)[0, 0]
+    taps = [ChannelTap(delay=p.delay, amplitude=a, power=w)
+            for p, a, w in zip(paths, amps.tolist(), (np.abs(amps) ** 2).tolist())]
     taps.sort(key=lambda t: t.delay)
     return taps
 
@@ -247,25 +246,28 @@ def power_delay_profile(taps: Sequence[ChannelTap],
     )
 
 
+def _delay_moments(delays: np.ndarray, powers: np.ndarray,
+                   first_arrival: float) -> Tuple[np.ndarray, np.ndarray]:
+    """RMS delay spread and mean excess delay of tap powers (..., N) at delays (N,).
+
+    Both are NaN where the total power is zero.
+    """
+    total = powers.sum(axis=-1)
+    total = np.where(total > 0.0, total, np.nan)
+    mean = powers @ delays / total
+    second = powers @ delays ** 2 / total
+    rms = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    return rms, mean - first_arrival
+
+
 def rms_delay_spread(pdp: PowerDelayProfile) -> float:
     """Square root of the second central moment of the delay profile."""
-    if not pdp.taps:
-        raise ValueError("empty power delay profile")
-    delays = np.array([d for d, _ in pdp.taps])
-    powers = np.array([p for _, p in pdp.taps])
-    total = powers.sum()
-    mean = float(np.dot(powers, delays)) / total
-    second = float(np.dot(powers, delays ** 2)) / total
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return pdp._moments[0]
 
 
 def mean_excess_delay(pdp: PowerDelayProfile) -> float:
     """Power-weighted mean delay relative to the first arrival."""
-    if not pdp.taps:
-        raise ValueError("empty power delay profile")
-    delays = np.array([d for d, _ in pdp.taps])
-    powers = np.array([p for _, p in pdp.taps])
-    return float(np.dot(powers, delays - pdp.first_arrival) / powers.sum())
+    return pdp._moments[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,76 +285,22 @@ def _init_worker(env: Environment, tx: Vec3, systems, frequencies,
 
 
 def _eval_position(job: Tuple[Vec3, Vec3]) -> tuple:
-    """Powers and delay moments for one receiver position.
+    """Powers (dBm) and delay moments (s) for one receiver position.
 
-    Returns ((dBm,)*F per system, (rms s,)*F per system, (excess s,)*F per
-    system) as nested tuples so results pickle cheaply and identically
-    regardless of which process computed them.
+    Each result is an array indexed [system, frequency], computed the same
+    way in every process, so results merge identically for any worker count.
     """
     env, tx, systems, frequencies, pol, max_order, atmos = _WORKER_CTX
     rx, rx_boresight = job
-    n_sys = len(systems)
-    n_freq = len(frequencies)
     paths = enumerate_paths(env, tx, rx, max_order=max_order, polarization=pol)
+    shape = (len(systems), len(frequencies))
     if not paths:
-        blank = tuple((NO_COVERAGE,) * n_freq for _ in range(n_sys))
-        nan = tuple((math.nan,) * n_freq for _ in range(n_sys))
-        return blank, nan, nan
-
-    n = len(paths)
-    dep = np.array([p.departure_dir for p in paths], float).reshape(n, 3)
-    arr = np.array([p.arrival_dir for p in paths], float).reshape(n, 3)
-    d = np.array([p.length for p in paths])
+        return np.full(shape, NO_COVERAGE), np.full(shape, math.nan), np.full(shape, math.nan)
+    amps = _tap_amplitudes(paths, systems, frequencies, rx_boresight, atmos)
+    power = np.array([watts_to_dbm(w) for w in (np.abs(amps.sum(axis=2)) ** 2).flat])
     delays = np.array([p.delay for p in paths])
-    refl = np.array([p.reflection_product for p in paths])
-
-    # Signed real geometry factor per (system, path): sqrt(a_t a_r) * refl.
-    geo = np.empty((n_sys, n))
-    for s, sys in enumerate(systems):
-        a_t = gain(sys, dep)
-        a_r = gain(sys, -arr, boresight=rx_boresight)
-        geo[s] = np.sqrt(a_t * a_r) * refl
-
-    # Complex propagation factor per (frequency, path).
-    base = np.empty((n_freq, n), complex)
-    for f, freq in enumerate(frequencies):
-        k = 2.0 * math.pi * freq / SPEED_OF_LIGHT
-        trans = np.array([p.transmission_product(freq) for p in paths], complex)
-        base[f] = trans * np.exp(-1j * k * d) / d
-    if atmos > 0.0:
-        base *= 10.0 ** (-atmos * d / 20.0)
-
-    coherent = geo @ base.T                       # (S, F) complex field sums
-    tap_w = geo[:, None, :] ** 2 * np.abs(base[None, :, :]) ** 2  # (S, F, N)
-    total_w = tap_w.sum(axis=2)
-
-    powers = []
-    rms = []
-    excess = []
-    first = delays.min()
-    for s, sys in enumerate(systems):
-        p_row = []
-        r_row = []
-        e_row = []
-        for f, freq in enumerate(frequencies):
-            lam = SPEED_OF_LIGHT / freq
-            w = sys.tx_power_watts * (lam / (4.0 * math.pi)) ** 2 \
-                * abs(coherent[s, f]) ** 2
-            p_row.append(watts_to_dbm(w))
-            tw = total_w[s, f]
-            if tw <= 0.0:
-                r_row.append(math.nan)
-                e_row.append(math.nan)
-                continue
-            weights = tap_w[s, f]
-            mean = float(weights @ delays) / tw
-            second = float(weights @ delays ** 2) / tw
-            r_row.append(math.sqrt(max(second - mean * mean, 0.0)))
-            e_row.append(mean - first)
-        powers.append(tuple(p_row))
-        rms.append(tuple(r_row))
-        excess.append(tuple(e_row))
-    return tuple(powers), tuple(rms), tuple(excess)
+    rms, excess = _delay_moments(delays, np.abs(amps) ** 2, delays.min())
+    return power.reshape(shape), rms, excess
 
 
 def _receiver_jobs(env: Environment, distances: np.ndarray,
@@ -425,34 +373,6 @@ def run_sweep_grid(env: Environment,
         power_dbm=power,
         rms_spread=rms,
         mean_excess=excess,
-    )
-
-
-def sweep_receiver(env: Environment,
-                   systems: Sequence[AntennaSystem],
-                   carrier: CarrierConfig,
-                   n_samples: int = 1024,
-                   rx_start: float = 1.0,
-                   rx_height: float = 1.5,
-                   tx: Vec3 = (0.0, 0.0, 2.0),
-                   polarization: Polarization = Polarization.TE,
-                   max_order: int = 2,
-                   workers: int = 1,
-                   atmospheric: bool = False) -> SweepResult:
-    """Slide the receiver along the centerline at one carrier frequency."""
-    grid = run_sweep_grid(env, systems, [carrier.frequency], n_samples,
-                          rx_start, rx_height, tx, polarization, max_order,
-                          workers, atmospheric)
-    samples = tuple(
-        SweepSample(distance=float(grid.distances[i]),
-                    powers=tuple(float(grid.power_dbm[i, s, 0])
-                                 for s in range(len(grid.systems))))
-        for i in range(n_samples))
-    return SweepResult(
-        environment=env.name,
-        frequency=carrier.frequency,
-        sample_count=n_samples,
-        samples=samples,
     )
 
 

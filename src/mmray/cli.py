@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import yaml
 
-from .antenna import AntennaSystem, make_system, _PRESETS, _PRESET_ALIASES
+from .antenna import KINDS, AntennaSystem, make_system, preset_parameters
 from .channel import (
     ATMOSPHERIC_LOSS_DB_PER_M,
     NO_COVERAGE,
@@ -117,15 +117,6 @@ class ScenarioConfig:
     output: OutputConfig = OutputConfig()
 
 
-def _default_systems() -> Tuple[SystemConfig, ...]:
-    out = []
-    for label in ("system1", "system2", "system3"):
-        kind, power, peak = _PRESETS[label]
-        out.append(SystemConfig(label=label, kind=kind,
-                                tx_power_dbm=power, peak_gain_dbi=peak))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Strict parsing helpers
 # ---------------------------------------------------------------------------
@@ -146,16 +137,15 @@ def _check_keys(mapping: dict, allowed: Sequence[str], path: str) -> None:
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or value is None:
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except ValueError:
+            number = float(value)
+        except (ValueError, OverflowError):
             pass
-    raise ScenarioError(f"{path}: expected a number, got {value!r}")
+        else:
+            if math.isfinite(number):
+                return number
+    raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _as_int(value, path: str) -> int:
@@ -253,20 +243,21 @@ def _parse_system(node, path: str) -> SystemConfig:
     mapping = _require_mapping(node, path)
     _check_keys(mapping, ("preset", "kind", "tx_power_dbm", "peak_gain_dbi",
                           "label", "boresight"), path)
-    if "preset" in mapping:
-        base = _preset_system_config(_as_str(mapping["preset"], f"{path}.preset"), path)
-    elif "kind" in mapping:
+    kind = None
+    if "kind" in mapping:
         kind = _as_str(mapping["kind"], f"{path}.kind")
-        if kind not in _PRESET_ALIASES:
+        if kind not in KINDS:
             raise ScenarioError(
                 f"{path}.kind: unknown antenna kind {kind!r} "
-                f"(known: {', '.join(sorted(_PRESET_ALIASES))})")
+                f"(known: {', '.join(sorted(KINDS))})")
+    if "preset" in mapping:
+        base = _preset_system_config(_as_str(mapping["preset"], f"{path}.preset"), path)
+    elif kind is not None:
         base = _preset_system_config(kind, path)
     else:
         raise ScenarioError(f"{path}: either 'preset' or 'kind' is required")
-    if "kind" in mapping:
-        base = replace(base, kind=_as_str(mapping["kind"], f"{path}.kind"),
-                       label=mapping.get("label", base.label))
+    if kind is not None:
+        base = replace(base, kind=kind)
     if "tx_power_dbm" in mapping:
         base = replace(base, tx_power_dbm=_as_float(mapping["tx_power_dbm"],
                                                     f"{path}.tx_power_dbm"))
@@ -282,11 +273,11 @@ def _parse_system(node, path: str) -> SystemConfig:
 
 
 def _preset_system_config(name: str, path: str) -> SystemConfig:
-    key = _PRESET_ALIASES.get(name, name)
-    if key not in _PRESETS:
-        known = sorted(_PRESETS) + sorted(_PRESET_ALIASES)
-        raise ScenarioError(f"{path}: unknown preset {name!r} (known: {', '.join(known)})")
-    kind, power, peak = _PRESETS[key]
+    """Scenario entry for a preset; the preset name doubles as its label."""
+    try:
+        kind, power, peak = preset_parameters(name)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     return SystemConfig(label=name, kind=kind, tx_power_dbm=power,
                         peak_gain_dbi=peak)
 
@@ -314,7 +305,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         systems = tuple(_parse_system(entry, f"systems[{i}]")
                         for i, entry in enumerate(raw))
     else:
-        systems = _default_systems()
+        systems = tuple(_preset_system_config(label, "systems")
+                        for label in ("system1", "system2", "system3"))
     labels = [s.label for s in systems]
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"systems: duplicate labels {labels}")
@@ -698,29 +690,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Image-method ray tracing for indoor mm-wave channels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def scenario(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="YAML scenario file")
         p.add_argument("--env", help="environment builder name override")
+        return p
+
+    def run(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        scenario(p)
         p.add_argument("--freq", help="comma-separated frequencies in Hz")
         p.add_argument("--system", help="comma-separated antenna preset names")
         p.add_argument("--polarization", choices=("te", "tm"))
         p.add_argument("--out", help="output directory")
+        return p
+
+    def pooled(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        run(p)
         p.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes (default 1)")
+        return p
 
-    common(sub.add_parser("sweep", help="power-vs-distance CSV sweep"))
-    p_pdp = sub.add_parser("pdp", help="power delay profile at one distance")
-    common(p_pdp)
+    pooled(sub.add_parser("sweep", help="power-vs-distance CSV sweep"))
+    p_pdp = run(sub.add_parser("pdp", help="power delay profile at one distance"))
     p_pdp.add_argument("--rx", type=float,
                        help="receiver distance in m (default: scenario list)")
-    p_tab = sub.add_parser("table", help="RMS delay spread table")
-    common(p_tab)
+    p_tab = pooled(sub.add_parser("table", help="RMS delay spread table"))
     p_tab.add_argument("--aggregate", choices=("mean", "median"), default="mean")
     p_plot = sub.add_parser("plot", help="emit gnuplot script for CSVs")
     p_plot.add_argument("inputs", nargs="+", help="CSV files to plot")
     p_plot.add_argument("--out", help="script path (default: alongside CSVs)")
-    p_val = sub.add_parser("validate", help="check scene invariants")
-    common(p_val)
+    scenario(sub.add_parser("validate", help="check scene invariants"))
     return parser
 
 
@@ -745,9 +743,9 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
             try:
                 value = float(tok)
             except ValueError:
-                raise CommandError(f"bad frequency {tok!r}") from None
-            if value <= 0:
-                raise CommandError(f"bad frequency {tok!r}")
+                value = math.nan
+            if not (math.isfinite(value) and value > 0.0):
+                raise CommandError(f"--freq: bad frequency {tok!r}")
             freqs.append(value)
         config = replace(config, frequencies=tuple(freqs))
     if getattr(args, "system", None):

@@ -77,16 +77,3 @@ def mirror_across_plane(p: Vec3, normal: Vec3, offset: float) -> Vec3:
     s = 2.0 * (dot(normal, p) - offset)
     return (p[0] - s * normal[0], p[1] - s * normal[1], p[2] - s * normal[2])
 
-
-def segment_plane_parameter(a: Vec3, b: Vec3, normal: Vec3, offset: float,
-                            parallel_eps: float = 1e-12) -> float | None:
-    """Parameter t with a + t*(b-a) on the plane, or None if near-parallel.
-
-    The caller decides which t range counts as a hit.
-    """
-    da = dot(normal, a) - offset
-    db = dot(normal, b) - offset
-    denom = da - db
-    if abs(denom) < parallel_eps:
-        return None
-    return da / denom

@@ -46,14 +46,11 @@ class Material:
 
     name: str
     eps_r: float
-    conductivity: float = 0.0
     is_conductor: bool = False
 
     def __post_init__(self) -> None:
         if not self.is_conductor and self.eps_r < 1.0:
             raise ValueError(f"material {self.name!r}: eps_r must be >= 1, got {self.eps_r}")
-        if self.conductivity < 0.0:
-            raise ValueError(f"material {self.name!r}: conductivity must be >= 0")
 
 
 METAL = Material("metal", eps_r=1.0, is_conductor=True)

@@ -9,6 +9,7 @@ paths is meaningful evidence rather than a tautology.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize
 
 SPEED_OF_LIGHT = 299792458.0
@@ -275,6 +276,32 @@ def fibonacci_sphere(n):
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
     phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def sphere_average_quad(kind, exponent, peak, floor):
+    """Sphere-averaged gain of a cos-power pattern by adaptive quadrature.
+
+    omni: peak * cos^n(elevation). horn: max(peak * cos^m(psi), floor) in
+    front of the aperture and floor behind it, psi off boresight.
+    """
+    if kind == "omni":
+        # elevation in [-pi/2, pi/2] carries solid-angle weight cos(el) / 2
+        def integrand(el):
+            return peak * math.cos(el) ** exponent * math.cos(el) / 2.0
+        lo, hi, breaks = -math.pi / 2, math.pi / 2, [0.0]
+    elif kind == "horn":
+        # off-boresight angle in [0, pi] carries weight sin(psi) / 2
+        def integrand(psi):
+            c = math.cos(psi)
+            g = max(peak * c ** exponent, floor) if c > 0.0 else floor
+            return g * math.sin(psi) / 2.0
+        lo, hi = 0.0, math.pi
+        breaks = [math.acos((floor / peak) ** (1.0 / exponent)), math.pi / 2]
+    else:
+        raise ValueError(kind)
+    value, _ = quad(integrand, lo, hi, points=breaks, epsabs=0.0,
+                    epsrel=1e-13, limit=500)
+    return value
 
 
 # ---------------------------------------------------------------------------

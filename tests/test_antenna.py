@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmray
 from mmray.antenna import (
-    BACK_LOBE_GAIN, AntennaSystem, gain, make_system, solve_pattern_exponent,
-    system_preset,
+    BACK_LOBE_GAIN, AntennaSystem, _sphere_average, gain, make_system,
+    solve_pattern_exponent, system_preset,
 )
-from oracles import fibonacci_sphere
+from oracles import fibonacci_sphere, sphere_average_quad
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +142,31 @@ def test_sphere_average_gain_is_unity(name):
     dirs = fibonacci_sphere(1_000_000)
     avg = float(np.mean(gain(s, dirs)))
     assert avg == pytest.approx(1.0, rel=0.01)
+
+
+@pytest.mark.parametrize("kind", ["omni", "horn"])
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.7, 20.0, 59.1, 77.2, 300.0, 1000.0])
+@pytest.mark.parametrize("peak_dbi", [8.5, 20.8])
+def test_closed_form_sphere_average_matches_quadrature(kind, exponent, peak_dbi):
+    peak = 10.0 ** (peak_dbi / 10.0)
+    expect = sphere_average_quad(kind, exponent, peak, BACK_LOBE_GAIN)
+    assert _sphere_average(kind, exponent, peak) == pytest.approx(expect, rel=1e-9)
+
+
+def test_sphere_average_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown antenna kind 'dish'"):
+        solve_pattern_exponent("dish", 30.0)
+
+
+def test_runtime_import_does_not_load_scipy():
+    code = ("import sys, mmray; mmray.system_preset('horn'); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(mmray.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_solver_rejects_nonzero_isotropic_gain():

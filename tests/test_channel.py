@@ -10,7 +10,7 @@ from mmray import (
     NO_COVERAGE, CarrierConfig, ChannelTap, build_straight_tunnel,
     dbm_to_watts, delay_spread_table, enumerate_paths, free_space,
     impulse_response, mean_excess_delay, power_delay_profile, received_power,
-    rms_delay_spread, run_sweep_grid, sweep_receiver, system_preset,
+    rms_delay_spread, run_sweep_grid, system_preset,
     watts_to_dbm,
 )
 from oracles import friis_dbm
@@ -54,11 +54,9 @@ def test_free_space_matches_friis():
 def test_free_space_sweep_tracks_friis():
     env = free_space()
     # at rx_height equal to tx height, every sample is a pure Friis link
-    res = sweep_receiver(env, [ISO], CarrierConfig(60e9), n_samples=32,
-                         rx_height=2.0)
-    for sample in res.samples:
-        expect = friis_dbm(20.0, 60e9, sample.distance)
-        assert sample.powers[0] == pytest.approx(expect, abs=1e-9)
+    grid = run_sweep_grid(env, [ISO], [60e9], n_samples=32, rx_height=2.0)
+    for distance, power in zip(grid.distances, grid.power_dbm[:, 0, 0]):
+        assert power == pytest.approx(friis_dbm(20.0, 60e9, distance), abs=1e-9)
 
 
 def test_empty_path_list_is_no_coverage():
@@ -159,6 +157,8 @@ def test_pdp_binning_merges_taps():
     assert d0 == pytest.approx(10.2e-9)
     assert p0 == pytest.approx(1.0)     # 2.0 normalized by peak 2.0
     assert p1 == pytest.approx(1.0)
+    # excess delay counts from the first arrival, not the first bin centroid
+    assert mean_excess_delay(pdp) == pytest.approx(5.1e-9)
 
 
 def test_single_tap_has_zero_spread():
@@ -236,17 +236,6 @@ def test_sweep_worker_count_is_invisible():
                           equal_nan=True)
 
 
-def test_sweep_receiver_matches_grid_column():
-    env = build_straight_tunnel()
-    carrier = CarrierConfig(70e9)
-    res = sweep_receiver(env, [ISO], carrier, n_samples=12)
-    grid = run_sweep_grid(env, [ISO], [70e9], n_samples=12)
-    got = np.array([s.powers[0] for s in res.samples])
-    assert np.allclose(got, grid.power_dbm[:, 0, 0], atol=1e-12)
-    assert res.environment == "straight_tunnel"
-    assert res.sample_count == 12
-
-
 def test_sweep_power_against_direct_evaluation():
     env = build_straight_tunnel()
     grid = run_sweep_grid(env, [ISO], [60e9], n_samples=8)
@@ -256,6 +245,23 @@ def test_sweep_power_against_direct_evaluation():
     expect = received_power(paths, ISO, CarrierConfig(60e9),
                             rx_boresight=(-1.0, 0.0, 0.0))
     assert grid.power_dbm[i, 0, 0] == pytest.approx(expect, abs=1e-12)
+
+
+def test_sweep_moments_match_pdp_moments():
+    env = build_straight_tunnel()
+    systems = [ISO, system_preset("system3")]
+    grid = run_sweep_grid(env, systems, [60e9, 80e9], n_samples=8)
+    i = 5
+    paths = enumerate_paths(env, TX, (float(grid.distances[i]), 0.0, 1.5))
+    for s, system in enumerate(systems):
+        for f, freq in enumerate(grid.frequencies):
+            taps = impulse_response(paths, system, CarrierConfig(freq),
+                                    rx_boresight=(-1.0, 0.0, 0.0))
+            pdp = power_delay_profile(taps)
+            assert grid.rms_spread[i, s, f] == pytest.approx(
+                rms_delay_spread(pdp), rel=1e-9, abs=1e-15)
+            assert grid.mean_excess[i, s, f] == pytest.approx(
+                mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,12 @@ def test_unknown_system_preset_rejected():
         parse_scenario("systems: [system9]\n")
 
 
+def test_preset_with_unknown_kind_names_the_key():
+    with pytest.raises(ScenarioError,
+                       match=r"systems\[0\]\.kind: unknown antenna kind 'dish'"):
+        parse_scenario("systems: [{preset: system1, kind: dish}]\n")
+
+
 def test_roundtrip_through_serializer():
     text = """
 environment:
@@ -264,6 +270,24 @@ def test_main_validate(tmp_path, capsys):
     assert main(["validate", "--scenario", str(scn)]) == 0
     out = capsys.readouterr().out
     assert "ok" in out.lower()
+
+
+@pytest.mark.parametrize("body, flags, key", [
+    ("frequencies: [.nan]", [], "frequencies[0]"),
+    ("frequencies: [.inf]", [], "frequencies[0]"),
+    ("sweep: {rx_start: .nan}", [], "sweep.rx_start"),
+    ("sweep: {tx_position: [.nan, 0, 2]}", [], "sweep.tx_position[0]"),
+    ("output: {pdp_bin_width: .inf}", [], "output.pdp_bin_width"),
+    ("systems: [system1]", ["--freq", "nan"], "--freq"),
+])
+def test_non_finite_numbers_rejected(tmp_path, capsys, body, flags, key):
+    scn = _write_scenario(tmp_path, body + "\n")
+    out = tmp_path / "o"
+    rc = main(["pdp", "--scenario", str(scn), "--rx", "10", "--out", str(out),
+               *flags])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_flag_overrides(tmp_path):

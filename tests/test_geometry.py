@@ -4,7 +4,7 @@ import pytest
 
 from mmray.geometry import (
     add, cross, distance, dot, lerp, mirror_across_plane, neg, norm,
-    scale, segment_plane_parameter, sub, unit, vec3,
+    scale, sub, unit, vec3,
 )
 
 
@@ -54,14 +54,6 @@ def test_mirror_point_on_plane_is_fixed():
     n = (0.0, 1.0, 0.0)
     p = (5.0, 1.25, 1.0)
     assert mirror_across_plane(p, n, 1.25) == p
-
-
-def test_segment_plane_parameter():
-    # segment crossing z=0 halfway
-    t = segment_plane_parameter((0, 0, 1), (0, 0, -1), (0.0, 0.0, 1.0), 0.0)
-    assert t == 0.5
-    # parallel segment: no crossing
-    assert segment_plane_parameter((0, 0, 1), (1, 0, 1), (0.0, 0.0, 1.0), 0.0) is None
 
 
 def test_mirror_preserves_distance_to_plane_points():

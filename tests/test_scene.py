@@ -26,11 +26,6 @@ def test_conductor_ignores_permittivity_floor():
     Material("pec", eps_r=0.0, is_conductor=True)
 
 
-def test_material_rejects_negative_conductivity():
-    with pytest.raises(ValueError):
-        Material("bad", 2.0, conductivity=-1.0)
-
-
 def test_wall_blend_value():
     assert WALL_BLEND_EPS_R == pytest.approx((4.44 + 5.0) / 2.0)
 
