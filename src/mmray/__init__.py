@@ -68,7 +68,6 @@ from .tracer import (
     SlabCrossing,
     enumerate_paths,
     fresnel_reflection,
-    mirror_point,
     path_geometry,
     reflection_coefficient,
     slab_transmission,
@@ -117,7 +116,6 @@ __all__ = [
     "impulse_response",
     "make_system",
     "mean_excess_delay",
-    "mirror_point",
     "parse_scenario",
     "path_geometry",
     "power_delay_profile",

@@ -40,7 +40,7 @@ from .channel import (
 )
 from .geometry import Vec3, neg
 from .scene import BUILDERS, METAL, Environment, Material, ObstacleSlab, validate_environment
-from .tracer import Polarization, enumerate_paths
+from .tracer import MAX_ORDER, Polarization, enumerate_paths
 
 DEFAULT_FREQUENCIES = (60.0e9, 70.0e9, 80.0e9)
 
@@ -352,8 +352,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if pol not in ("te", "tm"):
         raise ScenarioError(f"physics.polarization: expected 'te' or 'tm', got {pol!r}")
     max_order = _as_int(phys_map.get("max_order", 2), "physics.max_order")
-    if max_order not in (0, 1, 2):
-        raise ScenarioError(f"physics.max_order: must be 0, 1 or 2, got {max_order}")
+    if not 0 <= max_order <= MAX_ORDER:
+        raise ScenarioError(f"physics.max_order: must be in 0..{MAX_ORDER}, got {max_order}")
     physics = PhysicsConfig(
         polarization=pol,
         atmospheric_loss_on=_as_bool(phys_map.get("atmospheric_loss_on", False),
@@ -723,6 +723,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    if getattr(args, "workers", 1) < 1:
+        raise CommandError(f"--workers: must be >= 1, got {args.workers}")
     if getattr(args, "scenario", None):
         path = Path(args.scenario)
         if not path.is_file():

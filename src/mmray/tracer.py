@@ -1,9 +1,9 @@
 """Image-method path enumeration with Fresnel reflection and slab transmission.
 
-Paths up to second reflection order are found by mirroring the transmitter
-across surface planes: an order-n path is the straight line from the n-times
-mirrored transmitter to the receiver, unfolded at each plane. A candidate
-survives if every reflection point falls on its finite rectangle, every
+One image tree per transmitter lists every chain of up to MAX_ORDER surfaces
+with the transmitter mirrored across each in turn; one routine back-traces
+any chain from the receiver. A candidate survives if every reflection point
+falls on its finite rectangle between vertices on the reflecting side, every
 straight segment is unobstructed, and no metal slab is crossed.
 """
 
@@ -28,12 +28,16 @@ from .geometry import (
 from .scene import Environment, Material, ObstacleSlab, Surface
 
 SPEED_OF_LIGHT = 299792458.0
+# Highest reflection order the tracer enumerates (and scenarios may request).
+MAX_ORDER = 2
 
 # Barycentric slack for "point on finite rectangle"; keeps edge-grazing
 # bounces from being dropped by floating-point noise.
 ON_SURFACE_TOL = 1e-9
 # Strictly interior parameter range used when testing a segment for occlusion.
 _T_INTERIOR = 1e-9
+# Distance in metres within which a point counts as lying on a plane.
+_ON_PLANE = 1e-12
 
 
 class Polarization(Enum):
@@ -87,11 +91,6 @@ def slab_transmission(slab: ObstacleSlab, theta: float, frequency: float,
     t_eff = slab.thickness / cos_t
     k_slab = 2.0 * math.pi * frequency * math.sqrt(eps) / SPEED_OF_LIGHT
     return (1.0 - r * r) * complex(math.cos(k_slab * t_eff), -math.sin(k_slab * t_eff))
-
-
-def mirror_point(p: Vec3, surface: Surface) -> Vec3:
-    """Reflection of p across the surface's infinite plane."""
-    return mirror_across_plane(vec3(p), surface.normal, surface.plane_offset)
 
 
 @dataclass(frozen=True)
@@ -209,6 +208,9 @@ def _segment_blocked(a: Vec3, b: Vec3, frames: Sequence[_Frame]) -> bool:
         t = da / denom
         if t <= _T_INTERIOR or t >= 1.0 - _T_INTERIOR:
             continue
+        # An endpoint on the plane (a bounce point, up to rounding) touches it.
+        if abs(da) <= _ON_PLANE or abs(db) <= _ON_PLANE:
+            continue
         # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
         if f.contains(lerp(a, b, t), -ON_SURFACE_TOL):
             return True
@@ -240,8 +242,7 @@ def _collect_crossings(segments: Sequence[Tuple[Vec3, Vec3]],
     return crossings
 
 
-def _make_path(order: int,
-               vertices: Tuple[Vec3, ...],
+def _make_path(vertices: Tuple[Vec3, ...],
                bounce_frames: Sequence[_Frame],
                env: Environment,
                pol: Polarization) -> Optional[PathContribution]:
@@ -266,7 +267,7 @@ def _make_path(order: int,
         refl *= reflection_coefficient(f.material, theta, pol)
 
     return PathContribution(
-        order=order,
+        order=len(bounce_frames),
         vertices=vertices,
         length=length,
         delay=length / SPEED_OF_LIGHT,
@@ -286,61 +287,80 @@ def enumerate_paths(env: Environment,
                     polarization: Polarization = Polarization.TE) -> List[PathContribution]:
     """All geometrically valid paths up to the given reflection order.
 
-    Returns the direct path plus first- and second-order specular
-    reflections, sorted by (order, delay). Paths crossing a conductor slab
+    Returns the direct path and every specular reflection path of order
+    1..max_order, sorted by (order, delay). Paths crossing a conductor slab
     are removed; dielectric slab crossings are recorded on the path.
     """
     tx = vec3(tx)
     rx = vec3(rx)
-    if max_order not in (0, 1, 2):
-        raise ValueError(f"max_order must be 0, 1 or 2, got {max_order}")
+    if max_order not in range(MAX_ORDER + 1):
+        raise ValueError(f"max_order must be an integer in 0..{MAX_ORDER}, got {max_order!r}")
     if not env.contains(tx):
         raise ValueError(f"transmitter {tx} outside environment {env.name!r}")
     if not env.contains(rx):
         raise ValueError(f"receiver {rx} outside environment {env.name!r}")
+    if distance(tx, rx) == 0.0:
+        raise ValueError(f"transmitter and receiver coincide at {rx}")
 
-    frames = _frames(env)
+    frames, candidates = _image_tree(env, tx, int(max_order))
     paths: List[PathContribution] = []
-
-    # Direct ray.
-    if not _segment_blocked(tx, rx, frames):
-        p = _make_path(0, (tx, rx), (), env, polarization)
+    for chain, images in candidates:
+        vertices = _unfold(tx, rx, chain, images)
+        if vertices is None:
+            continue
+        if any(_segment_blocked(vertices[i], vertices[i + 1], frames)
+               for i in range(len(vertices) - 1)):
+            continue
+        p = _make_path(vertices, chain, env, polarization)
         if p is not None:
             paths.append(p)
-
-    if max_order >= 1:
-        for f in frames:
-            hit = _first_order_point(tx, rx, f)
-            if hit is None:
-                continue
-            if _segment_blocked(tx, hit, frames) or _segment_blocked(hit, rx, frames):
-                continue
-            p = _make_path(1, (tx, hit, rx), (f,), env, polarization)
-            if p is not None:
-                paths.append(p)
-
-    if max_order >= 2:
-        for f1 in frames:
-            img1 = mirror_across_plane(tx, f1.normal, f1.offset)
-            for f2 in frames:
-                if f2 is f1 or f1.coplanar_with(f2):
-                    continue
-                hit = _second_order_points(tx, rx, img1, f1, f2)
-                if hit is None:
-                    continue
-                p1, p2 = hit
-                if (_segment_blocked(tx, p1, frames)
-                        or _segment_blocked(p1, p2, frames)
-                        or _segment_blocked(p2, rx, frames)):
-                    continue
-                p = _make_path(2, (tx, p1, p2, rx), (f1, f2), env, polarization)
-                if p is not None:
-                    paths.append(p)
 
     paths = _dedupe(paths)
     paths.sort(key=lambda p: (p.order, p.delay,
                               tuple(b.surface_index for b in p.bounces)))
     return paths
+
+
+@lru_cache(maxsize=64)
+def _image_tree(env: Environment, tx: Vec3, max_order: int) -> Tuple[tuple, tuple]:
+    """Surface frames and the (surface chain, images) candidates of a transmitter.
+
+    images[k] is tx mirrored across chain[:k]. Candidates are breadth-first:
+    the direct ray, each surface facing tx, each ordered pair, ..., never the
+    same plane twice in a row. Only the receiver moves in a sweep, so this is
+    built once per transmitter.
+    """
+    frames = _frames(env)
+    level = [((), (tx,))]
+    candidates = list(level)
+    for _ in range(max_order):
+        level = [(chain + (f,),
+                  images + (mirror_across_plane(images[-1], f.normal, f.offset),))
+                 for chain, images in level for f in frames
+                 if (not chain[-1].coplanar_with(f) if chain else f.side(tx) > _ON_PLANE)]
+        candidates += level
+    return frames, tuple(candidates)
+
+
+def _unfold(tx: Vec3, rx: Vec3, chain: Sequence[_Frame],
+            images: Sequence[Vec3]) -> Optional[Tuple[Vec3, ...]]:
+    """Vertices tx, bounce points..., rx of a chain back-traced from rx, or None.
+
+    Every bounce must land on its rectangle with both neighbouring vertices
+    on the reflecting side (tx's side is checked when the tree is built).
+    """
+    vertices = (rx,)
+    after = None  # the bounce after the current one
+    # zip pairs chain[k] with images[k + 1] and leaves out images[0], tx itself.
+    for f, img in zip(reversed(chain), reversed(images)):
+        if f.side(vertices[0]) <= _ON_PLANE:
+            return None
+        p = _plane_point(img, vertices[0], f)
+        if p is None or (after is not None and after.side(p) <= _ON_PLANE):
+            return None
+        vertices = (p,) + vertices
+        after = f
+    return (tx,) + vertices
 
 
 def _plane_point(img: Vec3, target: Vec3, f: _Frame) -> Optional[Vec3]:
@@ -358,31 +378,6 @@ def _plane_point(img: Vec3, target: Vec3, f: _Frame) -> Optional[Vec3]:
     if not f.contains(p, ON_SURFACE_TOL):
         return None
     return p
-
-
-def _first_order_point(tx: Vec3, rx: Vec3, f: _Frame) -> Optional[Vec3]:
-    # Both endpoints must face the reflecting side of the plane.
-    if f.side(tx) <= 1e-12 or f.side(rx) <= 1e-12:
-        return None
-    img = mirror_across_plane(tx, f.normal, f.offset)
-    return _plane_point(img, rx, f)
-
-
-def _second_order_points(tx: Vec3, rx: Vec3, img1: Vec3,
-                         f1: _Frame, f2: _Frame) -> Optional[Tuple[Vec3, Vec3]]:
-    if f1.side(tx) <= 1e-12 or f2.side(rx) <= 1e-12:
-        return None
-    img2 = mirror_across_plane(img1, f2.normal, f2.offset)
-    p2 = _plane_point(img2, rx, f2)
-    if p2 is None:
-        return None
-    p1 = _plane_point(img1, p2, f1)
-    if p1 is None:
-        return None
-    # Unfolded segments must stay on the reflecting side of each plane.
-    if f1.side(p2) <= 1e-12 or f2.side(p1) <= 1e-12:
-        return None
-    return p1, p2
 
 
 def _dedupe(paths: List[PathContribution]) -> List[PathContribution]:

@@ -80,6 +80,12 @@ def test_preset_with_unknown_kind_names_the_key():
         parse_scenario("systems: [{preset: system1, kind: dish}]\n")
 
 
+@pytest.mark.parametrize("order", [3, -1])
+def test_max_order_outside_the_tracer_cap_rejected(order):
+    with pytest.raises(ScenarioError, match=r"physics\.max_order"):
+        parse_scenario(f"physics: {{max_order: {order}}}\n")
+
+
 def test_roundtrip_through_serializer():
     text = """
 environment:
@@ -287,6 +293,18 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, body, flags, key):
                *flags])
     assert rc == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "table"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected(tmp_path, capsys, command, workers):
+    scn = _write_scenario(tmp_path, "sweep: {n_samples: 16}\n")
+    out = tmp_path / "o"
+    rc = main([command, "--scenario", str(scn), "--out", str(out),
+               "--workers", workers])
+    assert rc == 1
+    assert "--workers" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -196,6 +196,10 @@ def test_enumerate_rejects_invalid_inputs():
         enumerate_paths(env, (0.0, 5.0, 1.0), (10.0, 0.0, 1.5))
     with pytest.raises(ValueError):
         enumerate_paths(env, TX, (50.0, 0.0, 1.5))
+    # Endpoints whose distance rounds to zero coincide.
+    for rx in (TX, (0.0, 1e-300, 2.0)):
+        with pytest.raises(ValueError, match="coincide"):
+            enumerate_paths(env, TX, rx)
 
 
 def test_path_geometry_consistency(tunnel_paths):
