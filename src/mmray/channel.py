@@ -3,9 +3,12 @@
 Each traced path becomes one complex tap. The coherent phasor sum of the
 taps gives the narrowband received power; tap powers versus delay give the
 power delay profile and its moments (mean excess delay, RMS delay spread).
-A sweep engine slides the receiver along the duct centerline and evaluates
-every antenna system and carrier frequency from one path enumeration per
-position.
+One kernel turns the rows of a tracer PathTable into tap amplitudes for
+every antenna system and carrier. A sweep slides the receiver along the duct
+centerline: it traces the positions in blocks of receivers, evaluates each
+block's table at once and takes per-receiver sums over each receiver's rows.
+The per-path functions take a list of PathContribution, the one-receiver
+view of the same table.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ import numpy as np
 from .antenna import AntennaSystem, gain
 from .geometry import Vec3, neg, vec3
 from .scene import Environment
-from .tracer import SPEED_OF_LIGHT, PathContribution, Polarization, enumerate_paths
+from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
+    SPEED_OF_LIGHT,
+    PathContribution,
+    PathTable,
+    Polarization,
+    candidate_count,
+    enumerate_paths,
+    trace_receivers,
+)
 
 # Sea-level 60 GHz oxygen absorption is ~0.00116 dB/m; negligible over tens
 # of metres and off by default, but available for longer ducts.
@@ -29,6 +40,12 @@ ATMOSPHERIC_LOSS_DB_PER_M = 0.00116
 
 # Sentinel power for fully blocked receiver positions.
 NO_COVERAGE = float("-inf")
+
+# Complex (system, carrier, path) cells a sweep evaluates at once (128 KB):
+# receivers are traced in blocks small enough that a block's tap amplitudes
+# fit, which also bounds the tracer's arrays. Larger blocks run faster on
+# many carriers but raise the peak memory of a sweep.
+_BLOCK_CELLS = 1 << 13
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -126,41 +143,76 @@ class DelaySpreadTable:
 # Tap construction
 # ---------------------------------------------------------------------------
 
-def _tap_amplitudes(paths: Sequence[PathContribution],
+def _gain(sys: AntennaSystem, directions: np.ndarray,
+          boresight: Optional[Vec3] = None) -> np.ndarray:
+    """antenna.gain of every row of directions (N, 3).
+
+    numpy sums a matrix product of a single row in another order than one of
+    several rows, so a lone row is evaluated beside a copy of itself: a
+    path's gain then does not depend on how many paths share the call.
+    """
+    if len(directions) == 1:
+        return gain(sys, np.repeat(directions, 2, axis=0), boresight)[:1]
+    return gain(sys, directions, boresight)
+
+
+def _tap_amplitudes(table: PathTable,
                     systems: Sequence[AntennaSystem],
                     frequencies: Sequence[float],
-                    rx_boresight: Optional[Vec3] = None,
+                    rx_boresight=None,
                     atmospheric_loss_db_per_m: float = 0.0) -> np.ndarray:
-    """Complex tap amplitudes in sqrt-watt units, shape (systems, carriers, paths).
+    """Complex tap amplitudes in sqrt-watt units, shape (systems, carriers, rows).
 
     amplitude[s, f, i] = geo[s, i] * prop[f, i] with
       geo  = sqrt(T_R a_t a_r) * refl_i                         real
       prop = (lambda/4pi) * trans_i * exp(-j k d_i) / d_i       complex
     (prop also carries the atmospheric loss, if any), so gains are evaluated
-    once per system and slab transmission once per carrier. rx_boresight
-    defaults to each system's own reversed boresight.
+    once per system and boresight, and slab transmission once per carrier.
+    rx_boresight is one direction for every row, one per receiver of the
+    table (R, 3), or None for each system's own reversed boresight.
     """
-    n = len(paths)
-    dep = np.array([p.departure_dir for p in paths], float).reshape(n, 3)
-    arr = np.array([p.arrival_dir for p in paths], float).reshape(n, 3)
-    d = np.array([p.length for p in paths])
-    refl = np.array([p.reflection_product for p in paths])
+    d = table.length
+    groups = [(slice(None), rx_boresight)]
+    if rx_boresight is not None and np.ndim(rx_boresight) == 2:
+        per_receiver = [tuple(b) for b in np.asarray(rx_boresight, float).tolist()]
+        unique = {b: g for g, b in enumerate(dict.fromkeys(per_receiver))}
+        if len(unique) == 1:
+            groups = [(slice(None), per_receiver[0])]
+        else:
+            row_group = np.array([unique[b] for b in per_receiver])[table.receiver]
+            groups = [(row_group == g, b) for b, g in unique.items()]
 
-    geo = np.empty((len(systems), n))
+    geo = np.empty((len(systems), len(d)))
     for s, sys in enumerate(systems):
-        rx_b = rx_boresight if rx_boresight is not None else neg(sys.boresight)
-        a_t = gain(sys, dep)
-        a_r = gain(sys, -arr, boresight=rx_b)
-        geo[s] = np.sqrt(a_t * a_r) * refl * math.sqrt(sys.tx_power_watts)
+        a_r = np.empty(len(d))
+        for rows, b in groups:
+            a_r[rows] = _gain(sys, -table.arrival[rows],
+                              neg(sys.boresight) if b is None else b)
+        geo[s] = (np.sqrt(_gain(sys, table.departure) * a_r) * table.reflection
+                  * math.sqrt(sys.tx_power_watts))
 
     freqs = np.array(frequencies, float).reshape(-1, 1)
-    trans = np.array([[p.transmission_product(f) for p in paths]
-                      for f in frequencies], complex)
     k = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-    prop = SPEED_OF_LIGHT / (4.0 * math.pi) / freqs * trans * np.exp(-1j * k * d) / d
+    prop = (SPEED_OF_LIGHT / (4.0 * math.pi) / freqs * table.transmission(frequencies)
+            * np.exp(-1j * k * d) / d)
     if atmospheric_loss_db_per_m > 0.0:
         prop *= 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
     return geo[:, None, :] * prop
+
+
+# The per-path functions are usually called once per system and carrier with
+# the same list, so the table of the last list is kept for the next call.
+# Paths are immutable: the same objects in the same order give the same table.
+_last_table: Tuple[tuple, Optional[PathTable]] = ((), None)
+
+
+def _table_of(paths: Sequence[PathContribution]) -> PathTable:
+    global _last_table
+    key, table = _last_table
+    if len(key) != len(paths) or any(a is not b for a, b in zip(key, paths)):
+        table = PathTable.from_paths(paths)
+        _last_table = (tuple(paths), table)
+    return table
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -176,8 +228,8 @@ def received_power(paths: Sequence[PathContribution],
     """
     if not paths:
         return NO_COVERAGE
-    amps = _tap_amplitudes(paths, (sys,), (carrier.frequency,), rx_boresight,
-                           atmospheric_loss_db_per_m)[0, 0]
+    amps = _tap_amplitudes(_table_of(paths), (sys,), (carrier.frequency,),
+                           rx_boresight, atmospheric_loss_db_per_m)[0, 0]
     return watts_to_dbm(abs(amps.sum()) ** 2)
 
 
@@ -192,8 +244,8 @@ def impulse_response(paths: Sequence[PathContribution],
     """
     if not paths:
         return []
-    amps = _tap_amplitudes(paths, (sys,), (carrier.frequency,), rx_boresight,
-                           atmospheric_loss_db_per_m)[0, 0]
+    amps = _tap_amplitudes(_table_of(paths), (sys,), (carrier.frequency,),
+                           rx_boresight, atmospheric_loss_db_per_m)[0, 0]
     taps = [ChannelTap(delay=p.delay, amplitude=a, power=w)
             for p, a, w in zip(paths, amps.tolist(), (np.abs(amps) ** 2).tolist())]
     taps.sort(key=lambda t: t.delay)
@@ -247,17 +299,21 @@ def power_delay_profile(taps: Sequence[ChannelTap],
 
 
 def _delay_moments(delays: np.ndarray, powers: np.ndarray,
-                   first_arrival: float) -> Tuple[np.ndarray, np.ndarray]:
-    """RMS delay spread and mean excess delay of tap powers (..., N) at delays (N,).
+                   first_arrival) -> Tuple[np.ndarray, np.ndarray]:
+    """RMS delay spread and mean excess delay of tap powers (..., N) at delays (..., N).
 
-    Both are NaN where the total power is zero.
+    Sums run over the last axis; first_arrival broadcasts against delays.
+    Both are NaN where the total power is zero. The moments are taken of
+    the excess delay, which keeps the cancellation in E[x^2] - E[x]^2 far
+    below a femtosecond (a single tap gives exactly 0).
     """
+    excess = delays - first_arrival
     total = powers.sum(axis=-1)
     total = np.where(total > 0.0, total, np.nan)
-    mean = powers @ delays / total
-    second = powers @ delays ** 2 / total
+    mean = (powers * excess).sum(axis=-1) / total
+    second = (powers * excess ** 2).sum(axis=-1) / total
     rms = np.sqrt(np.maximum(second - mean * mean, 0.0))
-    return rms, mean - first_arrival
+    return rms, mean
 
 
 def rms_delay_spread(pdp: PowerDelayProfile) -> float:
@@ -284,32 +340,44 @@ def _init_worker(env: Environment, tx: Vec3, systems, frequencies,
                    atmospheric)
 
 
-def _eval_position(job: Tuple[Vec3, Vec3]) -> tuple:
-    """Powers (dBm) and delay moments (s) for one receiver position.
+def _receiver_rows(counts: np.ndarray):
+    """(receivers, row indices (receivers, n)) for each row count n > 0.
 
-    Each result is an array indexed [system, frequency], computed the same
-    way in every process, so results merge identically for any worker count.
+    Gathering x[..., rows] lays each receiver's n rows out as one dense last
+    axis, so a .sum over it adds them in the same order as for that receiver
+    alone.
+    """
+    starts = np.cumsum(counts) - counts
+    for n in sorted(set(counts.tolist()) - {0}):
+        receivers = np.flatnonzero(counts == n)
+        yield receivers, starts[receivers, None] + np.arange(n)
+
+
+def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
+    """Powers (dBm) and delay moments (s) of a block of receiver positions.
+
+    Each result is an array indexed [receiver, system, frequency]. A
+    receiver's values depend only on its own rows, so results merge
+    identically for any block size and worker count.
     """
     env, tx, systems, frequencies, pol, max_order, atmos = _WORKER_CTX
     rx, rx_boresight = job
-    paths = enumerate_paths(env, tx, rx, max_order=max_order, polarization=pol)
-    shape = (len(systems), len(frequencies))
-    if not paths:
-        return np.full(shape, NO_COVERAGE), np.full(shape, math.nan), np.full(shape, math.nan)
-    amps = _tap_amplitudes(paths, systems, frequencies, rx_boresight, atmos)
-    power = np.array([watts_to_dbm(w) for w in (np.abs(amps.sum(axis=2)) ** 2).flat])
-    delays = np.array([p.delay for p in paths])
-    rms, excess = _delay_moments(delays, np.abs(amps) ** 2, delays.min())
-    return power.reshape(shape), rms, excess
-
-
-def _receiver_jobs(env: Environment, distances: np.ndarray,
-                   rx_height: float) -> List[Tuple[Vec3, Vec3]]:
-    jobs = []
-    for s in distances:
-        rx = env.axis_point(float(s), height=rx_height)
-        jobs.append((rx, neg(env.axis_direction(float(s)))))
-    return jobs
+    table = trace_receivers(env, tx, rx, max_order, pol)
+    amps = _tap_amplitudes(table, systems, frequencies, rx_boresight, atmos)
+    delays = table.delay
+    shape = (len(systems), len(frequencies), len(rx))
+    coherent = np.zeros(shape)
+    rms = np.full(shape, math.nan)
+    excess = np.full(shape, math.nan)
+    for receivers, rows in _receiver_rows(table.counts()):
+        a = np.ascontiguousarray(amps[..., rows])  # (systems, carriers, receivers, n)
+        coherent[..., receivers] = np.abs(a.sum(axis=-1)) ** 2
+        d = delays[rows]
+        rms[..., receivers], excess[..., receivers] = _delay_moments(
+            d, np.abs(a) ** 2, d.min(axis=-1, keepdims=True))
+    # No rows (no coverage) leaves zero power: NO_COVERAGE and NaN moments.
+    power = np.array([watts_to_dbm(w) for w in coherent.ravel().tolist()]).reshape(shape)
+    return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
 def run_sweep_grid(env: Environment,
@@ -325,10 +393,10 @@ def run_sweep_grid(env: Environment,
                    atmospheric: bool = False) -> SweepGrid:
     """Evaluate every (position, system, frequency) combination of a sweep.
 
-    Paths are enumerated once per position and reused for all systems and
-    frequencies. With workers > 1 positions are evaluated in a process
-    pool; results are merged in position order, so the output is identical
-    for any worker count.
+    Positions are traced in blocks of receivers, and each block's paths
+    serve all systems and frequencies. With workers > 1 blocks are evaluated
+    in a process pool; results are merged in position order, so the output
+    is identical for any worker count.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -347,24 +415,25 @@ def run_sweep_grid(env: Environment,
     systems = tuple(systems)
     frequencies = tuple(float(f) for f in frequencies)
     distances = np.linspace(rx_start, env.axis_length, n_samples)
-    jobs = _receiver_jobs(env, distances, rx_height)
+    rx = np.array([env.axis_point(float(s), height=rx_height) for s in distances])
+    rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
-    init_args = (env, tx, systems, frequencies, polarization, int(max_order),
-                 atmos)
+    init_args = (env, tx, systems, frequencies, polarization, max_order, atmos)
+    # Every candidate of the image tree may become a row of every receiver.
+    cells = len(systems) * len(frequencies) * candidate_count(env, tx, max_order)
+    size = max(1, _BLOCK_CELLS // cells)
+    jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in range(0, n_samples, size)]
 
     if workers <= 1:
         _init_worker(*init_args)
-        results = [_eval_position(job) for job in jobs]
+        results = [_sweep_block(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=init_args) as pool:
-            chunk = max(1, n_samples // (workers * 8))
-            results = list(pool.map(_eval_position, jobs, chunksize=chunk))
+            results = list(pool.map(_sweep_block, jobs))
 
-    power = np.array([r[0] for r in results])   # (n_pos, S, F)
-    rms = np.array([r[1] for r in results])
-    excess = np.array([r[2] for r in results])
+    power, rms, excess = (np.concatenate(r) for r in zip(*results))  # (n_pos, S, F)
     return SweepGrid(
         environment=env.name,
         distances=distances,

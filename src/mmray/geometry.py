@@ -1,8 +1,10 @@
 """Minimal 3D vector algebra on plain float triples.
 
-The tracer enumerates thousands of candidate paths per receiver position,
-so these helpers work on tuples of floats rather than numpy arrays to
-avoid per-call array allocation. Numpy interop happens at API boundaries.
+Scene construction, validation and the tracer's image tree (built once per
+transmitter) use these helpers. The per-receiver back-trace runs on numpy
+arrays over many receivers at once; it keeps the order of operations used
+here (dot as a0*b0 + a1*b1 + a2*b2, lerp as a + t*(b - a)), so a path's
+numbers do not depend on how many receivers are traced together.
 """
 
 from __future__ import annotations

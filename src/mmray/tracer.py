@@ -1,30 +1,31 @@
 """Image-method path enumeration with Fresnel reflection and slab transmission.
 
 One image tree per transmitter lists every chain of up to MAX_ORDER surfaces
-with the transmitter mirrored across each in turn; one routine back-traces
-any chain from the receiver. A candidate survives if every reflection point
-falls on its finite rectangle between vertices on the reflecting side, every
-straight segment is unobstructed, and no metal slab is crossed.
+with the transmitter mirrored across each in turn, and stacks the chains of
+each order into arrays. trace_receivers back-traces every chain from a block
+of receivers at once, as array operations over (candidates x receivers), and
+writes the surviving paths into a PathTable: one row per path, the rows of a
+receiver together and in enumerate_paths order. A candidate survives if
+every reflection point falls on its finite rectangle between vertices on the
+reflecting side, every straight segment is unobstructed, and no metal slab
+is crossed. enumerate_paths is the one-receiver view of the same trace.
+
+The array code keeps the scalar order of operations (n0*x0 + n1*x1 + n2*x2,
+a + t*(b - a)), so a path's numbers do not depend on which receivers share
+its block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .geometry import (
-    Vec3,
-    distance,
-    dot,
-    lerp,
-    mirror_across_plane,
-    sub,
-    unit,
-    vec3,
-)
+import numpy as np
+
+from .geometry import Vec3, distance, dot, mirror_across_plane, vec3
 from .scene import Environment, Material, ObstacleSlab, Surface
 
 SPEED_OF_LIGHT = 299792458.0
@@ -38,6 +39,12 @@ ON_SURFACE_TOL = 1e-9
 _T_INTERIOR = 1e-9
 # Distance in metres within which a point counts as lying on a plane.
 _ON_PLANE = 1e-12
+# Closest transmitter-receiver separation in metres a trace accepts: below
+# it the direct path has no usable direction and a meaningless power.
+_MIN_SEPARATION = 1e-9
+# Paths whose lengths and bounce coordinates round to the same 7 decimals
+# differ by at most 1e-7 in each; only such near pairs get the exact key test.
+_NEAR = 2e-7
 
 
 class Polarization(Enum):
@@ -45,6 +52,11 @@ class Polarization(Enum):
 
     TE = "te"  # E-field perpendicular to the plane of incidence
     TM = "tm"  # E-field parallel to the plane of incidence
+
+
+def _check_angle(theta: float) -> None:
+    if not 0.0 <= theta < math.pi / 2:
+        raise ValueError(f"incidence angle must be in [0, pi/2), got {theta}")
 
 
 def fresnel_reflection(eps_r: float, theta: float, pol: Polarization) -> float:
@@ -57,11 +69,16 @@ def fresnel_reflection(eps_r: float, theta: float, pol: Polarization) -> float:
     """
     if eps_r < 1.0:
         raise ValueError(f"eps_r must be >= 1, got {eps_r}")
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError(f"incidence angle must be in [0, pi/2), got {theta}")
-    ct = math.cos(theta)
-    st2 = math.sin(theta) ** 2
-    root = math.sqrt(eps_r - st2)
+    _check_angle(theta)
+    return float(_fresnel(eps_r, np.float64(theta), pol))
+
+
+def _fresnel(eps_r, theta, pol: Polarization):
+    """fresnel_reflection over arrays, without the range checks."""
+    ct = np.cos(theta)
+    # float_power squares with libm's pow, as ** does on a Python float;
+    # np.square rounds differently in the last bit.
+    root = np.sqrt(eps_r - np.float_power(np.sin(theta), 2.0))
     if pol is Polarization.TE:
         return (ct - root) / (ct + root)
     return (eps_r * ct - root) / (eps_r * ct + root)
@@ -85,12 +102,27 @@ def slab_transmission(slab: ObstacleSlab, theta: float, frequency: float,
     """
     if slab.material.is_conductor:
         return 0.0j
-    eps = slab.material.eps_r
-    r = fresnel_reflection(eps, theta, pol)
-    cos_t = math.sqrt(1.0 - math.sin(theta) ** 2 / eps)
-    t_eff = slab.thickness / cos_t
-    k_slab = 2.0 * math.pi * frequency * math.sqrt(eps) / SPEED_OF_LIGHT
-    return (1.0 - r * r) * complex(math.cos(k_slab * t_eff), -math.sin(k_slab * t_eff))
+    _check_angle(theta)
+    return complex(_slab_transmission(slab.material.eps_r, slab.thickness,
+                                      np.float64(theta), frequency, pol))
+
+
+def _slab_transmission(eps_r, thickness, theta, frequency, pol: Polarization) -> np.ndarray:
+    """slab_transmission of dielectric slabs, broadcast over arrays."""
+    r = _fresnel(eps_r, theta, pol)
+    cos_t = np.sqrt(1.0 - np.float_power(np.sin(theta), 2.0) / eps_r)
+    t_eff = thickness / cos_t
+    k_slab = 2.0 * math.pi * frequency * np.sqrt(eps_r) / SPEED_OF_LIGHT
+    phase = k_slab * t_eff
+    amp = 1.0 - r * r
+    return _complex(amp * np.cos(phase), amp * -np.sin(phase))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,40 +177,164 @@ def path_geometry(path: PathContribution) -> Tuple[List[float], List[float]]:
     return lengths, angles
 
 
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """Traced paths of a block of receivers, as a struct of arrays.
+
+    One row per path. The rows of a receiver are contiguous and sorted as
+    enumerate_paths sorts them: by reflection order, delay, then surface
+    chain; a receiver without coverage has no rows. Bounces and slab
+    crossings are records of their own, in row order and, within a row, in
+    path order.
+    """
+
+    tx: Vec3
+    rx: np.ndarray               # (R, 3) receiver positions
+    receiver: np.ndarray         # (M,) index into rx
+    candidate: np.ndarray        # (M,) index into the transmitter's image tree, -1 if unknown
+    order: np.ndarray            # (M,) number of reflections
+    length: np.ndarray           # (M,) metres
+    reflection: np.ndarray       # (M,) product of reflection coefficients
+    departure: np.ndarray        # (M, 3) unit direction leaving the transmitter
+    arrival: np.ndarray          # (M, 3) unit direction arriving at the receiver
+    bounce_row: np.ndarray       # (B,) row of each bounce
+    bounce_surface: np.ndarray   # (B,) surface index
+    bounce_point: np.ndarray     # (B, 3)
+    bounce_angle: np.ndarray     # (B,) incidence angle from the normal
+    crossing_row: np.ndarray     # (Q,) row of each slab crossing
+    crossing_slab: np.ndarray    # (Q,) index into slabs
+    crossing_angle: np.ndarray   # (Q,) incidence angle on the slab
+    slabs: Tuple[ObstacleSlab, ...]
+    polarization: Polarization
+    _transmissions: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def delay(self) -> np.ndarray:
+        return self.length / SPEED_OF_LIGHT
+
+    def counts(self) -> np.ndarray:
+        """Rows per receiver."""
+        return np.bincount(self.receiver, minlength=len(self.rx))
+
+    def transmission(self, frequencies: Sequence[float]) -> np.ndarray:
+        """Product of slab transmissions of every row, (carriers, M) complex.
+
+        Computed once per table and carrier list; do not modify the result.
+        """
+        key = tuple(frequencies)
+        if key not in self._transmissions:
+            self._transmissions[key] = self._transmission(key)
+        return self._transmissions[key]
+
+    def _transmission(self, frequencies: Tuple[float, ...]) -> np.ndarray:
+        freqs = np.asarray(frequencies, float).reshape(-1, 1)
+        trans = np.ones((len(freqs), len(self.length)), complex)
+        rows = self.crossing_row
+        if not len(rows):
+            return trans
+        slabs = [self.slabs[i] for i in self.crossing_slab.tolist()]
+        t = _slab_transmission(np.array([s.material.eps_r for s in slabs]),
+                               np.array([s.thickness for s in slabs]),
+                               self.crossing_angle, freqs, self.polarization)
+        # Multiply each row's crossings in path order, in the arithmetic of
+        # Python's complex product (numpy's may fuse multiply and add).
+        first = np.ones(len(rows), bool)
+        first[1:] = rows[1:] != rows[:-1]
+        trans[:, rows[first]] = t[:, first]
+        re, im = trans.real, trans.imag
+        while not first.all():
+            rows, t = rows[~first], t[:, ~first]
+            first = np.ones(len(rows), bool)
+            first[1:] = rows[1:] != rows[:-1]
+            r = rows[first]
+            a, b, c, d = re[:, r], im[:, r], t.real[:, first], t.imag[:, first]
+            re[:, r] = a * c - b * d
+            im[:, r] = a * d + b * c
+        return trans
+
+    def paths(self, r: int) -> List[PathContribution]:
+        """The rows of receiver r as PathContribution objects."""
+        lo, hi = np.searchsorted(self.receiver, [r, r + 1]).tolist()
+        rx = tuple(self.rx[r].tolist())
+        bounces = [[] for _ in range(lo, hi)]
+        b_lo, b_hi = np.searchsorted(self.bounce_row, [lo, hi]).tolist()
+        for i, s, p, a in zip(self.bounce_row[b_lo:b_hi].tolist(),
+                              self.bounce_surface[b_lo:b_hi].tolist(),
+                              self.bounce_point[b_lo:b_hi].tolist(),
+                              self.bounce_angle[b_lo:b_hi].tolist()):
+            bounces[i - lo].append(Bounce(s, tuple(p), a))
+        crossings = [[] for _ in range(lo, hi)]
+        c_lo, c_hi = np.searchsorted(self.crossing_row, [lo, hi]).tolist()
+        for i, s, a in zip(self.crossing_row[c_lo:c_hi].tolist(),
+                           self.crossing_slab[c_lo:c_hi].tolist(),
+                           self.crossing_angle[c_lo:c_hi].tolist()):
+            crossings[i - lo].append(SlabCrossing(s, self.slabs[s], a))
+        return [PathContribution(
+                    order=k,
+                    vertices=(self.tx, *(b.point for b in bs), rx),
+                    length=length,
+                    delay=length / SPEED_OF_LIGHT,
+                    bounces=tuple(bs),
+                    reflection_product=refl,
+                    crossings=tuple(cs),
+                    departure_dir=tuple(dep),
+                    arrival_dir=tuple(arr),
+                    polarization=self.polarization)
+                for k, length, refl, dep, arr, bs, cs in zip(
+                    self.order[lo:hi].tolist(), self.length[lo:hi].tolist(),
+                    self.reflection[lo:hi].tolist(), self.departure[lo:hi].tolist(),
+                    self.arrival[lo:hi].tolist(), bounces, crossings)]
+
+    @classmethod
+    def from_paths(cls, paths: Sequence[PathContribution]) -> "PathTable":
+        """One receiver's (non-empty) path list as a table."""
+        n = len(paths)
+        cols = np.array([(p.order, p.length, p.reflection_product, *p.departure_dir,
+                          *p.arrival_dir) for p in paths], float).T.copy()
+        bounces = np.array([(i, b.surface_index, *b.point, b.incidence_angle)
+                            for i, p in enumerate(paths) for b in p.bounces],
+                           float).reshape(-1, 6).T.copy()
+        crossings = [(i, c) for i, p in enumerate(paths) for c in p.crossings]
+        slabs = {c.obstacle_index: c.slab for _, c in crossings}
+        return cls(
+            tx=paths[0].vertices[0],
+            rx=np.array([paths[0].vertices[-1]], float),
+            receiver=np.zeros(n, int),
+            candidate=np.full(n, -1),
+            order=cols[0].astype(int),
+            length=cols[1],
+            reflection=cols[2],
+            departure=np.ascontiguousarray(cols[3:6].T),
+            arrival=np.ascontiguousarray(cols[6:9].T),
+            bounce_row=bounces[0].astype(int),
+            bounce_surface=bounces[1].astype(int),
+            bounce_point=bounces[2:5].T,
+            bounce_angle=bounces[5],
+            crossing_row=np.array([i for i, _ in crossings], int),
+            crossing_slab=np.array([c.obstacle_index for _, c in crossings], int),
+            crossing_angle=np.array([c.incidence_angle for _, c in crossings], float),
+            slabs=tuple(slabs.get(i) for i in range(max(slabs, default=-1) + 1)),
+            polarization=paths[0].polarization,
+        )
+
+
 # ---------------------------------------------------------------------------
-# Enumeration internals
+# Image tree
 # ---------------------------------------------------------------------------
 
 class _Frame:
-    """Precomputed per-surface floats for the hot loop."""
+    """Precomputed per-surface floats used while building the image tree."""
 
-    __slots__ = ("index", "normal", "offset", "origin", "edge_u", "edge_v",
-                 "inv_u2", "inv_v2", "material")
+    __slots__ = ("index", "normal", "offset")
 
     def __init__(self, index: int, surf: Surface):
         self.index = index
         self.normal = surf.normal
         self.offset = surf.plane_offset
-        self.origin = surf.origin
-        self.edge_u = surf.edge_u
-        self.edge_v = surf.edge_v
-        u2, v2 = surf._edge_norms_sq
-        self.inv_u2 = 1.0 / u2
-        self.inv_v2 = 1.0 / v2
-        self.material = surf.material
 
     def side(self, p: Vec3) -> float:
         n = self.normal
         return n[0] * p[0] + n[1] * p[1] + n[2] * p[2] - self.offset
-
-    def contains(self, p: Vec3, tol: float) -> bool:
-        o = self.origin
-        rel = (p[0] - o[0], p[1] - o[1], p[2] - o[2])
-        a = dot(rel, self.edge_u) * self.inv_u2
-        if a < -tol or a > 1.0 + tol:
-            return False
-        b = dot(rel, self.edge_v) * self.inv_v2
-        return -tol <= b <= 1.0 + tol
 
     def coplanar_with(self, other: "_Frame", tol: float = 1e-9) -> bool:
         n1, n2 = self.normal, other.normal
@@ -196,88 +352,368 @@ def _frames(env: Environment) -> Tuple[_Frame, ...]:
     return tuple(_Frame(i, s) for i, s in enumerate(env.surfaces))
 
 
-def _segment_blocked(a: Vec3, b: Vec3, frames: Sequence[_Frame]) -> bool:
-    """True if the open segment a->b properly crosses any surface rectangle."""
-    for f in frames:
-        n = f.normal
-        da = n[0] * a[0] + n[1] * a[1] + n[2] * a[2] - f.offset
-        db = n[0] * b[0] + n[1] * b[1] + n[2] * b[2] - f.offset
-        denom = da - db
-        if abs(denom) < 1e-12:
-            continue
-        t = da / denom
-        if t <= _T_INTERIOR or t >= 1.0 - _T_INTERIOR:
-            continue
-        # An endpoint on the plane (a bounce point, up to rounding) touches it.
-        if abs(da) <= _ON_PLANE or abs(db) <= _ON_PLANE:
-            continue
-        # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-        if f.contains(lerp(a, b, t), -ON_SURFACE_TOL):
-            return True
-    return False
+class _Planes(NamedTuple):
+    """Planes n . x = offset; the last axis runs over surfaces."""
+
+    normal: np.ndarray   # (3, ...)
+    offset: np.ndarray   # (...)
+
+    def at(self, i) -> "_Planes":
+        return _Planes(*(x[..., i] for x in self))
 
 
-def _collect_crossings(segments: Sequence[Tuple[Vec3, Vec3]],
-                       obstacles: Sequence[ObstacleSlab]) -> Optional[List[SlabCrossing]]:
-    """Slab crossings over all segments; None if a conductor slab is crossed.
+class _Rects(NamedTuple):
+    """Rectangles origin + a edge_u + b edge_v; the last axis runs over surfaces."""
 
-    Slabs are transverse to the first centerline segment, so the crossing
-    test works on the global x coordinate.
+    origin: np.ndarray   # (3, ...)
+    edge_u: np.ndarray   # (3, ...)
+    edge_v: np.ndarray   # (3, ...)
+    inv_u2: np.ndarray   # (...) 1 / |edge_u|^2
+    inv_v2: np.ndarray   # (...) 1 / |edge_v|^2
+
+    def at(self, i) -> "_Rects":
+        return _Rects(*(x[..., i] for x in self))
+
+
+class _Surfaces(NamedTuple):
+    plane: _Planes
+    rect: _Rects
+    eps_r: np.ndarray      # (S,)
+    conductor: np.ndarray  # (S,) bool
+
+
+@lru_cache(maxsize=32)
+def _surfaces(env: Environment) -> _Surfaces:
+    s = env.surfaces
+
+    def columns(values, n: int) -> np.ndarray:  # n numbers per surface -> (n, S)
+        return np.array(values, float).reshape(-1, n).T.copy()
+
+    return _Surfaces(
+        _Planes(columns([f.normal for f in s], 3), columns([f.plane_offset for f in s], 1)[0]),
+        _Rects(columns([f.origin for f in s], 3), columns([f.edge_u for f in s], 3),
+               columns([f.edge_v for f in s], 3),
+               *columns([[1.0 / u2, 1.0 / v2] for u2, v2 in (f._edge_norms_sq for f in s)], 2)),
+        np.array([f.material.eps_r for f in s], float),
+        np.array([f.material.is_conductor for f in s], bool))
+
+
+class _Step(NamedTuple):
+    """One back-trace step: the s-th bounce counted back from the receiver.
+
+    Candidates are stacked by descending order, so the n candidates with a
+    bounce at step s come first. Arrays are (3, n, 1) or (n, 1), to
+    broadcast against (3, n, receivers) points.
     """
-    if not obstacles:
-        return []
-    crossings: List[SlabCrossing] = []
-    for a, b in segments:
-        x_lo, x_hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-        seg_len = distance(a, b)
-        ux = abs(b[0] - a[0]) / seg_len if seg_len > 0.0 else 0.0
-        for idx, slab in enumerate(obstacles):
-            s_lo, s_hi = slab.interval
-            if x_hi <= s_lo or x_lo >= s_hi:
-                continue
-            if slab.material.is_conductor:
-                return None
-            theta = min(math.acos(min(ux, 1.0)), math.pi / 2 - 1e-9)
-            crossings.append(SlabCrossing(idx, slab, theta))
-    return crossings
+
+    count: int
+    plane: _Planes         # plane of the bounce surface
+    rect: _Rects           # rectangle of the bounce surface
+    image: np.ndarray      # the image mirrored across that surface last
+    image_side: np.ndarray  # the image's side of the surface (negative)
+    after: _Planes         # plane of the next bounce surface (unused at step 0)
 
 
-def _make_path(vertices: Tuple[Vec3, ...],
-               bounce_frames: Sequence[_Frame],
-               env: Environment,
-               pol: Polarization) -> Optional[PathContribution]:
-    segments = [(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]
-    crossings = _collect_crossings(segments, env.obstacles)
-    if crossings is None:
-        return None
+class _Tree(NamedTuple):
+    candidates: Tuple[tuple, ...]   # (surface chain, images), breadth-first
+    surfaces: _Surfaces
+    # Candidates of order >= 1 stacked by descending order, then tree order:
+    index: np.ndarray               # (C,) index into candidates
+    order: np.ndarray               # (C,)
+    surface: np.ndarray             # (C, max_order) chain, -1 past the order
+    steps: Tuple[_Step, ...]        # one per step 0..max_order - 1
 
-    length = 0.0
-    for a, b in segments:
-        length += distance(a, b)
 
-    bounces = []
-    refl = 1.0
-    for i, f in enumerate(bounce_frames):
-        p = vertices[i + 1]
-        incoming = unit(sub(p, vertices[i]))
-        cos_inc = min(abs(dot(incoming, f.normal)), 1.0)
-        theta = math.acos(cos_inc)
-        theta = min(theta, math.pi / 2 - 1e-12)
-        bounces.append(Bounce(f.index, p, theta))
-        refl *= reflection_coefficient(f.material, theta, pol)
+@lru_cache(maxsize=64)
+def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
+    """The (surface chain, images) candidates of a transmitter, also stacked.
 
-    return PathContribution(
-        order=len(bounce_frames),
-        vertices=vertices,
-        length=length,
-        delay=length / SPEED_OF_LIGHT,
-        bounces=tuple(bounces),
-        reflection_product=refl,
-        crossings=tuple(crossings),
-        departure_dir=unit(sub(vertices[1], vertices[0])),
-        arrival_dir=unit(sub(vertices[-1], vertices[-2])),
-        polarization=pol,
-    )
+    images[k] is tx mirrored across chain[:k]. Candidates are breadth-first
+    and, within an order, in surface-index order: the direct ray, each
+    surface facing tx, each pair, ... A surface may follow a chain only if
+    the chain's last image lies on its reflecting side (the segment arriving
+    at the surface, extended backwards, ends at that image) and it is not the
+    plane of the previous bounce. Only the receiver moves in a sweep, so this
+    is built once per transmitter.
+    """
+    frames = _frames(env)
+    surfaces = _surfaces(env)
+    level = [((), (tx,))]
+    candidates = list(level)
+    for _ in range(max_order):
+        level = [(chain + (f,),
+                  images + (mirror_across_plane(images[-1], f.normal, f.offset),))
+                 for chain, images in level for f in frames
+                 if f.side(images[-1]) > _ON_PLANE
+                 and not (chain and chain[-1].coplanar_with(f))]
+        candidates += level
+    index = sorted(range(1, len(candidates)), key=lambda i: -len(candidates[i][0]))
+    stacked = [candidates[i] for i in index]
+    order = np.array([len(chain) for chain, _ in stacked], int)
+    surface = np.array([[f.index for f in chain] + [-1] * (max_order - len(chain))
+                        for chain, _ in stacked], int).reshape(len(index), max_order)
+    steps = []
+    for s in range(max_order):
+        # The bounce at step s of a chain of order k is chain[k - 1 - s]; its
+        # image is images[k - s], and the next bounce is chain[k - s].
+        live = order > s
+        bounce = surface[live, order[live] - 1 - s, None]
+        after = surface[live, order[live] - s, None] if s else bounce
+        images = [images[len(chain) - s] for chain, images in stacked if len(chain) > s]
+        image = np.array(images, float).reshape(-1, 3).T[..., None]
+        side = _side(surfaces.plane.at(bounce), image)
+        steps.append(_Step(int(live.sum()), surfaces.plane.at(bounce),
+                           surfaces.rect.at(bounce), image, side,
+                           surfaces.plane.at(after)))
+    return _Tree(tuple(candidates), surfaces, np.array(index, int), order, surface,
+                 tuple(steps))
+
+
+def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
+    """Image-tree candidates one trace from tx tests per receiver."""
+    _check_order(max_order)
+    return len(_image_tree(env, vec3(tx), int(max_order)).candidates)
+
+
+def _check_order(max_order) -> None:
+    if max_order not in range(MAX_ORDER + 1):
+        raise ValueError(f"max_order must be an integer in 0..{MAX_ORDER}, got {max_order!r}")
+
+
+# ---------------------------------------------------------------------------
+# Batched trace
+# ---------------------------------------------------------------------------
+
+def _side(plane: _Planes, p: np.ndarray) -> np.ndarray:
+    """n0*x + n1*y + n2*z - offset of points p (3, ...)."""
+    n = plane.normal
+    return n[0] * p[0] + n[1] * p[1] + n[2] * p[2] - plane.offset
+
+
+def _on_rectangle(p: np.ndarray, rect: _Rects, tol: float) -> np.ndarray:
+    """Whether points p (3, ...) in a rectangle's plane lie on it, up to tol."""
+    r = p - rect.origin
+    ru, rv = r * rect.edge_u, r * rect.edge_v
+    a = (ru[0] + ru[1] + ru[2]) * rect.inv_u2
+    b = (rv[0] + rv[1] + rv[2]) * rect.inv_v2
+    return (a >= -tol) & (a <= 1.0 + tol) & (b >= -tol) & (b <= 1.0 + tol)
+
+
+def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked candidates x receivers that unfold into a valid polyline.
+
+    Each bounce, from the last to the first, is where the segment from its
+    image to the next vertex crosses the surface's plane. It must land on
+    the rectangle with both neighbouring vertices strictly on the reflecting
+    side (the side of tx and of each image is checked when the tree is
+    built). Returns the surviving (stacked candidate, receiver) pairs and
+    their vertices (m, max_order + 2, 3): tx, bounces, rx, and rx again past
+    the candidate's order.
+    """
+    ok = np.ones((len(tree.order), len(rx)), bool)
+    p = rx.T[:, None, :]
+    points = []
+    for s, step in enumerate(tree.steps):
+        n = step.count
+        p = p[:, :n]
+        side = _side(step.plane, p)
+        # The tree keeps an image only behind its surface (da < 0), so with
+        # the next vertex in front, t is in (0, 1) up to rounding. A relative
+        # margin on t would reject corner bounces a picometre apart in one
+        # direction of travel but not in the other.
+        da = step.image_side
+        t = da / (da - side)
+        valid = (side > _ON_PLANE) & (t > 0.0) & (t < 1.0)
+        p = step.image + t * (p - step.image)
+        valid &= _on_rectangle(p, step.rect, ON_SURFACE_TOL)
+        if s:
+            valid &= _side(step.after, p) > _ON_PLANE
+        ok[:n] &= valid
+        points.append(p)
+    c, r = np.nonzero(ok)
+    verts = np.empty((len(c), len(tree.steps) + 2, 3))
+    verts[:, 0] = tx
+    verts[:, 1:] = rx[r, None]
+    k = tree.order[c]
+    for s, p in enumerate(points):
+        # Survivors are sorted by stacked index, so those with a bounce at
+        # step s, which stacks first, are a prefix.
+        m = np.searchsorted(c, tree.steps[s].count)
+        verts[np.arange(m), k[:m] - s] = p[:, c[:m], r[:m]].T
+    return c, r, verts
+
+
+def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
+    """Rows with a segment verts[:, i] -> verts[:, i + 1] that properly
+    crosses a surface rectangle.
+
+    A crossing within _T_INTERIOR of either end, or with an endpoint on the
+    plane (a bounce point, up to rounding), only touches the surface. Only
+    segments with their ends on opposite sides of a plane reach the
+    rectangle test. A segment of zero length, such as rx joined to itself
+    past a row's order, has no finite t; with both ends off the plane, a
+    denominator below 1e-12 also puts t outside (0, 1).
+    """
+    plane = _Planes(surfaces.plane.normal[:, None, None], surfaces.plane.offset)
+    side = _side(plane, verts.transpose(2, 0, 1)[..., None])  # (rows, K + 2, surfaces)
+    da, db = side[:, :-1], side[:, 1:]
+    t = da / (da - db)
+    row, seg, surf = np.nonzero((t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
+                                & (np.abs(da) > _ON_PLANE) & (np.abs(db) > _ON_PLANE))
+    a, b = verts[row, seg].T, verts[row, seg + 1].T
+    # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
+    hit = _on_rectangle(a + t[row, seg, surf] * (b - a), surfaces.rect.at(surf),
+                        -ON_SURFACE_TOL)
+    blocked = np.zeros(len(verts), bool)
+    blocked[row[hit]] = True
+    return blocked
+
+
+def _acos(x: np.ndarray) -> np.ndarray:
+    # math.acos: np.arccos differs from it in the last bit for some inputs.
+    return np.fromiter(map(math.acos, x.tolist()), float, x.size)
+
+
+def _duplicates(receiver, order, candidate, length, points) -> np.ndarray:
+    """Rows repeating an earlier path of their receiver (coplanar overlaps).
+
+    Two paths are the same if order, length and bounce points agree rounded
+    to 7 decimals; the first in tree order is kept. Only rows with a near
+    twin (every number within _NEAR) can match, so only those get the key.
+    """
+    m = len(length)
+    drop = np.zeros(m, bool)
+    idx = np.lexsort((length, order, receiver))
+    run = np.ones(m, bool)  # row starts a run of near-equal lengths
+    run[1:] = ((receiver[idx[1:]] != receiver[idx[:-1]]) | (order[idx[1:]] != order[idx[:-1]])
+               | (length[idx[1:]] - length[idx[:-1]] > _NEAR))
+    if run.all():
+        return drop
+    run_id = np.cumsum(run)
+    p = points[idx].reshape(m, -1)
+    near = np.zeros(m, bool)
+    for gap in range(1, m):
+        pair = run_id[gap:] == run_id[:-gap]
+        if not pair.any():
+            break
+        pair &= (np.abs(p[gap:] - p[:-gap]) <= _NEAR).all(axis=1)
+        near[gap:] |= pair
+        near[:-gap] |= pair
+    seen = set()
+    for i in sorted(idx[near].tolist(), key=lambda i: (receiver[i], candidate[i])):
+        k = int(order[i])
+        key = (int(receiver[i]), k, round(float(length[i]), 7),
+               tuple(round(v, 7) for v in points[i, :k].ravel().tolist()))
+        drop[i] = key in seen
+        seen.add(key)
+    return drop
+
+
+def trace_receivers(env: Environment,
+                    tx: Vec3,
+                    receivers: Sequence[Vec3],
+                    max_order: int = 2,
+                    polarization: Polarization = Polarization.TE) -> PathTable:
+    """Every valid path from tx to each receiver, up to the given order.
+
+    paths(r) of the result equals enumerate_paths(env, tx, receivers[r],
+    ...): the direct path and every specular reflection path of order
+    1..max_order, sorted by (order, delay). Paths crossing a conductor slab
+    are removed; dielectric slab crossings are recorded.
+    """
+    tx = vec3(tx)
+    rx = np.array(receivers, float).reshape(-1, 3)
+    _check_order(max_order)
+    if not env.contains(tx):
+        raise ValueError(f"transmitter {tx} outside environment {env.name!r}")
+    for p in map(tuple, rx.tolist()):
+        if not env.contains(p):
+            raise ValueError(f"receiver {p} outside environment {env.name!r}")
+        if not distance(tx, p) >= _MIN_SEPARATION:
+            raise ValueError(f"transmitter and receiver coincide at {p} "
+                             f"(closer than {_MIN_SEPARATION:g} m)")
+
+    K = int(max_order)
+    tree = _image_tree(env, tx, K)
+    surfaces = tree.surfaces
+    slabs = env.obstacles
+    R = len(rx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Rows: the direct ray of every receiver, then the traced candidates.
+        c, r, traced = _back_trace(tree, tx, rx)
+        cand = np.concatenate([np.zeros(R, int), tree.index[c]])
+        recv = np.concatenate([np.arange(R), r])
+        order = np.concatenate([np.zeros(R, int), tree.order[c]])
+        surf = np.concatenate([np.full((R, K), -1), tree.surface[c]])
+        direct = np.empty((R, K + 2, 3))
+        direct[:, 0] = tx
+        direct[:, 1:] = rx[:, None]
+        verts = np.concatenate([direct, traced])
+
+        # Segments verts[:, i] -> verts[:, i + 1]; those past a row's order
+        # join rx to itself.
+        keep = ~_blocked(verts, surfaces)
+        if slabs:
+            lo = np.array([s.interval[0] for s in slabs])
+            hi = np.array([s.interval[1] for s in slabs])
+            x_lo = np.minimum(verts[:, :-1, 0], verts[:, 1:, 0])[..., None]
+            x_hi = np.maximum(verts[:, :-1, 0], verts[:, 1:, 0])[..., None]
+            live = np.arange(K + 1) <= order[:, None]
+            crosses = ~((x_hi <= lo) | (x_lo >= hi)) & live[..., None]
+            metal = np.array([s.material.is_conductor for s in slabs])
+            keep &= ~crosses[..., metal].any(axis=(1, 2))
+            crosses = crosses[keep]
+
+        cand, recv, order, surf, verts = (x[keep] for x in (cand, recv, order, surf, verts))
+        diff = verts[:, 1:] - verts[:, :-1]
+        seg = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+                      + diff[..., 2] * diff[..., 2])
+        length = seg[:, 0]
+        for i in range(1, K + 1):
+            length = length + seg[:, i]
+        dirs = diff / seg[..., None]
+        points = verts[:, 1:K + 1]
+
+        drop = _duplicates(recv, order, cand, length, points)
+        rows = np.flatnonzero(~drop)
+        rows = rows[np.lexsort((cand[rows], length[rows] / SPEED_OF_LIGHT,
+                                order[rows], recv[rows]))]
+
+        # Incidence angle and reflection coefficient of every bounce, in
+        # row then bounce order.
+        bounce = np.arange(K) < order[rows, None]
+        brow, slot = np.nonzero(bounce)
+        bsurf = surf[rows[brow], slot]
+        dot = dirs[rows[brow], slot].T * surfaces.plane.normal[:, bsurf]
+        cos_inc = np.minimum(np.abs(dot[0] + dot[1] + dot[2]), 1.0)
+        angle = np.minimum(_acos(cos_inc), math.pi / 2 - 1e-12)
+        coeff = np.ones(bounce.shape)
+        coeff[bounce] = np.where(surfaces.conductor[bsurf],
+                                 -1.0 if polarization is Polarization.TE else 1.0,
+                                 _fresnel(surfaces.eps_r[bsurf], angle, polarization))
+        reflection = np.ones(len(rows))
+        for j in range(K):
+            reflection = reflection * coeff[:, j]
+
+        if slabs:
+            crow, cseg, cslab = np.nonzero(crosses[rows])
+            src = rows[crow]
+            seg_len = seg[src, cseg]
+            ux = np.where(seg_len > 0.0, np.abs(diff[src, cseg, 0]) / seg_len, 0.0)
+            cangle = np.minimum(_acos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
+        else:
+            crow = cslab = np.zeros(0, int)
+            cangle = np.zeros(0)
+
+    return PathTable(
+        tx=tx, rx=rx, receiver=recv[rows], candidate=cand[rows], order=order[rows],
+        length=length[rows], reflection=reflection,
+        departure=np.ascontiguousarray(dirs[rows, 0]),
+        arrival=np.ascontiguousarray(dirs[rows, order[rows]]),
+        bounce_row=brow, bounce_surface=bsurf, bounce_point=points[rows[brow], slot],
+        bounce_angle=angle,
+        crossing_row=crow, crossing_slab=cslab, crossing_angle=cangle,
+        slabs=slabs, polarization=polarization)
 
 
 def enumerate_paths(env: Environment,
@@ -289,108 +725,7 @@ def enumerate_paths(env: Environment,
 
     Returns the direct path and every specular reflection path of order
     1..max_order, sorted by (order, delay). Paths crossing a conductor slab
-    are removed; dielectric slab crossings are recorded on the path.
+    are removed; dielectric slab crossings are recorded on the path. This is
+    trace_receivers for a single receiver.
     """
-    tx = vec3(tx)
-    rx = vec3(rx)
-    if max_order not in range(MAX_ORDER + 1):
-        raise ValueError(f"max_order must be an integer in 0..{MAX_ORDER}, got {max_order!r}")
-    if not env.contains(tx):
-        raise ValueError(f"transmitter {tx} outside environment {env.name!r}")
-    if not env.contains(rx):
-        raise ValueError(f"receiver {rx} outside environment {env.name!r}")
-    if distance(tx, rx) == 0.0:
-        raise ValueError(f"transmitter and receiver coincide at {rx}")
-
-    frames, candidates = _image_tree(env, tx, int(max_order))
-    paths: List[PathContribution] = []
-    for chain, images in candidates:
-        vertices = _unfold(tx, rx, chain, images)
-        if vertices is None:
-            continue
-        if any(_segment_blocked(vertices[i], vertices[i + 1], frames)
-               for i in range(len(vertices) - 1)):
-            continue
-        p = _make_path(vertices, chain, env, polarization)
-        if p is not None:
-            paths.append(p)
-
-    paths = _dedupe(paths)
-    paths.sort(key=lambda p: (p.order, p.delay,
-                              tuple(b.surface_index for b in p.bounces)))
-    return paths
-
-
-@lru_cache(maxsize=64)
-def _image_tree(env: Environment, tx: Vec3, max_order: int) -> Tuple[tuple, tuple]:
-    """Surface frames and the (surface chain, images) candidates of a transmitter.
-
-    images[k] is tx mirrored across chain[:k]. Candidates are breadth-first:
-    the direct ray, each surface facing tx, each ordered pair, ..., never the
-    same plane twice in a row. Only the receiver moves in a sweep, so this is
-    built once per transmitter.
-    """
-    frames = _frames(env)
-    level = [((), (tx,))]
-    candidates = list(level)
-    for _ in range(max_order):
-        level = [(chain + (f,),
-                  images + (mirror_across_plane(images[-1], f.normal, f.offset),))
-                 for chain, images in level for f in frames
-                 if (not chain[-1].coplanar_with(f) if chain else f.side(tx) > _ON_PLANE)]
-        candidates += level
-    return frames, tuple(candidates)
-
-
-def _unfold(tx: Vec3, rx: Vec3, chain: Sequence[_Frame],
-            images: Sequence[Vec3]) -> Optional[Tuple[Vec3, ...]]:
-    """Vertices tx, bounce points..., rx of a chain back-traced from rx, or None.
-
-    Every bounce must land on its rectangle with both neighbouring vertices
-    on the reflecting side (tx's side is checked when the tree is built).
-    """
-    vertices = (rx,)
-    after = None  # the bounce after the current one
-    # zip pairs chain[k] with images[k + 1] and leaves out images[0], tx itself.
-    for f, img in zip(reversed(chain), reversed(images)):
-        if f.side(vertices[0]) <= _ON_PLANE:
-            return None
-        p = _plane_point(img, vertices[0], f)
-        if p is None or (after is not None and after.side(p) <= _ON_PLANE):
-            return None
-        vertices = (p,) + vertices
-        after = f
-    return (tx,) + vertices
-
-
-def _plane_point(img: Vec3, target: Vec3, f: _Frame) -> Optional[Vec3]:
-    """Intersection of segment img->target with f's plane, if strictly between."""
-    n = f.normal
-    da = n[0] * img[0] + n[1] * img[1] + n[2] * img[2] - f.offset
-    db = n[0] * target[0] + n[1] * target[1] + n[2] * target[2] - f.offset
-    denom = da - db
-    if abs(denom) < 1e-12:
-        return None
-    t = da / denom
-    if not 1e-12 < t < 1.0 - 1e-12:
-        return None
-    p = lerp(img, target, t)
-    if not f.contains(p, ON_SURFACE_TOL):
-        return None
-    return p
-
-
-def _dedupe(paths: List[PathContribution]) -> List[PathContribution]:
-    """Drop duplicate paths found through overlapping coplanar rectangles."""
-    seen = set()
-    out = []
-    for p in paths:
-        key = (p.order,
-               round(p.length, 7),
-               tuple((round(b.point[0], 7), round(b.point[1], 7), round(b.point[2], 7))
-                     for b in p.bounces))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(p)
-    return out
+    return trace_receivers(env, tx, [vec3(rx)], max_order, polarization).paths(0)

@@ -7,7 +7,8 @@ import pytest
 
 import mmray
 from mmray import (
-    NO_COVERAGE, CarrierConfig, ChannelTap, build_straight_tunnel,
+    NO_COVERAGE, CarrierConfig, ChannelTap, build_bent_tunnel,
+    build_obstacle_corridor, build_plain_corridor, build_straight_tunnel,
     dbm_to_watts, delay_spread_table, enumerate_paths, free_space,
     impulse_response, mean_excess_delay, power_delay_profile, received_power,
     rms_delay_spread, run_sweep_grid, system_preset,
@@ -225,6 +226,9 @@ def test_sweep_validates_arguments():
         run_sweep_grid(env, [ISO], [60e9], rx_start=45.0)
     with pytest.raises(ValueError):
         run_sweep_grid(env, [ISO], [60e9], rx_height=2.5)
+    # The first receiver sits within a nanometre of the transmitter.
+    with pytest.raises(ValueError, match="coincide"):
+        run_sweep_grid(env, [ISO], [60e9], tx=(1.0, 1e-10, 1.5), rx_start=1.0)
 
 
 def test_sweep_worker_count_is_invisible():
@@ -262,6 +266,55 @@ def test_sweep_moments_match_pdp_moments():
                 rms_delay_spread(pdp), rel=1e-9, abs=1e-15)
             assert grid.mean_excess[i, s, f] == pytest.approx(
                 mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
+
+
+DUCTS = {
+    "straight_tunnel": build_straight_tunnel(),
+    "bent_tunnel": build_bent_tunnel(45.0),
+    "plain_corridor": build_plain_corridor(),
+    "obstacle_corridor": build_obstacle_corridor(),
+}
+PRESETS = [system_preset(k) for k in ("system1", "system2", "system3")]
+
+
+@pytest.mark.parametrize("name", sorted(DUCTS))
+def test_sweep_matches_the_per_path_functions_at_every_position(name):
+    env = DUCTS[name]
+    freqs = [60e9, 80e9]
+    grid = run_sweep_grid(env, PRESETS, freqs, n_samples=64)
+    for i, d in enumerate(grid.distances.tolist()):
+        paths = enumerate_paths(env, TX, env.axis_point(d, height=1.5))
+        boresight = tuple(-c for c in env.axis_direction(d))
+        if not paths:
+            assert np.all(grid.power_dbm[i] == NO_COVERAGE)
+            assert np.all(np.isnan(grid.rms_spread[i]) & np.isnan(grid.mean_excess[i]))
+            continue
+        for s, system in enumerate(PRESETS):
+            for f, freq in enumerate(freqs):
+                carrier = CarrierConfig(freq)
+                assert grid.power_dbm[i, s, f] == pytest.approx(
+                    received_power(paths, system, carrier, rx_boresight=boresight), abs=1e-12)
+                pdp = power_delay_profile(impulse_response(paths, system, carrier,
+                                                           rx_boresight=boresight))
+                assert grid.rms_spread[i, s, f] == pytest.approx(
+                    rms_delay_spread(pdp), rel=1e-9, abs=1e-15)
+                assert grid.mean_excess[i, s, f] == pytest.approx(
+                    mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["bent_tunnel", "obstacle_corridor"])
+@pytest.mark.parametrize("cells", [1, 2000])
+def test_sweep_does_not_depend_on_receiver_blocks(monkeypatch, name, cells):
+    env = DUCTS[name]
+    freqs = [60e9, 70e9]
+    together = run_sweep_grid(env, PRESETS, freqs, n_samples=48)
+    # A budget of one cell traces every receiver alone; 2000 cells, a few at a time.
+    monkeypatch.setattr(mmray.channel, "_BLOCK_CELLS", cells)
+    blocked = run_sweep_grid(env, PRESETS, freqs, n_samples=48)
+    for a, b in ((together.power_dbm, blocked.power_dbm),
+                 (together.rms_spread, blocked.rms_spread),
+                 (together.mean_excess, blocked.mean_excess)):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from mmray import (
     enumerate_paths,
 )
 from mmray.geometry import distance
+from mmray.tracer import _MIN_SEPARATION
 
 ENVIRONMENTS = {
     "straight_tunnel": build_straight_tunnel(),
@@ -36,8 +37,8 @@ def placements(draw):
         return (p[0] - lateral * axis[1], p[1] + lateral * axis[0], p[2])
 
     tx, rx = point(), point()
-    # enumerate_paths rejects coincident endpoints (tested in test_tracer).
-    assume(env.contains(tx) and env.contains(rx) and distance(tx, rx) > 0.0)
+    # enumerate_paths rejects endpoints closer than the floor (tested in test_tracer).
+    assume(env.contains(tx) and env.contains(rx) and distance(tx, rx) >= _MIN_SEPARATION)
     return env, tx, rx
 
 
@@ -50,6 +51,10 @@ def _length_multiset(paths):
 # Corner bounces a few nanometres apart: the short segment between them
 # ends on the wall it bounces from and must not count as crossing it.
 @example((ENVIRONMENTS["bent_tunnel"], (0.0, 6.544088242852959e-09, 1.25), (1.0, 0.0, 1.25)))
+# A floor-then-wall path through the corner line, bounces 3e-12 m apart:
+# both directions of travel must keep it.
+@example((ENVIRONMENTS["bent_tunnel"], (0.5197366657367991, 2.5e-12, 2.06713100984583),
+          (22.39878495775011, -1.7535360205194e-70, 2.06713100984583)))
 def test_swapping_endpoints_keeps_the_paths(placement):
     env, tx, rx = placement
     assert (_length_multiset(enumerate_paths(env, tx, rx))

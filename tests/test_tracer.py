@@ -12,7 +12,10 @@ from mmray import (
     enumerate_paths, fresnel_reflection, path_geometry, reflection_coefficient,
     slab_transmission,
 )
+from mmray import tracer
 from mmray.scene import METAL
+
+import oracles
 
 TX = (0.0, 0.0, 2.0)
 NS = 1e-9
@@ -188,6 +191,14 @@ def test_reciprocity_of_path_multiset():
     assert two_f == two_r
 
 
+def test_image_tree_keeps_chains_whose_images_face_the_next_surface():
+    # 1 + 4 + 12 chains in the straight duct. In the bent duct 53 chains start
+    # on a surface facing the transmitter; 7 of them go on to a surface that
+    # the first image lies behind, which no receiver can complete.
+    assert tracer.candidate_count(build_straight_tunnel(), TX, 2) == 17
+    assert tracer.candidate_count(build_bent_tunnel(45.0), TX, 2) == 46
+
+
 def test_enumerate_rejects_invalid_inputs():
     env = build_straight_tunnel()
     with pytest.raises(ValueError):
@@ -196,8 +207,10 @@ def test_enumerate_rejects_invalid_inputs():
         enumerate_paths(env, (0.0, 5.0, 1.0), (10.0, 0.0, 1.5))
     with pytest.raises(ValueError):
         enumerate_paths(env, TX, (50.0, 0.0, 1.5))
-    # Endpoints whose distance rounds to zero coincide.
-    for rx in (TX, (0.0, 1e-300, 2.0)):
+    # Endpoints closer than a nanometre coincide, also where the distance
+    # does not round to zero.
+    for rx in (TX, (0.0, 1e-300, 2.0), (0.0, 1e-160, 2.0), (0.0, 1e-150, 2.0),
+               (0.0, 1e-10, 2.0)):
         with pytest.raises(ValueError, match="coincide"):
             enumerate_paths(env, TX, rx)
 
@@ -261,6 +274,57 @@ def test_nearly_straight_bend_converges_to_straight_sweep():
                                 n_samples=256)
     diff = np.abs(straight.power_dbm - bent.power_dbm)
     assert float(np.nanmax(diff)) < 0.1
+
+
+def _merge_twins(found, points):
+    """One oracle path per polyline, keeping the lowest surface indices.
+
+    The oracle searches every rectangle, so where coplanar rectangles
+    overlap (floors and ceilings at the elbow) it finds one path per twin.
+    """
+    kept = []
+    for r in sorted(found, key=lambda r: r[0]):
+        if not any(abs(r[1] - k[1]) <= 1e-6 and np.allclose(points(r), points(k), atol=1e-6)
+                   for k in kept):
+            kept.append(r)
+    return kept
+
+
+_BENT = build_bent_tunnel(45.0)
+_CORRIDOR = build_obstacle_corridor()
+
+
+@pytest.mark.parametrize("env, tx, rx, count", [
+    # Floor and ceiling bounces in the overlap of both legs' rectangles.
+    (_BENT, (20.5, 0.3, 1.8), _BENT.axis_point(24.0, height=1.5), 13),
+    # Deep in the second leg, where no path of order <= 2 turns the corner.
+    (_BENT, TX, _BENT.axis_point(40.0, height=1.5), 0),
+    # Past the wooden door and short of the metal lift.
+    (_CORRIDOR, TX, (15.0, 0.3, 1.2), 13),
+], ids=["elbow overlap", "no coverage", "door crossing"])
+def test_paths_match_stationary_search_beyond_the_straight_duct(env, tx, rx, count):
+    rects = oracles.rects_from_environment(env)
+    paths = enumerate_paths(env, tx, rx)
+    assert len(paths) == count
+    assert sum(p.order == 0 for p in paths) == (not oracles.los_blocked(tx, rx, rects))
+    refs = {
+        1: [((i,), length) for i, length, _ in
+            _merge_twins(oracles.fermat_first_order(tx, rx, rects), lambda r: r[2])],
+        2: [(ij, length) for ij, length, *_ in
+            _merge_twins(oracles.fermat_second_order(tx, rx, rects),
+                         lambda r: np.concatenate(r[2:]))],
+    }
+    for p in paths:
+        if p.order == 0:
+            continue
+        key = tuple(b.surface_index for b in p.bounces)
+        hit = next((r for r in refs[p.order] if r[0] == key and abs(r[1] - p.length) <= 1e-4),
+                   None)
+        assert hit is not None, f"no stationary path for {key} of {p.length} m"
+        refs[p.order].remove(hit)
+    assert refs == {1: [], 2: []}
+    passed = [s.name for s in env.obstacles if s.interval[1] <= rx[0]]
+    assert all([c.slab.name for c in p.crossings] == passed for p in paths)
 
 
 # ---------------------------------------------------------------------------
