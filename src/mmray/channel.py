@@ -5,8 +5,10 @@ taps gives the narrowband received power; tap powers versus delay give the
 power delay profile and its moments (mean excess delay, RMS delay spread).
 One kernel turns the rows of a tracer PathTable into tap amplitudes for
 every antenna system and carrier. A sweep slides the receiver along the duct
-centerline: it traces the positions in blocks of receivers, evaluates each
-block's table at once and takes per-receiver sums over each receiver's rows.
+centerline: it traces the positions in blocks sized from the tracer's work
+(candidates x receivers), evaluates each block's antenna gains and carrier
+factors once, and forms amplitudes and per-receiver sums in chunks of
+receivers sized from the kernel's (system, carrier, path) cells.
 The per-path functions take a list of PathContribution, the one-receiver
 view of the same table.
 """
@@ -41,10 +43,13 @@ ATMOSPHERIC_LOSS_DB_PER_M = 0.00116
 # Sentinel power for fully blocked receiver positions.
 NO_COVERAGE = float("-inf")
 
-# Complex (system, carrier, path) cells a sweep evaluates at once (128 KB):
-# receivers are traced in blocks small enough that a block's tap amplitudes
-# fit, which also bounds the tracer's arrays. Larger blocks run faster on
-# many carriers but raise the peak memory of a sweep.
+# A sweep works under two budgets. Receivers are traced in blocks of at most
+# _TRACE_PAIRS (image-tree candidate, receiver) pairs, which bounds the
+# tracer's arrays whatever the number of systems and carriers; larger blocks
+# cut the fixed cost per trace but raise the peak memory of a sweep.
+_TRACE_PAIRS = 1 << 10
+# Within a block, tap amplitudes are formed for at most _BLOCK_CELLS complex
+# (system, carrier, path) cells at a time (128 KB).
 _BLOCK_CELLS = 1 << 13
 
 
@@ -156,12 +161,13 @@ def _gain(sys: AntennaSystem, directions: np.ndarray,
     return gain(sys, directions, boresight)
 
 
-def _tap_amplitudes(table: PathTable,
-                    systems: Sequence[AntennaSystem],
-                    frequencies: Sequence[float],
-                    rx_boresight=None,
-                    atmospheric_loss_db_per_m: float = 0.0) -> np.ndarray:
-    """Complex tap amplitudes in sqrt-watt units, shape (systems, carriers, rows).
+def _tap_factors(table: PathTable,
+                 systems: Sequence[AntennaSystem],
+                 frequencies: Sequence[float],
+                 rx_boresight=None,
+                 atmospheric_loss_db_per_m: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """The two factors of the tap amplitudes: geo (systems, rows) real and
+    prop (carriers, rows) complex.
 
     amplitude[s, f, i] = geo[s, i] * prop[f, i] with
       geo  = sqrt(T_R a_t a_r) * refl_i                         real
@@ -191,12 +197,31 @@ def _tap_amplitudes(table: PathTable,
         geo[s] = (np.sqrt(_gain(sys, table.departure) * a_r) * table.reflection
                   * math.sqrt(sys.tx_power_watts))
 
+    # lambda/4pi * trans * exp(-j k d) / d, evaluated left to right; exp and
+    # the division work in place. The complex product does not: numpy rounds
+    # a one-element complex product written over its operand differently.
     freqs = np.array(frequencies, float).reshape(-1, 1)
     k = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-    prop = (SPEED_OF_LIGHT / (4.0 * math.pi) / freqs * table.transmission(frequencies)
-            * np.exp(-1j * k * d) / d)
+    prop = -1j * k * d
+    np.exp(prop, out=prop)
+    prop = SPEED_OF_LIGHT / (4.0 * math.pi) / freqs * table.transmission(frequencies) * prop
+    prop /= d
     if atmospheric_loss_db_per_m > 0.0:
         prop *= 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
+    return geo, prop
+
+
+def _tap_amplitudes(table: PathTable,
+                    systems: Sequence[AntennaSystem],
+                    frequencies: Sequence[float],
+                    rx_boresight=None,
+                    atmospheric_loss_db_per_m: float = 0.0) -> np.ndarray:
+    """Complex tap amplitudes in sqrt-watt units, shape (systems, carriers, rows).
+
+    The product of the two factors of _tap_factors.
+    """
+    geo, prop = _tap_factors(table, systems, frequencies, rx_boresight,
+                             atmospheric_loss_db_per_m)
     return geo[:, None, :] * prop
 
 
@@ -356,27 +381,38 @@ def _receiver_rows(counts: np.ndarray):
 def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
     """Powers (dBm) and delay moments (s) of a block of receiver positions.
 
-    Each result is an array indexed [receiver, system, frequency]. A
+    Each result is an array indexed [receiver, system, frequency]. The tap
+    factors are evaluated once for the block; amplitudes are formed per
+    row-count group, a chunk of at most _BLOCK_CELLS cells at a time. A
     receiver's values depend only on its own rows, so results merge
-    identically for any block size and worker count.
+    identically for any block, chunk and worker count.
     """
     env, tx, systems, frequencies, pol, max_order, atmos = _WORKER_CTX
     rx, rx_boresight = job
     table = trace_receivers(env, tx, rx, max_order, pol)
-    amps = _tap_amplitudes(table, systems, frequencies, rx_boresight, atmos)
+    geo, prop = _tap_factors(table, systems, frequencies, rx_boresight, atmos)
     delays = table.delay
     shape = (len(systems), len(frequencies), len(rx))
     coherent = np.zeros(shape)
     rms = np.full(shape, math.nan)
     excess = np.full(shape, math.nan)
     for receivers, rows in _receiver_rows(table.counts()):
-        a = np.ascontiguousarray(amps[..., rows])  # (systems, carriers, receivers, n)
-        coherent[..., receivers] = np.abs(a.sum(axis=-1)) ** 2
-        d = delays[rows]
-        rms[..., receivers], excess[..., receivers] = _delay_moments(
-            d, np.abs(a) ** 2, d.min(axis=-1, keepdims=True))
+        step = max(1, _BLOCK_CELLS // (len(systems) * len(frequencies) * rows.shape[1]))
+        for i in range(0, len(receivers), step):
+            chunk, r = receivers[i:i + step], rows[i:i + step]
+            # C order, so each receiver's rows are summed as a dense last axis.
+            a = np.multiply(geo[:, None, r], prop[:, r], order="C")  # (S, F, receivers, n)
+            coherent[..., chunk] = np.abs(a.sum(axis=-1)) ** 2
+            d = delays[r]
+            rms[..., chunk], excess[..., chunk] = _delay_moments(
+                d, np.abs(a) ** 2, d.min(axis=-1, keepdims=True))
     # No rows (no coverage) leaves zero power: NO_COVERAGE and NaN moments.
-    power = np.array([watts_to_dbm(w) for w in coherent.ravel().tolist()]).reshape(shape)
+    # Powers are taken with math.log10, as watts_to_dbm does (np.log10
+    # differs from it in the last bit for some inputs).
+    power = np.full(shape, NO_COVERAGE)
+    covered = ~(coherent <= 0.0)
+    milliwatts = (coherent[covered] * 1000.0).tolist()
+    power[covered] = 10.0 * np.fromiter(map(math.log10, milliwatts), float, len(milliwatts))
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
@@ -419,9 +455,8 @@ def run_sweep_grid(env: Environment,
     rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
     init_args = (env, tx, systems, frequencies, polarization, max_order, atmos)
-    # Every candidate of the image tree may become a row of every receiver.
-    cells = len(systems) * len(frequencies) * candidate_count(env, tx, max_order)
-    size = max(1, _BLOCK_CELLS // cells)
+    # Every candidate of the image tree is tested against every receiver.
+    size = max(1, _TRACE_PAIRS // candidate_count(env, tx, max_order))
     jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in range(0, n_samples, size)]
 
     if workers <= 1:

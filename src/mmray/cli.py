@@ -22,12 +22,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
 import yaml
 
 from .antenna import KINDS, AntennaSystem, make_system, preset_parameters
 from .channel import (
     ATMOSPHERIC_LOSS_DB_PER_M,
-    NO_COVERAGE,
     CarrierConfig,
     DelaySpreadTable,
     SweepGrid,
@@ -454,10 +454,6 @@ def _polarization(config: ScenarioConfig) -> Polarization:
 # Output formatting
 # ---------------------------------------------------------------------------
 
-def _fmt_power(value: float) -> str:
-    return "NOCOV" if value == NO_COVERAGE or math.isnan(value) else f"{value:.4f}"
-
-
 def _ghz(frequency: float) -> str:
     return f"{frequency / 1e9:g}"
 
@@ -473,18 +469,20 @@ def _write_text(path: Path, text: str) -> None:
 
 def write_sweep_csvs(grid: SweepGrid, labels: Sequence[str],
                      out_dir: Path) -> List[Path]:
-    """One CSV per frequency: distance column plus a power column per system."""
+    """One CSV per frequency: distance column plus a power column per system.
+
+    Values print with 4 decimals; a power of NO_COVERAGE or NaN prints NOCOV.
+    """
     paths = []
     header = "distance_m," + ",".join(f"power_dBm_{lbl}" for lbl in labels)
+    row = "\n" + ",".join(["%.4f"] * (len(labels) + 1))
     for f, freq in enumerate(grid.frequencies):
-        lines = [header]
-        for i in range(len(grid.distances)):
-            cells = [f"{grid.distances[i]:.4f}"]
-            cells += [_fmt_power(grid.power_dbm[i, s, f])
-                      for s in range(len(labels))]
-            lines.append(",".join(cells))
+        values = np.column_stack([grid.distances, grid.power_dbm[:, :len(labels), f]])
+        body = "".join([row % tuple(r) for r in values.tolist()])
+        # %.4f writes NO_COVERAGE as -inf and NaN as nan; distances are finite.
+        body = body.replace("-inf", "NOCOV").replace("nan", "NOCOV")
         path = out_dir / f"sweep_{grid.environment}_{_ghz(freq)}GHz.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        _write_text(path, header + body + "\n")
         paths.append(path)
     return paths
 

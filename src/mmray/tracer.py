@@ -45,6 +45,9 @@ _MIN_SEPARATION = 1e-9
 # Paths whose lengths and bounce coordinates round to the same 7 decimals
 # differ by at most 1e-7 in each; only such near pairs get the exact key test.
 _NEAR = 2e-7
+# Slab transmission of a table without slab crossings: a broadcastable 1.
+_NO_CROSSINGS = np.ones((1, 1), complex)
+_NO_CROSSINGS.flags.writeable = False
 
 
 class Polarization(Enum):
@@ -219,8 +222,12 @@ class PathTable:
     def transmission(self, frequencies: Sequence[float]) -> np.ndarray:
         """Product of slab transmissions of every row, (carriers, M) complex.
 
-        Computed once per table and carrier list; do not modify the result.
+        A table without slab crossings gives a (1, 1) array of ones, which
+        broadcasts as that product. Computed once per table and carrier
+        list; do not modify the result.
         """
+        if not len(self.crossing_row):
+            return _NO_CROSSINGS
         key = tuple(frequencies)
         if key not in self._transmissions:
             self._transmissions[key] = self._transmission(key)
@@ -230,8 +237,6 @@ class PathTable:
         freqs = np.asarray(frequencies, float).reshape(-1, 1)
         trans = np.ones((len(freqs), len(self.length)), complex)
         rows = self.crossing_row
-        if not len(rows):
-            return trans
         slabs = [self.slabs[i] for i in self.crossing_slab.tolist()]
         t = _slab_transmission(np.array([s.material.eps_r for s in slabs]),
                                np.array([s.thickness for s in slabs]),

@@ -14,6 +14,7 @@ from mmray import (
     rms_delay_spread, run_sweep_grid, system_preset,
     watts_to_dbm,
 )
+from mmray.tracer import candidate_count, trace_receivers
 from oracles import friis_dbm
 
 TX = (0.0, 0.0, 2.0)
@@ -302,19 +303,51 @@ def test_sweep_matches_the_per_path_functions_at_every_position(name):
                     mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
 
 
-@pytest.mark.parametrize("name", ["bent_tunnel", "obstacle_corridor"])
-@pytest.mark.parametrize("cells", [1, 2000])
-def test_sweep_does_not_depend_on_receiver_blocks(monkeypatch, name, cells):
-    env = DUCTS[name]
-    freqs = [60e9, 70e9]
+BLOCK_CASES = {  # name -> (duct, carriers)
+    "bent_tunnel": ("bent_tunnel", [60e9, 70e9]),
+    "obstacle_corridor": ("obstacle_corridor", [60e9, 70e9]),
+    # 31 carriers chunk the kernel at the default budget, door transmissions included.
+    "obstacle_corridor_31_carriers": ("obstacle_corridor", [60e9 + 1e9 * k for k in range(31)]),
+}
+
+
+def _assert_budgets_do_not_matter(monkeypatch, name, trace_pairs, cells):
+    """A 48-position sweep under the given budgets equals one without any."""
+    env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
+    monkeypatch.setattr(mmray.channel, "_TRACE_PAIRS", 1 << 30)
+    monkeypatch.setattr(mmray.channel, "_BLOCK_CELLS", 1 << 30)
     together = run_sweep_grid(env, PRESETS, freqs, n_samples=48)
-    # A budget of one cell traces every receiver alone; 2000 cells, a few at a time.
+    monkeypatch.setattr(mmray.channel, "_TRACE_PAIRS", trace_pairs)
     monkeypatch.setattr(mmray.channel, "_BLOCK_CELLS", cells)
     blocked = run_sweep_grid(env, PRESETS, freqs, n_samples=48)
     for a, b in ((together.power_dbm, blocked.power_dbm),
                  (together.rms_spread, blocked.rms_spread),
                  (together.mean_excess, blocked.mean_excess)):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("receivers", [1, 7])
+def test_sweep_does_not_depend_on_trace_blocks(monkeypatch, name, receivers):
+    env = DUCTS[BLOCK_CASES[name][0]]
+    _assert_budgets_do_not_matter(monkeypatch, name,
+                                  receivers * candidate_count(env, TX, 2), 1 << 30)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("cells", [1, 2000, "split"])
+def test_sweep_does_not_depend_on_receiver_blocks(monkeypatch, name, cells):
+    """Kernel chunks: a budget of one cell forms every receiver's amplitudes
+    alone, 2000 cells a few at a time; "split" cuts the largest group of
+    receivers with equal row counts into chunks of two."""
+    if cells == "split":
+        env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
+        rx = [env.axis_point(float(s), height=1.5) for s in np.linspace(1.0, env.axis_length, 48)]
+        counts = trace_receivers(env, TX, rx, 2).counts()
+        n = int(np.bincount(counts[counts > 0]).argmax())
+        assert np.count_nonzero(counts == n) > 2
+        cells = 2 * len(PRESETS) * len(freqs) * n
+    _assert_budgets_do_not_matter(monkeypatch, name, mmray.channel._TRACE_PAIRS, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Scenario parsing and command-line entry points."""
 
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from mmray import cli
+from mmray import cli, system_preset
+from mmray.channel import SweepGrid
 from mmray.cli import (
     DEFAULT_FREQUENCIES, ScenarioError, build_environment, build_systems,
     emit_plot_script, main, parse_scenario, run_pdp_command,
-    run_sweep_command, run_table_command, serialize_scenario,
+    run_sweep_command, run_table_command, serialize_scenario, write_sweep_csvs,
 )
 
 
@@ -186,6 +189,31 @@ sweep: {n_samples: 40}
     paths = run_sweep_command(parse_scenario(text), out_dir=tmp_path)
     body = paths[0].read_text()
     assert "NOCOV" in body
+
+
+def test_sweep_csv_text_follows_the_per_cell_rule(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    power = np.array([
+        [[-inf, -73.3797184512], [nan, -12.34565]],
+        [[-0.00004, 0.00005], [-12.34575, inf]],
+        [[5e-5, -5e-5], [1234.56785, -inf]],
+    ])  # [position, system, frequency]
+    grid = SweepGrid("toy", np.array([1.0, 1.00005, 43.999949]),
+                     tuple(system_preset(k) for k in ("system1", "system3")),
+                     (60e9, 70.5e9), power, power * nan, power * nan)
+    labels = ["banana", "-inf"]
+    files = write_sweep_csvs(grid, labels, tmp_path)
+
+    def cell(value):  # NO_COVERAGE or NaN -> NOCOV, otherwise 4 decimals
+        return "NOCOV" if value == float("-inf") or math.isnan(value) else f"{value:.4f}"
+
+    assert [f.name for f in files] == ["sweep_toy_60GHz.csv", "sweep_toy_70.5GHz.csv"]
+    for f, path in enumerate(files):
+        lines = ["distance_m,power_dBm_banana,power_dBm_-inf"]
+        for i, d in enumerate(grid.distances.tolist()):
+            lines.append(",".join([f"{d:.4f}"] + [cell(float(power[i, s, f])) for s in range(2)]))
+        assert path.read_text() == "\n".join(lines) + "\n"
+    assert files[0].read_text().splitlines()[2] == "1.0001,-0.0000,-12.3458"
 
 
 def test_pdp_command_footers(tmp_path):
