@@ -3,19 +3,23 @@
 Each traced path becomes one complex tap. The coherent phasor sum of the
 taps gives the narrowband received power; tap powers versus delay give the
 power delay profile and its moments (mean excess delay, RMS delay spread).
-One kernel turns the rows of a tracer PathTable into tap amplitudes for
-every antenna system and carrier. A sweep slides the receiver along the duct
-centerline: it traces the positions in blocks sized from the tracer's work
-(candidates x receivers), evaluates each block's antenna gains and carrier
-factors once, and forms amplitudes and per-receiver sums in chunks of
+One kernel turns the rows of a tracer PathTable into tap amplitudes: a real
+factor per antenna system (gains, reflections, transmit power) times a
+complex factor per carrier (spreading, phase, slab transmission). A sweep
+slides the receiver along the duct centerline: it traces the positions in
+blocks sized from the tracer's work (candidates x receivers), evaluates each
+block's factors once, and forms amplitudes and per-receiver sums in chunks of
 receivers sized from the kernel's (system, carrier, path) cells.
 The per-path functions take a list of PathContribution, the one-receiver
-view of the same table.
+view of the same table. They keep the table of the last list with its
+factors, so calls for several systems and carriers on one list evaluate each
+system's gains and each carrier's phases once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -161,45 +165,42 @@ def _gain(sys: AntennaSystem, directions: np.ndarray,
     return gain(sys, directions, boresight)
 
 
-def _tap_factors(table: PathTable,
-                 systems: Sequence[AntennaSystem],
-                 frequencies: Sequence[float],
-                 rx_boresight=None,
-                 atmospheric_loss_db_per_m: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-    """The two factors of the tap amplitudes: geo (systems, rows) real and
-    prop (carriers, rows) complex.
+def _rx_groups(table: PathTable, rx_boresight) -> list:
+    """(rows, receiver boresight) pairs that cover the rows of table.
 
-    amplitude[s, f, i] = geo[s, i] * prop[f, i] with
-      geo  = sqrt(T_R a_t a_r) * refl_i                         real
-      prop = (lambda/4pi) * trans_i * exp(-j k d_i) / d_i       complex
-    (prop also carries the atmospheric loss, if any), so gains are evaluated
-    once per system and boresight, and slab transmission once per carrier.
     rx_boresight is one direction for every row, one per receiver of the
     table (R, 3), or None for each system's own reversed boresight.
     """
+    if rx_boresight is None or np.ndim(rx_boresight) != 2:
+        return [(slice(None), rx_boresight)]
+    per_receiver = [tuple(b) for b in np.asarray(rx_boresight, float).tolist()]
+    unique = {b: g for g, b in enumerate(dict.fromkeys(per_receiver))}
+    if len(unique) == 1:
+        return [(slice(None), per_receiver[0])]
+    row_group = np.array([unique[b] for b in per_receiver])[table.receiver]
+    return [(row_group == g, b) for b, g in unique.items()]
+
+
+def _geo(table: PathTable, sys: AntennaSystem, groups: list) -> np.ndarray:
+    """The real factor of one system's tap amplitudes, (rows,):
+    geo_i = sqrt(T_R a_t a_r) * refl_i, with groups from _rx_groups."""
+    a_r = np.empty(len(table.length))
+    for rows, b in groups:
+        a_r[rows] = _gain(sys, -table.arrival[rows],
+                          neg(sys.boresight) if b is None else b)
+    return (np.sqrt(_gain(sys, table.departure) * a_r) * table.reflection
+            * math.sqrt(sys.tx_power_watts))
+
+
+def _prop(table: PathTable, frequencies: Sequence[float],
+          atmospheric_loss_db_per_m: float) -> np.ndarray:
+    """The complex factor of the tap amplitudes, (carriers, rows):
+    prop_i = (lambda/4pi) * trans_i * exp(-j k d_i) / d_i, times the
+    atmospheric loss, if any."""
     d = table.length
-    groups = [(slice(None), rx_boresight)]
-    if rx_boresight is not None and np.ndim(rx_boresight) == 2:
-        per_receiver = [tuple(b) for b in np.asarray(rx_boresight, float).tolist()]
-        unique = {b: g for g, b in enumerate(dict.fromkeys(per_receiver))}
-        if len(unique) == 1:
-            groups = [(slice(None), per_receiver[0])]
-        else:
-            row_group = np.array([unique[b] for b in per_receiver])[table.receiver]
-            groups = [(row_group == g, b) for b, g in unique.items()]
-
-    geo = np.empty((len(systems), len(d)))
-    for s, sys in enumerate(systems):
-        a_r = np.empty(len(d))
-        for rows, b in groups:
-            a_r[rows] = _gain(sys, -table.arrival[rows],
-                              neg(sys.boresight) if b is None else b)
-        geo[s] = (np.sqrt(_gain(sys, table.departure) * a_r) * table.reflection
-                  * math.sqrt(sys.tx_power_watts))
-
-    # lambda/4pi * trans * exp(-j k d) / d, evaluated left to right; exp and
-    # the division work in place. The complex product does not: numpy rounds
-    # a one-element complex product written over its operand differently.
+    # Evaluated left to right; exp and the division work in place. The
+    # complex product does not: numpy rounds a one-element complex product
+    # written over its operand differently.
     freqs = np.array(frequencies, float).reshape(-1, 1)
     k = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
     prop = -1j * k * d
@@ -208,36 +209,61 @@ def _tap_factors(table: PathTable,
     prop /= d
     if atmospheric_loss_db_per_m > 0.0:
         prop *= 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
-    return geo, prop
+    return prop
 
 
-def _tap_amplitudes(table: PathTable,
-                    systems: Sequence[AntennaSystem],
-                    frequencies: Sequence[float],
-                    rx_boresight=None,
-                    atmospheric_loss_db_per_m: float = 0.0) -> np.ndarray:
-    """Complex tap amplitudes in sqrt-watt units, shape (systems, carriers, rows).
+def _tap_factors(table: PathTable,
+                 systems: Sequence[AntennaSystem],
+                 frequencies: Sequence[float],
+                 rx_boresight=None,
+                 atmospheric_loss_db_per_m: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """The two factors of the tap amplitudes: geo (systems, rows) real and
+    prop (carriers, rows) complex, with amplitude[s, f, i] = geo[s, i] * prop[f, i].
 
-    The product of the two factors of _tap_factors.
+    Gains are evaluated once per system and boresight, and slab
+    transmission once per carrier. Every factor is elementwise per row and
+    carrier, so its values do not depend on which systems and carriers
+    share the call.
     """
-    geo, prop = _tap_factors(table, systems, frequencies, rx_boresight,
-                             atmospheric_loss_db_per_m)
-    return geo[:, None, :] * prop
+    groups = _rx_groups(table, rx_boresight)
+    geo = np.array([_geo(table, sys, groups) for sys in systems])
+    return geo, _prop(table, frequencies, atmospheric_loss_db_per_m)
 
 
 # The per-path functions are usually called once per system and carrier with
-# the same list, so the table of the last list is kept for the next call.
-# Paths are immutable: the same objects in the same order give the same table.
-_last_table: Tuple[tuple, Optional[PathTable]] = ((), None)
+# the same list, and received_power often right after impulse_response. So
+# the table of the last list is kept for the next call, with a memo of the
+# factors formed from it: geo per (system, rx boresight), prop per (carrier,
+# atmospheric loss) and their product per all four. Paths are immutable: the
+# same objects in the same order give the same table.
+_last_table: Tuple[tuple, Optional[PathTable], dict, dict, dict] = ((), None, {}, {}, {})
 
 
-def _table_of(paths: Sequence[PathContribution]) -> PathTable:
+def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
+                frequency: float, rx_boresight,
+                atmospheric_loss_db_per_m: float) -> np.ndarray:
+    """Complex tap amplitudes (sqrt-watt) of one system and carrier, (rows,).
+
+    The result is kept in the memo, so it is read-only.
+    """
     global _last_table
-    key, table = _last_table
-    if len(key) != len(paths) or any(a is not b for a, b in zip(key, paths)):
-        table = PathTable.from_paths(paths)
-        _last_table = (tuple(paths), table)
-    return table
+    key, table, geos, props, products = _last_table
+    if len(key) != len(paths) or not all(map(operator.is_, key, paths)):
+        table, geos, props, products = PathTable.from_paths(paths), {}, {}, {}
+        _last_table = (tuple(paths), table, geos, props, products)
+    if rx_boresight is not None and type(rx_boresight) is not tuple:
+        rx_boresight = tuple(np.ravel(rx_boresight).tolist())
+    system_key = (sys, rx_boresight)
+    carrier_key = (frequency, atmospheric_loss_db_per_m)
+    amps = products.get((system_key, carrier_key))
+    if amps is None:
+        if system_key not in geos:
+            geos[system_key] = _geo(table, sys, _rx_groups(table, rx_boresight))
+        if carrier_key not in props:
+            props[carrier_key] = _prop(table, (frequency,), atmospheric_loss_db_per_m)[0]
+        amps = products[system_key, carrier_key] = geos[system_key] * props[carrier_key]
+        amps.flags.writeable = False
+    return amps
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -253,8 +279,8 @@ def received_power(paths: Sequence[PathContribution],
     """
     if not paths:
         return NO_COVERAGE
-    amps = _tap_amplitudes(_table_of(paths), (sys,), (carrier.frequency,),
-                           rx_boresight, atmospheric_loss_db_per_m)[0, 0]
+    amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
+                       atmospheric_loss_db_per_m)
     return watts_to_dbm(abs(amps.sum()) ** 2)
 
 
@@ -269,8 +295,8 @@ def impulse_response(paths: Sequence[PathContribution],
     """
     if not paths:
         return []
-    amps = _tap_amplitudes(_table_of(paths), (sys,), (carrier.frequency,),
-                           rx_boresight, atmospheric_loss_db_per_m)[0, 0]
+    amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
+                       atmospheric_loss_db_per_m)
     taps = [ChannelTap(delay=p.delay, amplitude=a, power=w)
             for p, a, w in zip(paths, amps.tolist(), (np.abs(amps) ** 2).tolist())]
     taps.sort(key=lambda t: t.delay)

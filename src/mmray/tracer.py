@@ -18,7 +18,7 @@ its block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
@@ -209,7 +209,6 @@ class PathTable:
     crossing_angle: np.ndarray   # (Q,) incidence angle on the slab
     slabs: Tuple[ObstacleSlab, ...]
     polarization: Polarization
-    _transmissions: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def delay(self) -> np.ndarray:
@@ -222,18 +221,11 @@ class PathTable:
     def transmission(self, frequencies: Sequence[float]) -> np.ndarray:
         """Product of slab transmissions of every row, (carriers, M) complex.
 
-        A table without slab crossings gives a (1, 1) array of ones, which
-        broadcasts as that product. Computed once per table and carrier
-        list; do not modify the result.
+        A table without slab crossings gives a read-only (1, 1) array of
+        ones, which broadcasts as that product.
         """
         if not len(self.crossing_row):
             return _NO_CROSSINGS
-        key = tuple(frequencies)
-        if key not in self._transmissions:
-            self._transmissions[key] = self._transmission(key)
-        return self._transmissions[key]
-
-    def _transmission(self, frequencies: Tuple[float, ...]) -> np.ndarray:
         freqs = np.asarray(frequencies, float).reshape(-1, 1)
         trans = np.ones((len(freqs), len(self.length)), complex)
         rows = self.crossing_row

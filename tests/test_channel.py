@@ -1,17 +1,20 @@
 """Narrowband power, delay profiles, and sweep plumbing."""
 
+import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 import mmray
 from mmray import (
-    NO_COVERAGE, CarrierConfig, ChannelTap, build_bent_tunnel,
+    ATMOSPHERIC_LOSS_DB_PER_M, NO_COVERAGE, CarrierConfig, ChannelTap, build_bent_tunnel,
     build_obstacle_corridor, build_plain_corridor, build_straight_tunnel,
     dbm_to_watts, delay_spread_table, enumerate_paths, free_space,
-    impulse_response, mean_excess_delay, power_delay_profile, received_power,
-    rms_delay_spread, run_sweep_grid, system_preset,
+    impulse_response, make_system, mean_excess_delay, power_delay_profile,
+    received_power, rms_delay_spread, run_sweep_grid, system_preset,
     watts_to_dbm,
 )
 from mmray.tracer import candidate_count, trace_receivers
@@ -348,6 +351,93 @@ def test_sweep_does_not_depend_on_receiver_blocks(monkeypatch, name, cells):
         assert np.count_nonzero(counts == n) > 2
         cells = 2 * len(PRESETS) * len(freqs) * n
     _assert_budgets_do_not_matter(monkeypatch, name, mmray.channel._TRACE_PAIRS, cells)
+
+
+# ---------------------------------------------------------------------------
+# Gains and the per-call memo
+# ---------------------------------------------------------------------------
+
+OBLIQUE = (-0.7071, -0.7071, 0.0)
+
+
+def test_lone_row_gain_equals_the_batched_gain():
+    """A path's gain does not depend on how many rows share the call. numpy
+    evaluates the horn's matrix product of a single row in another order, so
+    without the padding a lone row differs in the last bit in some cases."""
+    horn = make_system("horn", 10.0, 20.8, boresight=OBLIQUE)
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(4000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[dirs @ horn.boresight < 0.0] *= -1.0  # front hemisphere
+    batched = mmray.channel._gain(horn, dirs)
+    lone = np.array([mmray.channel._gain(horn, dirs[i:i + 1])[0] for i in range(len(dirs))])
+    assert lone.view(np.uint64).tolist() == batched.view(np.uint64).tolist()
+
+
+def _fresh(paths):
+    """Equal paths in new objects, for which no memo can be reused."""
+    return [dataclasses.replace(p) for p in paths]
+
+
+def _per_call(paths, system, carrier, boresight, atmospheric, power_first=False):
+    """repr of received_power and the taps of one (system, carrier, boresight, loss)."""
+    kw = dict(rx_boresight=boresight, atmospheric_loss_db_per_m=atmospheric)
+    power = received_power(paths, system, carrier, **kw) if power_first else None
+    taps = impulse_response(paths, system, carrier, **kw)
+    if not power_first:
+        power = received_power(paths, system, carrier, **kw)
+    return repr((power, [(t.delay, t.amplitude, t.power) for t in taps]))
+
+
+CARRIERS = [CarrierConfig(f) for f in (60e9, 70e9, 80e9)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_warm_per_call_results_equal_cold_ones(seed):
+    # Every path crosses the wooden door, so prop carries slab transmissions.
+    paths = enumerate_paths(DUCTS["obstacle_corridor"], TX, (15.0, 0.3, 1.2))
+    assert paths and all(p.crossings for p in paths)
+    combos = list(itertools.product(PRESETS, CARRIERS, (None, (-1.0, 0.0, 0.0), OBLIQUE),
+                                    (0.0, ATMOSPHERIC_LOSS_DB_PER_M)))
+    cold = {c: _per_call(_fresh(paths), *c) for c in combos}
+    rng = random.Random(seed)
+    for _ in range(2):
+        rng.shuffle(combos)
+        for c in combos:
+            assert _per_call(paths, *c, power_first=rng.random() < 0.5) == cold[c], c
+
+
+def test_per_call_gains_are_evaluated_once_per_system(monkeypatch):
+    paths = enumerate_paths(DUCTS["straight_tunnel"], TX, (10.0, 0.3, 1.5))
+    calls = []
+    original = mmray.channel.gain
+    monkeypatch.setattr(mmray.channel, "gain",
+                        lambda *args: calls.append(args[0]) or original(*args))
+    for system, carrier in itertools.product(PRESETS, CARRIERS):
+        _per_call(paths, system, carrier, (-1.0, 0.0, 0.0), 0.0)
+    assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
+
+
+def test_alternating_path_lists_keep_their_own_values():
+    env = DUCTS["straight_tunnel"]
+    a = enumerate_paths(env, TX, (10.0, 0.0, 1.5))
+    b = enumerate_paths(env, TX, (14.0, 0.3, 1.1))
+    assert len(a) == len(b)
+    args = (PRESETS[2], CARRIERS[1], OBLIQUE, 0.0)
+    cold_a, cold_b = (_per_call(_fresh(p), *args) for p in (a, b))
+    assert cold_a != cold_b
+    assert [_per_call(p, *args) for p in (a, b, a)] == [cold_a, cold_b, cold_a]
+
+
+def test_changing_only_the_boresight_or_the_loss_changes_the_result():
+    paths = enumerate_paths(DUCTS["straight_tunnel"], TX, (10.0, 0.3, 1.5))
+    horn, carrier, axis = PRESETS[2], CARRIERS[0], (-1.0, 0.0, 0.0)
+    base = _per_call(paths, horn, carrier, axis, 0.0)
+    assert _per_call(paths, horn, carrier, OBLIQUE, 0.0) != base
+    assert _per_call(paths, horn, carrier, axis, ATMOSPHERIC_LOSS_DB_PER_M) != base
+    assert _per_call(paths, horn, carrier, list(axis), 0.0) == base
+    assert _per_call(paths, horn, carrier, np.array(OBLIQUE), 0.0) == _per_call(
+        _fresh(paths), horn, carrier, OBLIQUE, 0.0)
 
 
 # ---------------------------------------------------------------------------
