@@ -347,7 +347,8 @@ def build_bent_tunnel(bend_angle_deg: float = 45.0,
     The bend is a mitered joint of two straight duct pieces: the side walls
     of both pieces stop exactly at their mutual intersection line, while the
     coplanar floor/ceiling rectangles of the two pieces overlap across the
-    elbow wedge (the tracer deduplicates reflections found through both).
+    elbow wedge (the tracer treats each such pair as one reflecting plane,
+    so a bounce in the overlap is traced once).
     """
     if not 0.0 < bend_angle_deg < 90.0:
         raise ValueError(f"bend angle must be in (0, 90) degrees, got {bend_angle_deg}")

@@ -1,14 +1,18 @@
 """Image-method path enumeration with Fresnel reflection and slab transmission.
 
-One image tree per transmitter lists every chain of up to MAX_ORDER surfaces
-with the transmitter mirrored across each in turn, and stacks the chains of
-each order into arrays. trace_receivers back-traces every chain from a block
-of receivers at once, as array operations over (candidates x receivers), and
-writes the surviving paths into a PathTable: one row per path, the rows of a
-receiver together and in enumerate_paths order. A candidate survives if
-every reflection point falls on its finite rectangle between vertices on the
-reflecting side, every straight segment is unobstructed, and no metal slab
-is crossed. enumerate_paths is the one-receiver view of the same trace.
+The reflectors are planes: coplanar surfaces that face the same way form
+one. One image tree per transmitter lists every chain of up to MAX_ORDER
+planes with the transmitter mirrored across each in turn, and stacks the
+chains of each order into arrays. trace_receivers back-traces every chain
+from a block of receivers at once, as array operations over (candidates x
+receivers), and writes the surviving paths into a PathTable: one row per
+path, the rows of a receiver together and in enumerate_paths order. A
+candidate survives if every reflection point falls on a rectangle of its
+plane between vertices on the reflecting side, every straight segment is
+unobstructed, and no metal slab is crossed. A bounce is recorded on the
+first rectangle of its plane, in surface-index order, that holds it; that
+surface gives its material. enumerate_paths is the one-receiver view of
+the same trace.
 
 The array code keeps the scalar order of operations (n0*x0 + n1*x1 + n2*x2,
 a + t*(b - a)), so a path's numbers do not depend on which receivers share
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +46,6 @@ _ON_PLANE = 1e-12
 # Closest transmitter-receiver separation in metres a trace accepts: below
 # it the direct path has no usable direction and a meaningless power.
 _MIN_SEPARATION = 1e-9
-# Paths whose lengths and bounce coordinates round to the same 7 decimals
-# differ by at most 1e-7 in each; only such near pairs get the exact key test.
-_NEAR = 2e-7
 # Slab transmission of a table without slab crossings: a broadcastable 1.
 _NO_CROSSINGS = np.ones((1, 1), complex)
 _NO_CROSSINGS.flags.writeable = False
@@ -194,7 +195,6 @@ class PathTable:
     tx: Vec3
     rx: np.ndarray               # (R, 3) receiver positions
     receiver: np.ndarray         # (M,) index into rx
-    candidate: np.ndarray        # (M,) index into the transmitter's image tree, -1 if unknown
     order: np.ndarray            # (M,) number of reflections
     length: np.ndarray           # (M,) metres
     reflection: np.ndarray       # (M,) product of reflection coefficients
@@ -297,7 +297,6 @@ class PathTable:
             tx=paths[0].vertices[0],
             rx=np.array([paths[0].vertices[-1]], float),
             receiver=np.zeros(n, int),
-            candidate=np.full(n, -1),
             order=cols[0].astype(int),
             length=cols[1],
             reflection=cols[2],
@@ -347,6 +346,21 @@ class _Frame:
 @lru_cache(maxsize=32)
 def _frames(env: Environment) -> Tuple[_Frame, ...]:
     return tuple(_Frame(i, s) for i, s in enumerate(env.surfaces))
+
+
+@lru_cache(maxsize=32)
+def _reflectors(env: Environment) -> Tuple[Tuple[_Frame, ...], ...]:
+    """The surfaces grouped by plane, each group in surface-index order.
+
+    Coplanar surfaces that face the same way reflect alike, so they form one
+    reflector; its first surface stands for the plane.
+    """
+    groups: Dict[_Frame, List[_Frame]] = {}
+    for f in _frames(env):
+        first = next((g for g in groups
+                      if g.coplanar_with(f) and dot(g.normal, f.normal) > 0.0), f)
+        groups.setdefault(first, []).append(f)
+    return tuple(map(tuple, groups.values()))
 
 
 class _Planes(NamedTuple):
@@ -404,66 +418,66 @@ class _Step(NamedTuple):
     """
 
     count: int
-    plane: _Planes         # plane of the bounce surface
-    rect: _Rects           # rectangle of the bounce surface
-    image: np.ndarray      # the image mirrored across that surface last
-    image_side: np.ndarray  # the image's side of the surface (negative)
-    after: _Planes         # plane of the next bounce surface (unused at step 0)
+    plane: _Planes         # plane of the bounce
+    # (surface index, rectangle) of each surface of that plane, in index order
+    members: Tuple[Tuple[np.ndarray, _Rects], ...]
+    image: np.ndarray      # the image mirrored across that plane last
+    image_side: np.ndarray  # the image's side of the plane (negative)
+    after: _Planes         # plane of the next bounce (unused at step 0)
 
 
 class _Tree(NamedTuple):
-    candidates: Tuple[tuple, ...]   # (surface chain, images), breadth-first
+    candidates: Tuple[tuple, ...]   # (plane chain, images), breadth-first
     surfaces: _Surfaces
-    # Candidates of order >= 1 stacked by descending order, then tree order:
-    index: np.ndarray               # (C,) index into candidates
-    order: np.ndarray               # (C,)
-    surface: np.ndarray             # (C, max_order) chain, -1 past the order
+    order: np.ndarray               # (C,) order of each candidate of order >= 1, stacked
     steps: Tuple[_Step, ...]        # one per step 0..max_order - 1
 
 
 @lru_cache(maxsize=64)
 def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
-    """The (surface chain, images) candidates of a transmitter, also stacked.
+    """The (plane chain, images) candidates of a transmitter, also stacked.
 
-    images[k] is tx mirrored across chain[:k]. Candidates are breadth-first
-    and, within an order, in surface-index order: the direct ray, each
-    surface facing tx, each pair, ... A surface may follow a chain only if
-    the chain's last image lies on its reflecting side (the segment arriving
-    at the surface, extended backwards, ends at that image) and it is not the
-    plane of the previous bounce. Only the receiver moves in a sweep, so this
-    is built once per transmitter.
+    images[k] is tx mirrored across chain[:k]. Candidates are breadth-first:
+    the direct ray, each plane facing tx, each pair, ... A plane may follow a
+    chain only if the chain's last image lies on its reflecting side (the
+    segment arriving at the plane, extended backwards, ends at that image)
+    and it is not the plane of the previous bounce. The stacked arrays hold
+    the candidates of order >= 1 by descending order. Only the receiver
+    moves in a sweep, so this is built once per transmitter.
     """
-    frames = _frames(env)
+    reflectors = _reflectors(env)
     surfaces = _surfaces(env)
     level = [((), (tx,))]
     candidates = list(level)
     for _ in range(max_order):
-        level = [(chain + (f,),
-                  images + (mirror_across_plane(images[-1], f.normal, f.offset),))
-                 for chain, images in level for f in frames
-                 if f.side(images[-1]) > _ON_PLANE
-                 and not (chain and chain[-1].coplanar_with(f))]
+        level = [(chain + (g,),
+                  images + (mirror_across_plane(images[-1], g[0].normal, g[0].offset),))
+                 for chain, images in level for g in reflectors
+                 if g[0].side(images[-1]) > _ON_PLANE
+                 and not (chain and chain[-1][0].coplanar_with(g[0]))]
         candidates += level
-    index = sorted(range(1, len(candidates)), key=lambda i: -len(candidates[i][0]))
-    stacked = [candidates[i] for i in index]
+    stacked = sorted(candidates[1:], key=lambda c: -len(c[0]))
     order = np.array([len(chain) for chain, _ in stacked], int)
-    surface = np.array([[f.index for f in chain] + [-1] * (max_order - len(chain))
-                        for chain, _ in stacked], int).reshape(len(index), max_order)
+    # members[c, j] lists the surfaces of the j-th plane of candidate c,
+    # padded with the plane's first surface; -1 past the candidate's order.
+    width = max(map(len, reflectors), default=1)
+    members = np.array([[[f.index for f in g] + [g[0].index] * (width - len(g)) for g in chain]
+                        + [[-1] * width] * (max_order - len(chain))
+                        for chain, _ in stacked], int).reshape(len(stacked), max_order, width)
     steps = []
     for s in range(max_order):
-        # The bounce at step s of a chain of order k is chain[k - 1 - s]; its
-        # image is images[k - s], and the next bounce is chain[k - s].
+        # The bounce at step s of a chain of order k is on plane k - 1 - s;
+        # its image is images[k - s], and the next bounce is on plane k - s.
         live = order > s
-        bounce = surface[live, order[live] - 1 - s, None]
-        after = surface[live, order[live] - s, None] if s else bounce
+        bounce = members[live, order[live] - 1 - s]
+        after = members[live, order[live] - s, :1] if s else bounce[:, :1]
+        plane = surfaces.plane.at(bounce[:, :1])
         images = [images[len(chain) - s] for chain, images in stacked if len(chain) > s]
         image = np.array(images, float).reshape(-1, 3).T[..., None]
-        side = _side(surfaces.plane.at(bounce), image)
-        steps.append(_Step(int(live.sum()), surfaces.plane.at(bounce),
-                           surfaces.rect.at(bounce), image, side,
-                           surfaces.plane.at(after)))
-    return _Tree(tuple(candidates), surfaces, np.array(index, int), order, surface,
-                 tuple(steps))
+        steps.append(_Step(int(live.sum()), plane,
+                           tuple((m[:, None], surfaces.rect.at(m[:, None])) for m in bounce.T),
+                           image, _side(plane, image), surfaces.plane.at(after)))
+    return _Tree(tuple(candidates), surfaces, order, tuple(steps))
 
 
 def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
@@ -496,25 +510,28 @@ def _on_rectangle(p: np.ndarray, rect: _Rects, tol: float) -> np.ndarray:
     return (a >= -tol) & (a <= 1.0 + tol) & (b >= -tol) & (b <= 1.0 + tol)
 
 
-def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked candidates x receivers that unfold into a valid polyline.
 
     Each bounce, from the last to the first, is where the segment from its
-    image to the next vertex crosses the surface's plane. It must land on
-    the rectangle with both neighbouring vertices strictly on the reflecting
+    image to the next vertex crosses the plane. It must land on a rectangle
+    of the plane with both neighbouring vertices strictly on the reflecting
     side (the side of tx and of each image is checked when the tree is
-    built). Returns the surviving (stacked candidate, receiver) pairs and
-    their vertices (m, max_order + 2, 3): tx, bounces, rx, and rx again past
-    the candidate's order.
+    built); it is recorded on the first such rectangle. Returns the
+    receiver, order, bounce surfaces (m, max_order; -1 past the order) and
+    vertices (m, max_order + 2, 3) of the m surviving (candidate, receiver)
+    pairs, by stacked candidate. The vertices are tx, bounces, rx, and rx
+    again past the order.
     """
     ok = np.ones((len(tree.order), len(rx)), bool)
     p = rx.T[:, None, :]
-    points = []
+    points, recorded = [], []
     for s, step in enumerate(tree.steps):
         n = step.count
         p = p[:, :n]
         side = _side(step.plane, p)
-        # The tree keeps an image only behind its surface (da < 0), so with
+        # The tree keeps an image only behind its plane (da < 0), so with
         # the next vertex in front, t is in (0, 1) up to rounding. A relative
         # margin on t would reject corner bounces a picometre apart in one
         # direction of travel but not in the other.
@@ -522,22 +539,30 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray) -> Tuple[np.ndarray, np.n
         t = da / (da - side)
         valid = (side > _ON_PLANE) & (t > 0.0) & (t < 1.0)
         p = step.image + t * (p - step.image)
-        valid &= _on_rectangle(p, step.rect, ON_SURFACE_TOL)
+        # Rectangles tested last to first, so the first that holds p wins.
+        surface = np.full(p.shape[1:], -1)
+        for index, rect in reversed(step.members):
+            surface = np.where(_on_rectangle(p, rect, ON_SURFACE_TOL), index, surface)
+        valid &= surface >= 0
         if s:
             valid &= _side(step.after, p) > _ON_PLANE
         ok[:n] &= valid
         points.append(p)
+        recorded.append(surface)
     c, r = np.nonzero(ok)
-    verts = np.empty((len(c), len(tree.steps) + 2, 3))
+    K = len(tree.steps)
+    verts = np.empty((len(c), K + 2, 3))
     verts[:, 0] = tx
     verts[:, 1:] = rx[r, None]
+    chain = np.full((len(c), K), -1)
     k = tree.order[c]
-    for s, p in enumerate(points):
+    for s, (p, surface) in enumerate(zip(points, recorded)):
         # Survivors are sorted by stacked index, so those with a bounce at
         # step s, which stacks first, are a prefix.
         m = np.searchsorted(c, tree.steps[s].count)
         verts[np.arange(m), k[:m] - s] = p[:, c[:m], r[:m]].T
-    return c, r, verts
+        chain[np.arange(m), k[:m] - 1 - s] = surface[c[:m], r[:m]]
+    return r, k, chain, verts
 
 
 def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
@@ -571,41 +596,6 @@ def _acos(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.acos, x.tolist()), float, x.size)
 
 
-def _duplicates(receiver, order, candidate, length, points) -> np.ndarray:
-    """Rows repeating an earlier path of their receiver (coplanar overlaps).
-
-    Two paths are the same if order, length and bounce points agree rounded
-    to 7 decimals; the first in tree order is kept. Only rows with a near
-    twin (every number within _NEAR) can match, so only those get the key.
-    """
-    m = len(length)
-    drop = np.zeros(m, bool)
-    idx = np.lexsort((length, order, receiver))
-    run = np.ones(m, bool)  # row starts a run of near-equal lengths
-    run[1:] = ((receiver[idx[1:]] != receiver[idx[:-1]]) | (order[idx[1:]] != order[idx[:-1]])
-               | (length[idx[1:]] - length[idx[:-1]] > _NEAR))
-    if run.all():
-        return drop
-    run_id = np.cumsum(run)
-    p = points[idx].reshape(m, -1)
-    near = np.zeros(m, bool)
-    for gap in range(1, m):
-        pair = run_id[gap:] == run_id[:-gap]
-        if not pair.any():
-            break
-        pair &= (np.abs(p[gap:] - p[:-gap]) <= _NEAR).all(axis=1)
-        near[gap:] |= pair
-        near[:-gap] |= pair
-    seen = set()
-    for i in sorted(idx[near].tolist(), key=lambda i: (receiver[i], candidate[i])):
-        k = int(order[i])
-        key = (int(receiver[i]), k, round(float(length[i]), 7),
-               tuple(round(v, 7) for v in points[i, :k].ravel().tolist()))
-        drop[i] = key in seen
-        seen.add(key)
-    return drop
-
-
 def trace_receivers(env: Environment,
                     tx: Vec3,
                     receivers: Sequence[Vec3],
@@ -637,11 +627,10 @@ def trace_receivers(env: Environment,
     R = len(rx)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Rows: the direct ray of every receiver, then the traced candidates.
-        c, r, traced = _back_trace(tree, tx, rx)
-        cand = np.concatenate([np.zeros(R, int), tree.index[c]])
+        r, k, chain, traced = _back_trace(tree, tx, rx)
         recv = np.concatenate([np.arange(R), r])
-        order = np.concatenate([np.zeros(R, int), tree.order[c]])
-        surf = np.concatenate([np.full((R, K), -1), tree.surface[c]])
+        order = np.concatenate([np.zeros(R, int), k])
+        surf = np.concatenate([np.full((R, K), -1), chain])
         direct = np.empty((R, K + 2, 3))
         direct[:, 0] = tx
         direct[:, 1:] = rx[:, None]
@@ -661,7 +650,7 @@ def trace_receivers(env: Environment,
             keep &= ~crosses[..., metal].any(axis=(1, 2))
             crosses = crosses[keep]
 
-        cand, recv, order, surf, verts = (x[keep] for x in (cand, recv, order, surf, verts))
+        recv, order, surf, verts = (x[keep] for x in (recv, order, surf, verts))
         diff = verts[:, 1:] - verts[:, :-1]
         seg = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
                       + diff[..., 2] * diff[..., 2])
@@ -669,12 +658,9 @@ def trace_receivers(env: Environment,
         for i in range(1, K + 1):
             length = length + seg[:, i]
         dirs = diff / seg[..., None]
-        points = verts[:, 1:K + 1]
 
-        drop = _duplicates(recv, order, cand, length, points)
-        rows = np.flatnonzero(~drop)
-        rows = rows[np.lexsort((cand[rows], length[rows] / SPEED_OF_LIGHT,
-                                order[rows], recv[rows]))]
+        # Paths of equal delay keep the order of their bounce surfaces.
+        rows = np.lexsort((*surf.T[::-1], length / SPEED_OF_LIGHT, order, recv))
 
         # Incidence angle and reflection coefficient of every bounce, in
         # row then bounce order.
@@ -703,11 +689,11 @@ def trace_receivers(env: Environment,
             cangle = np.zeros(0)
 
     return PathTable(
-        tx=tx, rx=rx, receiver=recv[rows], candidate=cand[rows], order=order[rows],
+        tx=tx, rx=rx, receiver=recv[rows], order=order[rows],
         length=length[rows], reflection=reflection,
         departure=np.ascontiguousarray(dirs[rows, 0]),
         arrival=np.ascontiguousarray(dirs[rows, order[rows]]),
-        bounce_row=brow, bounce_surface=bsurf, bounce_point=points[rows[brow], slot],
+        bounce_row=brow, bounce_surface=bsurf, bounce_point=verts[rows[brow], slot + 1],
         bounce_angle=angle,
         crossing_row=crow, crossing_slab=cslab, crossing_angle=cangle,
         slabs=slabs, polarization=polarization)

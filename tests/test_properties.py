@@ -68,3 +68,17 @@ def test_lower_orders_are_a_subset_of_the_full_trace(placement):
     full = enumerate_paths(env, tx, rx, max_order=2)
     for m in (0, 1):
         assert enumerate_paths(env, tx, rx, max_order=m) == [p for p in full if p.order <= m]
+
+
+@PROPERTY
+@given(placements())
+# Floor and ceiling bounces where the two legs' rectangles overlap across
+# the elbow wedge: each such bounce lies on two coplanar rectangles.
+@example((ENVIRONMENTS["bent_tunnel"], (20.5, 0.3, 1.8),
+          ENVIRONMENTS["bent_tunnel"].axis_point(24.0, height=1.5)))
+def test_a_trace_never_repeats_a_path(placement):
+    env, tx, rx = placement
+    keys = [(p.order, round(p.length, 7),
+             tuple(round(v, 7) for b in p.bounces for v in b.point))
+            for p in enumerate_paths(env, tx, rx)]
+    assert len(keys) == len(set(keys))

@@ -1,6 +1,7 @@
 """Image-method enumeration and interface physics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,11 +193,13 @@ def test_reciprocity_of_path_multiset():
 
 
 def test_image_tree_keeps_chains_whose_images_face_the_next_surface():
-    # 1 + 4 + 12 chains in the straight duct. In the bent duct 53 chains start
-    # on a surface facing the transmitter; 7 of them go on to a surface that
-    # the first image lies behind, which no receiver can complete.
+    # 1 + 4 + 12 chains in the straight duct. The bent duct's 8 rectangles
+    # lie in 6 planes: the two floors are one reflector, and so are the two
+    # ceilings, so no chain repeats per twin rectangle. 5 planes face
+    # the transmitter; 5 of the 25 pairs that follow go on to a plane the
+    # first image lies behind, which no receiver can complete: 1 + 5 + 20.
     assert tracer.candidate_count(build_straight_tunnel(), TX, 2) == 17
-    assert tracer.candidate_count(build_bent_tunnel(45.0), TX, 2) == 46
+    assert tracer.candidate_count(build_bent_tunnel(45.0), TX, 2) == 26
 
 
 def test_enumerate_rejects_invalid_inputs():
@@ -258,12 +261,36 @@ def test_bent_before_elbow_matches_straight():
         sorted(round(p.length, 9) for p in ps)
 
 
-def test_overlapping_elbow_rectangles_do_not_duplicate_paths():
-    env = build_bent_tunnel(45.0)
-    rx = env.axis_point(26.0, height=1.5)
-    paths = enumerate_paths(env, TX, rx)
-    keys = [(p.order, round(p.length, 7)) for p in paths]
-    assert len(keys) == len(set(keys))
+def _two_floor_duct():
+    """Straight duct whose floor is two overlapping coplanar rectangles:
+    concrete on x in [0, 25] (surface 0), then metal on x in [15, 44]
+    (surface 1)."""
+    base = build_straight_tunnel()
+    floor = base.surfaces[0]
+    concrete = replace(floor, name="concrete_floor", edge_u=(25.0, 0.0, 0.0))
+    metal = replace(floor, name="metal_floor", origin=(15.0, *floor.origin[1:]),
+                    edge_u=(29.0, 0.0, 0.0), material=METAL)
+    return replace(base, surfaces=(concrete, metal) + base.surfaces[1:])
+
+
+@pytest.mark.parametrize("pol", list(Polarization), ids=lambda p: p.name)
+def test_a_bounce_on_coplanar_twins_takes_the_first_rectangle(pol):
+    env = _two_floor_duct()
+
+    def floor_path(rx):
+        [path] = [p for p in enumerate_paths(env, TX, rx, max_order=1, polarization=pol)
+                  if p.order == 1 and abs(p.bounces[0].point[2]) < 1e-9]
+        return path
+
+    # Bounces at x = 20, on both rectangles: the concrete one, listed first.
+    both = floor_path((40.0, 0.0, 2.0))
+    assert both.bounces[0].surface_index == 0
+    assert both.reflection_product == fresnel_reflection(
+        env.surfaces[0].material.eps_r, both.bounces[0].incidence_angle, pol)
+    # Bounces at x = 32, on the metal rectangle only.
+    metal = floor_path((40.0, 0.0, 0.5))
+    assert metal.bounces[0].surface_index == 1
+    assert metal.reflection_product == (-1.0 if pol is Polarization.TE else 1.0)
 
 
 def test_nearly_straight_bend_converges_to_straight_sweep():
