@@ -509,25 +509,21 @@ def run_sweep_grid(env: Environment,
 def delay_spread_table(envs: Sequence[Environment],
                        systems: Sequence[AntennaSystem],
                        frequencies: Sequence[float],
-                       n_samples: int = 1024,
-                       rx_start: float = 1.0,
-                       rx_height: float = 1.5,
-                       tx: Vec3 = (0.0, 0.0, 2.0),
-                       polarization: Polarization = Polarization.TE,
-                       max_order: int = 2,
-                       workers: int = 1,
-                       aggregate: str = "mean") -> DelaySpreadTable:
+                       aggregate: str = "mean",
+                       **sweep) -> DelaySpreadTable:
     """Sweep-aggregated RMS delay spread per (environment, system, frequency).
 
-    Positions without coverage are excluded from the aggregate; aggregate
-    is "mean" (default) or "median" over the per-position spreads.
+    Each environment is swept by run_sweep_grid, which takes the remaining
+    keywords unchanged (n_samples, rx_start, rx_height, tx, polarization,
+    max_order, workers, atmospheric) with its own defaults. Positions
+    without coverage are excluded from the aggregate; aggregate is "mean"
+    (default) or "median" over the per-position spreads.
     """
     if aggregate not in ("mean", "median"):
         raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     values = np.empty((len(envs), len(systems), len(frequencies)))
     for i, env in enumerate(envs):
-        grid = run_sweep_grid(env, systems, frequencies, n_samples, rx_start,
-                              rx_height, tx, polarization, max_order, workers)
+        grid = run_sweep_grid(env, systems, frequencies, **sweep)
         for s in range(len(systems)):
             for f in range(len(frequencies)):
                 col = grid.rms_spread[:, s, f]

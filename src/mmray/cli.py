@@ -1,9 +1,13 @@
 """Command-line driver: scenario files, sweeps, PDP dumps, tables, plot scripts.
 
 Scenario files are YAML documents with a strict schema (unknown keys are
-rejected, every error names the offending key path). All outputs are plain
-CSV; plotting is delegated to an emitted gnuplot script so the package has
-no graphics dependencies. Commands:
+rejected, every error names the offending key path). The frozen config
+dataclasses below are that schema: their fields are the allowed keys, their
+defaults fill missing keys, their types select the value parsers, their
+metadata holds the range rules, and `dataclasses.asdict` serializes them.
+`sweep` and `table` hand the library the same sweep settings. All outputs
+are plain CSV; plotting is delegated to an emitted gnuplot script so the
+package has no graphics dependencies. Commands:
 
     sweep     power-vs-distance CSV per (environment, frequency)
     pdp       power delay profile CSV at one receiver distance
@@ -18,9 +22,11 @@ import argparse
 import inspect
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Literal, Optional, Sequence, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 import yaml
@@ -57,20 +63,31 @@ class CommandError(RuntimeError):
 # Configuration model
 # ---------------------------------------------------------------------------
 
+def _checked(ok: Callable[[Any], bool], message: str, default: Any = MISSING):
+    """Field whose parsed value must satisfy ok; message may show the value as {}."""
+    return field(default=default, metadata={"ok": ok, "message": message})
+
+
+def _positive(default: Any = MISSING):
+    return _checked(lambda v: v > 0.0, "must be > 0", default)
+
+
 @dataclass(frozen=True)
 class ObstacleSpec:
     """Scenario-level description of one transverse slab."""
 
     name: str
     position: float
-    thickness: float = 0.1
-    eps_r: float = 1.0
+    thickness: float = _positive(0.1)
+    eps_r: float = _checked(lambda v: v >= 1.0, "relative permittivity must be >= 1", 1.0)
     metal: bool = False
 
 
 @dataclass(frozen=True)
 class EnvironmentConfig:
-    name: str = "straight_tunnel"
+    name: str = _checked(lambda n: n in BUILDERS,
+                         f"unknown environment {{!r}} (known: {', '.join(sorted(BUILDERS))})",
+                         "straight_tunnel")
     overrides: Tuple[Tuple[str, Union[float, bool]], ...] = ()
     obstacles: Optional[Tuple[ObstacleSpec, ...]] = None
 
@@ -78,40 +95,53 @@ class EnvironmentConfig:
 @dataclass(frozen=True)
 class SystemConfig:
     label: str
-    kind: str
+    kind: str = _checked(lambda k: k in KINDS,
+                         f"unknown antenna kind {{!r}} (known: {', '.join(sorted(KINDS))})")
     tx_power_dbm: float
     peak_gain_dbi: float
     boresight: Vec3 = (1.0, 0.0, 0.0)
 
 
+def _preset_system_config(name: str, path: str) -> SystemConfig:
+    """Scenario entry for a preset; the preset name doubles as its label."""
+    try:
+        kind, power, peak = preset_parameters(name)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    return SystemConfig(label=name, kind=kind, tx_power_dbm=power,
+                        peak_gain_dbi=peak)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    n_samples: int = 1024
-    rx_start: float = 1.0
-    rx_height: float = 1.5
+    n_samples: int = _checked(lambda n: n >= 2, "must be >= 2, got {}", 1024)
+    rx_start: float = _positive(1.0)
+    rx_height: float = _positive(1.5)
     tx_position: Vec3 = (0.0, 0.0, 2.0)
 
 
 @dataclass(frozen=True)
 class PhysicsConfig:
-    polarization: str = "te"
+    polarization: Literal["te", "tm"] = "te"
     atmospheric_loss_on: bool = False
-    max_order: int = 2
+    max_order: int = _checked(lambda n: 0 <= n <= MAX_ORDER,
+                              f"must be in 0..{MAX_ORDER}, got {{}}", 2)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     csv_dir: str = "out"
     pdp_positions: Tuple[float, ...] = (10.0,)
-    pdp_bin_width: float = 0.0
+    pdp_bin_width: float = _checked(lambda v: v >= 0.0, "must be >= 0", 0.0)
     plot: bool = False
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     environment: EnvironmentConfig = EnvironmentConfig()
-    systems: Tuple[SystemConfig, ...] = ()
-    frequencies: Tuple[float, ...] = DEFAULT_FREQUENCIES
+    systems: Tuple[SystemConfig, ...] = tuple(
+        _preset_system_config(label, "systems") for label in ("system1", "system2", "system3"))
+    frequencies: Tuple[float, ...] = _positive(DEFAULT_FREQUENCIES)
     sweep: SweepConfig = SweepConfig()
     physics: PhysicsConfig = PhysicsConfig()
     output: OutputConfig = OutputConfig()
@@ -129,7 +159,7 @@ def _require_mapping(node, path: str) -> dict:
     return node
 
 
-def _check_keys(mapping: dict, allowed: Sequence[str], path: str) -> None:
+def _check_keys(mapping: dict, allowed: Iterable[str], path: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ScenarioError(
@@ -172,18 +202,65 @@ def _as_point(value, path: str) -> Tuple[float, float, float]:
     return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+@lru_cache(maxsize=None)
+def _schema(cls) -> Dict[str, Tuple[Any, Field]]:
+    """Field name -> (resolved type, field) of a config dataclass, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f) for f in fields(cls)}
+
+
+def _parse_value(hint, rule, value, path: str):
+    """Parse one value by its field type, then check it against the field's rule.
+
+    A `Tuple[X, ...]` field takes a non-empty list and checks each item.
+    """
+    if get_origin(hint) is tuple and get_args(hint)[-1] is Ellipsis:
+        if not isinstance(value, list) or not value:
+            raise ScenarioError(f"{path}: expected a non-empty list")
+        return tuple(_parse_value(get_args(hint)[0], rule, v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if get_origin(hint) is Literal:
+        value = _as_str(value, path).lower()
+        if value not in get_args(hint):
+            allowed = " or ".join(repr(a) for a in get_args(hint))
+            raise ScenarioError(f"{path}: expected {allowed}, got {value!r}")
+        return value
+    value = (_PARSERS[hint](value, path) if hint in _PARSERS
+             else _parse_section(hint, value, path))
+    if "ok" in rule and not rule["ok"](value):
+        raise ScenarioError(f"{path}: {rule['message'].format(value)}")
+    return value
+
+
+def _parse_field(cls, name: str, value, path: str):
+    hint, spec = _schema(cls)[name]
+    return _parse_value(hint, spec.metadata, value, path)
+
+
+def _parse_fields(cls, mapping: dict, prefix: str) -> dict:
+    """Parsed values of the fields of cls that mapping sets, in field order."""
+    return {name: _parse_field(cls, name, mapping[name], prefix + name)
+            for name in _schema(cls) if name in mapping}
+
+
+def _parse_section(cls, node, path: str):
+    mapping = _require_mapping(node, path)
+    _check_keys(mapping, _schema(cls), path)
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    if not all(name in mapping for name in required):
+        raise ScenarioError(f"{path}: {' and '.join(map(repr, required))} are required")
+    return cls(**_parse_fields(cls, mapping, path + "."))
+
+
 def _builder_params(name: str) -> dict:
     return dict(inspect.signature(BUILDERS[name]).parameters)
 
 
 def _parse_environment(node, path: str) -> EnvironmentConfig:
     mapping = _require_mapping(node, path)
-    _check_keys(mapping, ("name", "overrides", "obstacles"), path)
-    name = _as_str(mapping.get("name", "straight_tunnel"), f"{path}.name")
-    if name not in BUILDERS:
-        raise ScenarioError(
-            f"{path}.name: unknown environment {name!r} "
-            f"(known: {', '.join(sorted(BUILDERS))})")
+    _check_keys(mapping, _schema(EnvironmentConfig), path)
+    name = _parse_field(EnvironmentConfig, "name",
+                        mapping.get("name", EnvironmentConfig.name), f"{path}.name")
     params = _builder_params(name)
 
     overrides = []
@@ -211,75 +288,30 @@ def _parse_environment(node, path: str) -> EnvironmentConfig:
         if not isinstance(raw, list):
             raise ScenarioError(f"{path}.obstacles: expected a list")
         obstacles = tuple(
-            _parse_obstacle(entry, f"{path}.obstacles[{i}]")
+            _parse_section(ObstacleSpec, entry, f"{path}.obstacles[{i}]")
             for i, entry in enumerate(raw))
     return EnvironmentConfig(name=name, overrides=tuple(sorted(overrides)),
                              obstacles=obstacles)
 
 
-def _parse_obstacle(node, path: str) -> ObstacleSpec:
-    mapping = _require_mapping(node, path)
-    _check_keys(mapping, ("name", "position", "thickness", "eps_r", "metal"), path)
-    if "name" not in mapping or "position" not in mapping:
-        raise ScenarioError(f"{path}: 'name' and 'position' are required")
-    thickness = _as_float(mapping.get("thickness", 0.1), f"{path}.thickness")
-    if thickness <= 0.0:
-        raise ScenarioError(f"{path}.thickness: must be > 0")
-    eps = _as_float(mapping.get("eps_r", 1.0), f"{path}.eps_r")
-    if eps < 1.0:
-        raise ScenarioError(f"{path}.eps_r: relative permittivity must be >= 1")
-    return ObstacleSpec(
-        name=_as_str(mapping["name"], f"{path}.name"),
-        position=_as_float(mapping["position"], f"{path}.position"),
-        thickness=thickness,
-        eps_r=eps,
-        metal=_as_bool(mapping.get("metal", False), f"{path}.metal"),
-    )
-
-
 def _parse_system(node, path: str) -> SystemConfig:
+    """A preset name, or a mapping of SystemConfig keys on a preset or kind."""
     if isinstance(node, str):
         return _preset_system_config(node, path)
     mapping = _require_mapping(node, path)
-    _check_keys(mapping, ("preset", "kind", "tx_power_dbm", "peak_gain_dbi",
-                          "label", "boresight"), path)
-    kind = None
-    if "kind" in mapping:
-        kind = _as_str(mapping["kind"], f"{path}.kind")
-        if kind not in KINDS:
-            raise ScenarioError(
-                f"{path}.kind: unknown antenna kind {kind!r} "
-                f"(known: {', '.join(sorted(KINDS))})")
+    _check_keys(mapping, [*_schema(SystemConfig), "preset"], path)
+    values = _parse_fields(SystemConfig, mapping, path + ".")
     if "preset" in mapping:
         base = _preset_system_config(_as_str(mapping["preset"], f"{path}.preset"), path)
-    elif kind is not None:
-        base = _preset_system_config(kind, path)
+    elif "kind" in values:
+        base = _preset_system_config(values["kind"], path)
     else:
         raise ScenarioError(f"{path}: either 'preset' or 'kind' is required")
-    if kind is not None:
-        base = replace(base, kind=kind)
-    if "tx_power_dbm" in mapping:
-        base = replace(base, tx_power_dbm=_as_float(mapping["tx_power_dbm"],
-                                                    f"{path}.tx_power_dbm"))
-    if "peak_gain_dbi" in mapping:
-        base = replace(base, peak_gain_dbi=_as_float(mapping["peak_gain_dbi"],
-                                                     f"{path}.peak_gain_dbi"))
-    if "label" in mapping:
-        base = replace(base, label=_as_str(mapping["label"], f"{path}.label"))
-    if "boresight" in mapping:
-        base = replace(base, boresight=_as_point(mapping["boresight"],
-                                                 f"{path}.boresight"))
-    return base
+    return replace(base, **values)
 
 
-def _preset_system_config(name: str, path: str) -> SystemConfig:
-    """Scenario entry for a preset; the preset name doubles as its label."""
-    try:
-        kind, power, peak = preset_parameters(name)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    return SystemConfig(label=name, kind=kind, tx_power_dbm=power,
-                        peak_gain_dbi=peak)
+_PARSERS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str, Vec3: _as_point,
+            EnvironmentConfig: _parse_environment, SystemConfig: _parse_system}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -293,132 +325,36 @@ def parse_scenario(text: str) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from exc
     mapping = _require_mapping(doc, "scenario")
-    _check_keys(mapping, ("environment", "systems", "frequencies", "sweep",
-                          "physics", "output"), "scenario")
-
-    environment = _parse_environment(mapping.get("environment"), "environment")
-
-    if "systems" in mapping:
-        raw = mapping["systems"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError("systems: expected a non-empty list")
-        systems = tuple(_parse_system(entry, f"systems[{i}]")
-                        for i, entry in enumerate(raw))
-    else:
-        systems = tuple(_preset_system_config(label, "systems")
-                        for label in ("system1", "system2", "system3"))
-    labels = [s.label for s in systems]
+    _check_keys(mapping, _schema(ScenarioConfig), "scenario")
+    config = ScenarioConfig(**_parse_fields(ScenarioConfig, mapping, ""))
+    labels = [s.label for s in config.systems]
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"systems: duplicate labels {labels}")
+    return config
 
-    if "frequencies" in mapping:
-        raw = mapping["frequencies"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError("frequencies: expected a non-empty list")
-        frequencies = []
-        for i, value in enumerate(raw):
-            f = _as_float(value, f"frequencies[{i}]")
-            if f <= 0.0:
-                raise ScenarioError(f"frequencies[{i}]: must be > 0")
-            frequencies.append(f)
-        frequencies = tuple(frequencies)
-    else:
-        frequencies = DEFAULT_FREQUENCIES
 
-    sweep_map = _require_mapping(mapping.get("sweep"), "sweep")
-    _check_keys(sweep_map, ("n_samples", "rx_start", "rx_height", "tx_position"),
-                "sweep")
-    n_samples = _as_int(sweep_map.get("n_samples", 1024), "sweep.n_samples")
-    if n_samples < 2:
-        raise ScenarioError(f"sweep.n_samples: must be >= 2, got {n_samples}")
-    rx_start = _as_float(sweep_map.get("rx_start", 1.0), "sweep.rx_start")
-    if rx_start <= 0.0:
-        raise ScenarioError("sweep.rx_start: must be > 0")
-    rx_height = _as_float(sweep_map.get("rx_height", 1.5), "sweep.rx_height")
-    if rx_height <= 0.0:
-        raise ScenarioError("sweep.rx_height: must be > 0")
-    sweep = SweepConfig(
-        n_samples=n_samples,
-        rx_start=rx_start,
-        rx_height=rx_height,
-        tx_position=_as_point(sweep_map.get("tx_position", [0.0, 0.0, 2.0]),
-                              "sweep.tx_position"),
-    )
-
-    phys_map = _require_mapping(mapping.get("physics"), "physics")
-    _check_keys(phys_map, ("polarization", "atmospheric_loss_on", "max_order"),
-                "physics")
-    pol = _as_str(phys_map.get("polarization", "te"), "physics.polarization").lower()
-    if pol not in ("te", "tm"):
-        raise ScenarioError(f"physics.polarization: expected 'te' or 'tm', got {pol!r}")
-    max_order = _as_int(phys_map.get("max_order", 2), "physics.max_order")
-    if not 0 <= max_order <= MAX_ORDER:
-        raise ScenarioError(f"physics.max_order: must be in 0..{MAX_ORDER}, got {max_order}")
-    physics = PhysicsConfig(
-        polarization=pol,
-        atmospheric_loss_on=_as_bool(phys_map.get("atmospheric_loss_on", False),
-                                     "physics.atmospheric_loss_on"),
-        max_order=max_order,
-    )
-
-    out_map = _require_mapping(mapping.get("output"), "output")
-    _check_keys(out_map, ("csv_dir", "pdp_positions", "pdp_bin_width", "plot"),
-                "output")
-    positions = out_map.get("pdp_positions", [10.0])
-    if not isinstance(positions, list):
-        raise ScenarioError("output.pdp_positions: expected a list")
-    pdp_positions = tuple(_as_float(v, f"output.pdp_positions[{i}]")
-                          for i, v in enumerate(positions))
-    bin_width = _as_float(out_map.get("pdp_bin_width", 0.0), "output.pdp_bin_width")
-    if bin_width < 0.0:
-        raise ScenarioError("output.pdp_bin_width: must be >= 0")
-    output = OutputConfig(
-        csv_dir=_as_str(out_map.get("csv_dir", "out"), "output.csv_dir"),
-        pdp_positions=pdp_positions,
-        pdp_bin_width=bin_width,
-        plot=_as_bool(out_map.get("plot", False), "output.plot"),
-    )
-
-    return ScenarioConfig(environment=environment, systems=systems,
-                          frequencies=frequencies, sweep=sweep,
-                          physics=physics, output=output)
+def _plain(value):
+    """asdict output with tuples as lists, which YAML's safe dumper writes."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    """Plain-dict form of a config, parseable back to an equal config."""
-    env: dict = {"name": config.environment.name}
-    if config.environment.overrides:
-        env["overrides"] = {k: v for k, v in config.environment.overrides}
-    if config.environment.obstacles is not None:
-        env["obstacles"] = [
-            {"name": o.name, "position": o.position, "thickness": o.thickness,
-             "eps_r": o.eps_r, "metal": o.metal}
-            for o in config.environment.obstacles]
-    return {
-        "environment": env,
-        "systems": [
-            {"label": s.label, "kind": s.kind, "tx_power_dbm": s.tx_power_dbm,
-             "peak_gain_dbi": s.peak_gain_dbi, "boresight": list(s.boresight)}
-            for s in config.systems],
-        "frequencies": list(config.frequencies),
-        "sweep": {
-            "n_samples": config.sweep.n_samples,
-            "rx_start": config.sweep.rx_start,
-            "rx_height": config.sweep.rx_height,
-            "tx_position": list(config.sweep.tx_position),
-        },
-        "physics": {
-            "polarization": config.physics.polarization,
-            "atmospheric_loss_on": config.physics.atmospheric_loss_on,
-            "max_order": config.physics.max_order,
-        },
-        "output": {
-            "csv_dir": config.output.csv_dir,
-            "pdp_positions": list(config.output.pdp_positions),
-            "pdp_bin_width": config.output.pdp_bin_width,
-            "plot": config.output.plot,
-        },
-    }
+    """Plain-dict form of a config, parseable back to an equal config.
+
+    Overrides are written as a mapping and omitted when empty; obstacles
+    are omitted when None (the builder's stock set).
+    """
+    doc = _plain(asdict(config))
+    env = doc["environment"]
+    if env.pop("overrides"):
+        env["overrides"] = dict(config.environment.overrides)
+    if env["obstacles"] is None:
+        del env["obstacles"]
+    return doc
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:
@@ -430,6 +366,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def build_environment(config: EnvironmentConfig) -> Environment:
+    """The configured builder's scene; a value it rejects names environment.overrides."""
     builder = BUILDERS[config.name]
     kwargs = {k: v for k, v in config.overrides}
     if config.obstacles is not None:
@@ -437,7 +374,10 @@ def build_environment(config: EnvironmentConfig) -> Environment:
             ObstacleSlab(o.name, o.position, o.thickness,
                          METAL if o.metal else Material(o.name, o.eps_r))
             for o in config.obstacles]
-    return builder(**kwargs)
+    try:
+        return builder(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"environment.overrides: {exc}") from exc
 
 
 def build_systems(config: ScenarioConfig) -> Tuple[AntennaSystem, ...]:
@@ -446,8 +386,17 @@ def build_systems(config: ScenarioConfig) -> Tuple[AntennaSystem, ...]:
         for s in config.systems)
 
 
-def _polarization(config: ScenarioConfig) -> Polarization:
-    return Polarization.TE if config.physics.polarization == "te" else Polarization.TM
+def _sweep_settings(config: ScenarioConfig) -> dict:
+    """run_sweep_grid's keywords for the scenario, shared by `sweep` and `table`."""
+    return dict(
+        n_samples=config.sweep.n_samples,
+        rx_start=config.sweep.rx_start,
+        rx_height=config.sweep.rx_height,
+        tx=config.sweep.tx_position,
+        polarization=Polarization(config.physics.polarization),
+        max_order=config.physics.max_order,
+        atmospheric=config.physics.atmospheric_loss_on,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +442,8 @@ def run_sweep_command(config: ScenarioConfig,
     """Full receiver sweep; writes one CSV per configured frequency."""
     env = build_environment(config.environment)
     systems = build_systems(config)
-    grid = run_sweep_grid(
-        env, systems, config.frequencies,
-        n_samples=config.sweep.n_samples,
-        rx_start=config.sweep.rx_start,
-        rx_height=config.sweep.rx_height,
-        tx=config.sweep.tx_position,
-        polarization=_polarization(config),
-        max_order=config.physics.max_order,
-        workers=workers,
-        atmospheric=config.physics.atmospheric_loss_on,
-    )
+    grid = run_sweep_grid(env, systems, config.frequencies, workers=workers,
+                          **_sweep_settings(config))
     out = Path(out_dir) if out_dir is not None else Path(config.output.csv_dir)
     files = write_sweep_csvs(grid, [s.label for s in config.systems], out)
     if config.output.plot:
@@ -525,7 +465,7 @@ def run_pdp_command(config: ScenarioConfig,
             f"rx distance {rx_distance} m outside "
             f"({config.sweep.rx_start}, {env.axis_length}] m")
     systems = build_systems(config)
-    pol = _polarization(config)
+    pol = Polarization(config.physics.polarization)
     rx = env.axis_point(rx_distance, height=config.sweep.rx_height)
     rx_boresight = neg(env.axis_direction(rx_distance))
     paths = enumerate_paths(env, config.sweep.tx_position, rx,
@@ -580,17 +520,9 @@ def run_table_command(config: ScenarioConfig,
                       aggregate: str = "mean") -> Tuple[str, Path]:
     """Delay spread table for the configured environment; text plus CSV."""
     env = build_environment(config.environment)
-    table = delay_spread_table(
-        [env], build_systems(config), config.frequencies,
-        n_samples=config.sweep.n_samples,
-        rx_start=config.sweep.rx_start,
-        rx_height=config.sweep.rx_height,
-        tx=config.sweep.tx_position,
-        polarization=_polarization(config),
-        max_order=config.physics.max_order,
-        workers=workers,
-        aggregate=aggregate,
-    )
+    table = delay_spread_table([env], build_systems(config), config.frequencies,
+                               aggregate=aggregate, workers=workers,
+                               **_sweep_settings(config))
     text = format_delay_table(table, env.name)
     out = Path(out_dir) if out_dir is not None else Path(config.output.csv_dir)
     lines = ["antenna," + ",".join(f"rms_ns_{_ghz(f)}GHz"
@@ -732,22 +664,11 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         config = parse_scenario("")
 
     if getattr(args, "env", None):
-        if args.env not in BUILDERS:
-            raise CommandError(
-                f"unknown environment {args.env!r} "
-                f"(known: {', '.join(sorted(BUILDERS))})")
-        config = replace(config, environment=EnvironmentConfig(name=args.env))
+        name = _parse_field(EnvironmentConfig, "name", args.env, "--env")
+        config = replace(config, environment=EnvironmentConfig(name=name))
     if getattr(args, "freq", None):
-        freqs = []
-        for tok in args.freq.split(","):
-            try:
-                value = float(tok)
-            except ValueError:
-                value = math.nan
-            if not (math.isfinite(value) and value > 0.0):
-                raise CommandError(f"--freq: bad frequency {tok!r}")
-            freqs.append(value)
-        config = replace(config, frequencies=tuple(freqs))
+        freqs = _parse_field(ScenarioConfig, "frequencies", args.freq.split(","), "--freq")
+        config = replace(config, frequencies=freqs)
     if getattr(args, "system", None):
         systems = tuple(_preset_system_config(tok.strip(), "--system")
                         for tok in args.system.split(","))

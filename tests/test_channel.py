@@ -466,6 +466,17 @@ def test_delay_spread_table_median_differs_from_mean():
         delay_spread_table(envs, [ISO], [60e9], aggregate="mode")
 
 
+def test_delay_spread_table_forwards_the_sweep_keywords():
+    """atmospheric reaches run_sweep_grid: 0.857607 ns with the loss, 0.857661 without."""
+    envs = [build_straight_tunnel()]
+    lossy = delay_spread_table(envs, [ISO], [60e9], n_samples=64, atmospheric=True)
+    grid = run_sweep_grid(envs[0], [ISO], [60e9], n_samples=64, atmospheric=True)
+    expected = np.nanmean(grid.rms_spread, axis=0) * 1e9
+    assert lossy.values_ns[0] == pytest.approx(expected, rel=1e-12)
+    plain = delay_spread_table(envs, [ISO], [60e9], n_samples=64)
+    assert lossy.values_ns[0, 0, 0] != pytest.approx(plain.values_ns[0, 0, 0], rel=1e-6)
+
+
 def test_delay_spread_ordering_small_grid():
     """Directive patterns suppress long detours, shrinking the spread."""
     envs = [build_straight_tunnel()]

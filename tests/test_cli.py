@@ -1,18 +1,25 @@
 """Scenario parsing and command-line entry points."""
 
+import inspect
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmray import cli, system_preset
-from mmray.channel import SweepGrid
+from mmray import channel, cli, system_preset
+from mmray.antenna import KINDS
+from mmray.channel import SweepGrid, run_sweep_grid
 from mmray.cli import (
-    DEFAULT_FREQUENCIES, ScenarioError, build_environment, build_systems,
-    emit_plot_script, main, parse_scenario, run_pdp_command,
-    run_sweep_command, run_table_command, serialize_scenario, write_sweep_csvs,
+    BUILDERS, DEFAULT_FREQUENCIES, EnvironmentConfig, ObstacleSpec, OutputConfig,
+    PhysicsConfig, ScenarioConfig, ScenarioError, SweepConfig, SystemConfig,
+    build_environment, build_systems, emit_plot_script, main, parse_scenario,
+    run_pdp_command, run_sweep_command, run_table_command, serialize_scenario,
+    write_sweep_csvs,
 )
+from mmray.tracer import MAX_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +34,20 @@ def test_empty_scenario_uses_defaults():
     assert cfg.sweep.n_samples == 1024
     assert cfg.physics.polarization == "te"
     assert cfg.physics.max_order == 2
+
+
+def test_empty_scenario_is_the_dataclass_defaults():
+    assert parse_scenario("") == ScenarioConfig()
+
+
+def test_scenario_defaults_are_the_library_defaults():
+    """Every sweep setting a default scenario passes equals run_sweep_grid's own default."""
+    library = {name: p.default
+               for name, p in inspect.signature(run_sweep_grid).parameters.items()}
+    scenario = cli._sweep_settings(ScenarioConfig())
+    assert set(scenario) == {"n_samples", "rx_start", "rx_height", "tx", "polarization",
+                             "max_order", "atmospheric"}
+    assert scenario == {name: library[name] for name in scenario}
 
 
 def test_quoted_scientific_notation_frequencies():
@@ -103,6 +124,54 @@ output: {csv_dir: results}
     once = parse_scenario(text)
     again = parse_scenario(serialize_scenario(once))
     assert once == again
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+PERMITTIVITY = st.floats(min_value=1.0, allow_infinity=False)
+POINT = st.tuples(FINITE, FINITE, FINITE)
+NAME = st.text("abz019_ -.:#", min_size=1, max_size=8)
+
+
+@st.composite
+def environments(draw):
+    name = draw(st.sampled_from(sorted(BUILDERS)))
+    params = inspect.signature(BUILDERS[name]).parameters
+    keys = draw(st.lists(st.sampled_from(sorted(set(params) - {"obstacles"})), unique=True))
+    overrides = tuple(sorted(
+        (k, draw(st.booleans() if isinstance(params[k].default, bool) else PERMITTIVITY))
+        for k in keys))
+    obstacles = None
+    if "obstacles" in params:
+        obstacle = st.builds(ObstacleSpec, name=NAME, position=FINITE, thickness=POSITIVE,
+                             eps_r=PERMITTIVITY, metal=st.booleans())
+        obstacles = draw(st.none() | st.lists(obstacle, max_size=3).map(tuple))
+    return EnvironmentConfig(name=name, overrides=overrides, obstacles=obstacles)
+
+
+SCENARIOS = st.builds(
+    ScenarioConfig,
+    environment=environments(),
+    systems=st.lists(st.builds(SystemConfig, label=NAME, kind=st.sampled_from(KINDS),
+                               tx_power_dbm=FINITE, peak_gain_dbi=FINITE, boresight=POINT),
+                     min_size=1, max_size=3, unique_by=lambda s: s.label).map(tuple),
+    frequencies=st.lists(POSITIVE, min_size=1, max_size=4).map(tuple),
+    sweep=st.builds(SweepConfig, n_samples=st.integers(min_value=2), rx_start=POSITIVE,
+                    rx_height=POSITIVE, tx_position=POINT),
+    physics=st.builds(PhysicsConfig, polarization=st.sampled_from(["te", "tm"]),
+                      atmospheric_loss_on=st.booleans(),
+                      max_order=st.integers(0, MAX_ORDER)),
+    output=st.builds(OutputConfig, csv_dir=NAME,
+                     pdp_positions=st.lists(FINITE, min_size=1, max_size=3).map(tuple),
+                     pdp_bin_width=st.floats(min_value=0.0, allow_infinity=False),
+                     plot=st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(SCENARIOS)
+def test_every_valid_config_survives_the_serializer(config):
+    assert parse_scenario(serialize_scenario(config)) == config
 
 
 def test_environment_with_obstacles_builds():
@@ -322,6 +391,41 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, body, flags, key):
     assert rc == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body, flags, message", [
+    ("sweep", "environment: {name: bent_tunnel, overrides: {bend_angle_deg: 95}}", [],
+     "environment.overrides: bend angle must be in (0, 90) degrees, got 95.0"),
+    ("pdp", "output: {pdp_positions: []}", [],
+     "output.pdp_positions: expected a non-empty list"),
+    ("validate", "", ["--env", "hyperloop"], "--env: unknown environment 'hyperloop'"),
+])
+def test_rejected_values_name_the_key(tmp_path, capsys, command, body, flags, message):
+    scn = _write_scenario(tmp_path, body + "\n")
+    out = tmp_path / "o"
+    rc = main([command, "--scenario", str(scn), *flags]
+              + (["--out", str(out)] if command != "validate" else []))
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_and_table_sweep_with_the_same_settings(tmp_path, monkeypatch):
+    calls = []
+    original = channel.run_sweep_grid
+
+    def recording(env, systems, frequencies, **kwargs):
+        calls.append(kwargs)
+        return original(env, systems, frequencies, **kwargs)
+
+    monkeypatch.setattr(channel, "run_sweep_grid", recording)
+    monkeypatch.setattr(cli, "run_sweep_grid", recording)
+    cfg = parse_scenario(SMALL + "physics: {polarization: tm, atmospheric_loss_on: true}\n")
+    run_sweep_command(cfg, out_dir=tmp_path)
+    run_table_command(cfg, out_dir=tmp_path)
+    assert len(calls) == 2
+    assert calls[0] == calls[1]
+    assert calls[0]["atmospheric"] is True
 
 
 @pytest.mark.parametrize("command", ["sweep", "table"])
