@@ -175,7 +175,8 @@ def gain(sys: AntennaSystem,
     else:
         b = np.asarray(boresight if boresight is not None else sys.boresight, float)
         b = b / math.sqrt(b @ b)
-        cos_psi = pts @ b
+        # Elementwise, so a direction's gain does not depend on its batch.
+        cos_psi = pts[:, 0] * b[0] + pts[:, 1] * b[1] + pts[:, 2] * b[2]
         front = np.maximum(
             sys.peak_gain_linear * np.clip(cos_psi, 0.0, 1.0) ** sys.pattern_exponent,
             BACK_LOBE_GAIN)

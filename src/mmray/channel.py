@@ -152,19 +152,6 @@ class DelaySpreadTable:
 # Tap construction
 # ---------------------------------------------------------------------------
 
-def _gain(sys: AntennaSystem, directions: np.ndarray,
-          boresight: Optional[Vec3] = None) -> np.ndarray:
-    """antenna.gain of every row of directions (N, 3).
-
-    numpy sums a matrix product of a single row in another order than one of
-    several rows, so a lone row is evaluated beside a copy of itself: a
-    path's gain then does not depend on how many paths share the call.
-    """
-    if len(directions) == 1:
-        return gain(sys, np.repeat(directions, 2, axis=0), boresight)[:1]
-    return gain(sys, directions, boresight)
-
-
 def _rx_groups(table: PathTable, rx_boresight) -> list:
     """(rows, receiver boresight) pairs that cover the rows of table.
 
@@ -186,9 +173,9 @@ def _geo(table: PathTable, sys: AntennaSystem, groups: list) -> np.ndarray:
     geo_i = sqrt(T_R a_t a_r) * refl_i, with groups from _rx_groups."""
     a_r = np.empty(len(table.length))
     for rows, b in groups:
-        a_r[rows] = _gain(sys, -table.arrival[rows],
-                          neg(sys.boresight) if b is None else b)
-    return (np.sqrt(_gain(sys, table.departure) * a_r) * table.reflection
+        a_r[rows] = gain(sys, -table.arrival[rows],
+                         neg(sys.boresight) if b is None else b)
+    return (np.sqrt(gain(sys, table.departure) * a_r) * table.reflection
             * math.sqrt(sys.tx_power_watts))
 
 
@@ -433,12 +420,9 @@ def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
             rms[..., chunk], excess[..., chunk] = _delay_moments(
                 d, np.abs(a) ** 2, d.min(axis=-1, keepdims=True))
     # No rows (no coverage) leaves zero power: NO_COVERAGE and NaN moments.
-    # Powers are taken with math.log10, as watts_to_dbm does (np.log10
-    # differs from it in the last bit for some inputs).
     power = np.full(shape, NO_COVERAGE)
     covered = ~(coherent <= 0.0)
-    milliwatts = (coherent[covered] * 1000.0).tolist()
-    power[covered] = 10.0 * np.fromiter(map(math.log10, milliwatts), float, len(milliwatts))
+    power[covered] = 10.0 * np.log10(coherent[covered] * 1000.0)
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 

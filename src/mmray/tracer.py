@@ -2,21 +2,24 @@
 
 The reflectors are planes: coplanar surfaces that face the same way form
 one. One image tree per transmitter lists every chain of up to MAX_ORDER
-planes with the transmitter mirrored across each in turn, and stacks the
-chains of each order into arrays. trace_receivers back-traces every chain
-from a block of receivers at once, as array operations over (candidates x
-receivers), and writes the surviving paths into a PathTable: one row per
-path, the rows of a receiver together and in enumerate_paths order. A
-candidate survives if every reflection point falls on a rectangle of its
-plane between vertices on the reflecting side, every straight segment is
-unobstructed, and no metal slab is crossed. A bounce is recorded on the
-first rectangle of its plane, in surface-index order, that holds it; that
-surface gives its material. enumerate_paths is the one-receiver view of
-the same trace.
+planes with the transmitter mirrored across each in turn (the empty chain
+is the direct ray), and stacks the chains of each order into arrays.
+trace_receivers back-traces every chain from a block of receivers at once,
+as array operations over (candidates x receivers), and writes the
+surviving paths into a PathTable: one row per path, the rows of a receiver
+together and in enumerate_paths order. A candidate survives if every
+reflection point falls on a rectangle of its plane between vertices on the
+reflecting side, every straight segment is unobstructed, and no metal slab
+is crossed. A bounce is tested only against the rectangles of its own
+plane and recorded on the first, in surface-index order, that holds it;
+that surface gives its material. enumerate_paths is the one-receiver view
+of the same trace.
 
-The array code keeps the scalar order of operations (n0*x0 + n1*x1 + n2*x2,
-a + t*(b - a)), so a path's numbers do not depend on which receivers share
-its block.
+Every formula is an elementwise numpy expression with one order of
+operations for all rows (n0*x0 + n1*x1 + n2*x2, a + t*(b - a)), so a path's
+numbers do not depend on which receivers share its block. The functions
+are numpy's own (arccos, sqrt, x ** 2), which may differ from Python's
+math module in the last bit.
 """
 
 from __future__ import annotations
@@ -80,9 +83,7 @@ def fresnel_reflection(eps_r: float, theta: float, pol: Polarization) -> float:
 def _fresnel(eps_r, theta, pol: Polarization):
     """fresnel_reflection over arrays, without the range checks."""
     ct = np.cos(theta)
-    # float_power squares with libm's pow, as ** does on a Python float;
-    # np.square rounds differently in the last bit.
-    root = np.sqrt(eps_r - np.float_power(np.sin(theta), 2.0))
+    root = np.sqrt(eps_r - np.sin(theta) ** 2)
     if pol is Polarization.TE:
         return (ct - root) / (ct + root)
     return (eps_r * ct - root) / (eps_r * ct + root)
@@ -114,7 +115,7 @@ def slab_transmission(slab: ObstacleSlab, theta: float, frequency: float,
 def _slab_transmission(eps_r, thickness, theta, frequency, pol: Polarization) -> np.ndarray:
     """slab_transmission of dielectric slabs, broadcast over arrays."""
     r = _fresnel(eps_r, theta, pol)
-    cos_t = np.sqrt(1.0 - np.float_power(np.sin(theta), 2.0) / eps_r)
+    cos_t = np.sqrt(1.0 - np.sin(theta) ** 2 / eps_r)
     t_eff = thickness / cos_t
     k_slab = 2.0 * math.pi * frequency * np.sqrt(eps_r) / SPEED_OF_LIGHT
     phase = k_slab * t_eff
@@ -233,20 +234,9 @@ class PathTable:
         t = _slab_transmission(np.array([s.material.eps_r for s in slabs]),
                                np.array([s.thickness for s in slabs]),
                                self.crossing_angle, freqs, self.polarization)
-        # Multiply each row's crossings in path order, in the arithmetic of
-        # Python's complex product (numpy's may fuse multiply and add).
-        first = np.ones(len(rows), bool)
-        first[1:] = rows[1:] != rows[:-1]
-        trans[:, rows[first]] = t[:, first]
-        re, im = trans.real, trans.imag
-        while not first.all():
-            rows, t = rows[~first], t[:, ~first]
-            first = np.ones(len(rows), bool)
-            first[1:] = rows[1:] != rows[:-1]
-            r = rows[first]
-            a, b, c, d = re[:, r], im[:, r], t.real[:, first], t.imag[:, first]
-            re[:, r] = a * c - b * d
-            im[:, r] = a * d + b * c
+        # Each row's crossings are contiguous and in path order.
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        trans[:, rows[first]] = np.multiply.reduceat(t, first, axis=1)
         return trans
 
     def paths(self, r: int) -> List[PathContribution]:
@@ -419,31 +409,32 @@ class _Step(NamedTuple):
 
     count: int
     plane: _Planes         # plane of the bounce
-    # (surface index, rectangle) of each surface of that plane, in index order
-    members: Tuple[Tuple[np.ndarray, _Rects], ...]
+    # Per surface slot j of the plane, in surface-index order: (the
+    # candidates whose plane has a j-th surface, its index, its rectangle)
+    members: Tuple[Tuple[np.ndarray, np.ndarray, _Rects], ...]
     image: np.ndarray      # the image mirrored across that plane last
     image_side: np.ndarray  # the image's side of the plane (negative)
     after: _Planes         # plane of the next bounce (unused at step 0)
 
 
 class _Tree(NamedTuple):
-    candidates: Tuple[tuple, ...]   # (plane chain, images), breadth-first
     surfaces: _Surfaces
-    order: np.ndarray               # (C,) order of each candidate of order >= 1, stacked
+    order: np.ndarray               # (C,) order of each candidate, stacked
     steps: Tuple[_Step, ...]        # one per step 0..max_order - 1
 
 
 @lru_cache(maxsize=64)
 def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
-    """The (plane chain, images) candidates of a transmitter, also stacked.
+    """The (plane chain, images) candidates of a transmitter, stacked.
 
-    images[k] is tx mirrored across chain[:k]. Candidates are breadth-first:
-    the direct ray, each plane facing tx, each pair, ... A plane may follow a
-    chain only if the chain's last image lies on its reflecting side (the
-    segment arriving at the plane, extended backwards, ends at that image)
-    and it is not the plane of the previous bounce. The stacked arrays hold
-    the candidates of order >= 1 by descending order. Only the receiver
-    moves in a sweep, so this is built once per transmitter.
+    images[k] is tx mirrored across chain[:k]. Candidates are built
+    breadth-first: the direct ray, each plane facing tx, each pair, ... A
+    plane may follow a chain only if the chain's last image lies on its
+    reflecting side (the segment arriving at the plane, extended backwards,
+    ends at that image) and it is not the plane of the previous bounce. The
+    stacked arrays hold them by descending order, so the direct ray, which
+    has no step, comes last. Only the receiver moves in a sweep, so this is
+    built once per transmitter.
     """
     reflectors = _reflectors(env)
     surfaces = _surfaces(env)
@@ -456,12 +447,12 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
                  if g[0].side(images[-1]) > _ON_PLANE
                  and not (chain and chain[-1][0].coplanar_with(g[0]))]
         candidates += level
-    stacked = sorted(candidates[1:], key=lambda c: -len(c[0]))
+    stacked = sorted(candidates, key=lambda c: -len(c[0]))
     order = np.array([len(chain) for chain, _ in stacked], int)
     # members[c, j] lists the surfaces of the j-th plane of candidate c,
-    # padded with the plane's first surface; -1 past the candidate's order.
+    # padded with -1 to the widest plane; -1 past the candidate's order.
     width = max(map(len, reflectors), default=1)
-    members = np.array([[[f.index for f in g] + [g[0].index] * (width - len(g)) for g in chain]
+    members = np.array([[[f.index for f in g] + [-1] * (width - len(g)) for g in chain]
                         + [[-1] * width] * (max_order - len(chain))
                         for chain, _ in stacked], int).reshape(len(stacked), max_order, width)
     steps = []
@@ -474,16 +465,17 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
         plane = surfaces.plane.at(bounce[:, :1])
         images = [images[len(chain) - s] for chain, images in stacked if len(chain) > s]
         image = np.array(images, float).reshape(-1, 3).T[..., None]
+        slots = [(np.flatnonzero(m >= 0), m) for m in bounce.T]
         steps.append(_Step(int(live.sum()), plane,
-                           tuple((m[:, None], surfaces.rect.at(m[:, None])) for m in bounce.T),
+                           tuple((c, m[c, None], surfaces.rect.at(m[c, None])) for c, m in slots),
                            image, _side(plane, image), surfaces.plane.at(after)))
-    return _Tree(tuple(candidates), surfaces, order, tuple(steps))
+    return _Tree(surfaces, order, tuple(steps))
 
 
 def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
     """Image-tree candidates one trace from tx tests per receiver."""
     _check_order(max_order)
-    return len(_image_tree(env, vec3(tx), int(max_order)).candidates)
+    return len(_image_tree(env, vec3(tx), int(max_order)).order)
 
 
 def _check_order(max_order) -> None:
@@ -522,7 +514,8 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
     receiver, order, bounce surfaces (m, max_order; -1 past the order) and
     vertices (m, max_order + 2, 3) of the m surviving (candidate, receiver)
     pairs, by stacked candidate. The vertices are tx, bounces, rx, and rx
-    again past the order.
+    again past the order. The direct ray has no step, so it survives for
+    every receiver.
     """
     ok = np.ones((len(tree.order), len(rx)), bool)
     p = rx.T[:, None, :]
@@ -541,8 +534,9 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
         p = step.image + t * (p - step.image)
         # Rectangles tested last to first, so the first that holds p wins.
         surface = np.full(p.shape[1:], -1)
-        for index, rect in reversed(step.members):
-            surface = np.where(_on_rectangle(p, rect, ON_SURFACE_TOL), index, surface)
+        for cand, index, rect in reversed(step.members):
+            hit = _on_rectangle(p[:, cand], rect, ON_SURFACE_TOL)
+            surface[cand] = np.where(hit, index, surface[cand])
         valid &= surface >= 0
         if s:
             valid &= _side(step.after, p) > _ON_PLANE
@@ -591,11 +585,6 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
     return blocked
 
 
-def _acos(x: np.ndarray) -> np.ndarray:
-    # math.acos: np.arccos differs from it in the last bit for some inputs.
-    return np.fromiter(map(math.acos, x.tolist()), float, x.size)
-
-
 def trace_receivers(env: Environment,
                     tx: Vec3,
                     receivers: Sequence[Vec3],
@@ -624,17 +613,8 @@ def trace_receivers(env: Environment,
     tree = _image_tree(env, tx, K)
     surfaces = tree.surfaces
     slabs = env.obstacles
-    R = len(rx)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Rows: the direct ray of every receiver, then the traced candidates.
-        r, k, chain, traced = _back_trace(tree, tx, rx)
-        recv = np.concatenate([np.arange(R), r])
-        order = np.concatenate([np.zeros(R, int), k])
-        surf = np.concatenate([np.full((R, K), -1), chain])
-        direct = np.empty((R, K + 2, 3))
-        direct[:, 0] = tx
-        direct[:, 1:] = rx[:, None]
-        verts = np.concatenate([direct, traced])
+        recv, order, surf, verts = _back_trace(tree, tx, rx)
 
         # Segments verts[:, i] -> verts[:, i + 1]; those past a row's order
         # join rx to itself.
@@ -669,7 +649,7 @@ def trace_receivers(env: Environment,
         bsurf = surf[rows[brow], slot]
         dot = dirs[rows[brow], slot].T * surfaces.plane.normal[:, bsurf]
         cos_inc = np.minimum(np.abs(dot[0] + dot[1] + dot[2]), 1.0)
-        angle = np.minimum(_acos(cos_inc), math.pi / 2 - 1e-12)
+        angle = np.minimum(np.arccos(cos_inc), math.pi / 2 - 1e-12)
         coeff = np.ones(bounce.shape)
         coeff[bounce] = np.where(surfaces.conductor[bsurf],
                                  -1.0 if polarization is Polarization.TE else 1.0,
@@ -683,7 +663,7 @@ def trace_receivers(env: Environment,
             src = rows[crow]
             seg_len = seg[src, cseg]
             ux = np.where(seg_len > 0.0, np.abs(diff[src, cseg, 0]) / seg_len, 0.0)
-            cangle = np.minimum(_acos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
+            cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
         else:
             crow = cslab = np.zeros(0, int)
             cangle = np.zeros(0)

@@ -361,16 +361,17 @@ OBLIQUE = (-0.7071, -0.7071, 0.0)
 
 
 def test_lone_row_gain_equals_the_batched_gain():
-    """A path's gain does not depend on how many rows share the call. numpy
-    evaluates the horn's matrix product of a single row in another order, so
-    without the padding a lone row differs in the last bit in some cases."""
+    """A path's gain does not depend on how many rows share the call. The
+    horn's cos_psi is summed elementwise; a matrix product with the
+    boresight sums a lone row in another order than a batch, and then
+    differs from it in the last bit for some directions."""
     horn = make_system("horn", 10.0, 20.8, boresight=OBLIQUE)
     rng = np.random.default_rng(5)
     dirs = rng.normal(size=(4000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs[dirs @ horn.boresight < 0.0] *= -1.0  # front hemisphere
-    batched = mmray.channel._gain(horn, dirs)
-    lone = np.array([mmray.channel._gain(horn, dirs[i:i + 1])[0] for i in range(len(dirs))])
+    batched = mmray.antenna.gain(horn, dirs)
+    lone = np.array([mmray.antenna.gain(horn, dirs[i:i + 1])[0] for i in range(len(dirs))])
     assert lone.view(np.uint64).tolist() == batched.view(np.uint64).tolist()
 
 
