@@ -7,9 +7,11 @@ One kernel turns the rows of a tracer PathTable into tap amplitudes: a real
 factor per antenna system (gains, reflections, transmit power) times a
 complex factor per carrier (spreading, phase, slab transmission). A sweep
 slides the receiver along the duct centerline: it traces the positions in
-blocks sized from the tracer's work (candidates x receivers), evaluates each
-block's factors once, and forms amplitudes and per-receiver sums in chunks of
-receivers sized from the kernel's (system, carrier, path) cells.
+blocks sized by a byte budget over what a block holds (the tracer's arrays
+per (candidate, receiver) pair and the kernel's per-carrier factors),
+evaluates each block's factors once, forms amplitudes and per-receiver sums
+in chunks of receivers sized from the kernel's (system, carrier, path)
+cells, and writes each block's results into its slice of the grid.
 The per-path functions take a list of PathContribution, the one-receiver
 view of the same table. They keep the table of the last list with its
 factors, so calls for several systems and carriers on one list evaluate each
@@ -47,11 +49,17 @@ ATMOSPHERIC_LOSS_DB_PER_M = 0.00116
 # Sentinel power for fully blocked receiver positions.
 NO_COVERAGE = float("-inf")
 
-# A sweep works under two budgets. Receivers are traced in blocks of at most
-# _TRACE_PAIRS (image-tree candidate, receiver) pairs, which bounds the
-# tracer's arrays whatever the number of systems and carriers; larger blocks
-# cut the fixed cost per trace but raise the peak memory of a sweep.
-_TRACE_PAIRS = 1 << 10
+# A sweep works under two budgets. Receivers are traced in blocks that hold
+# at most _TRACE_BYTES (1.75 MiB) of arrays. A block of R receivers and C
+# image-tree candidates of up to max_order reflections is counted as C * R
+# (candidate, receiver) pairs. Each pair is counted as _SEGMENT_BYTES per path
+# segment (max_order + 1 of them) for the tracer's arrays at their peak, and as
+# _CARRIER_BYTES per carrier for the kernel's complex (carrier, row) factors,
+# of which three are alive at once (a pair gives at most one row). Larger
+# blocks cut the fixed cost per trace but raise the peak memory of a sweep.
+_TRACE_BYTES = 7 << 18
+_SEGMENT_BYTES = 96
+_CARRIER_BYTES = 48
 # Within a block, tap amplitudes are formed for at most _BLOCK_CELLS complex
 # (system, carrier, path) cells at a time (128 KB).
 _BLOCK_CELLS = 1 << 13
@@ -404,12 +412,14 @@ def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
     rx, rx_boresight = job
     table = trace_receivers(env, tx, rx, max_order, pol)
     geo, prop = _tap_factors(table, systems, frequencies, rx_boresight, atmos)
-    delays = table.delay
+    # The amplitudes need only the delays and the rows per receiver.
+    delays, counts = table.delay, table.counts()
+    del table
     shape = (len(systems), len(frequencies), len(rx))
     coherent = np.zeros(shape)
     rms = np.full(shape, math.nan)
     excess = np.full(shape, math.nan)
-    for receivers, rows in _receiver_rows(table.counts()):
+    for receivers, rows in _receiver_rows(counts):
         step = max(1, _BLOCK_CELLS // (len(systems) * len(frequencies) * rows.shape[1]))
         for i in range(0, len(receivers), step):
             chunk, r = receivers[i:i + step], rows[i:i + step]
@@ -424,6 +434,12 @@ def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
     covered = ~(coherent <= 0.0)
     power[covered] = 10.0 * np.log10(coherent[covered] * 1000.0)
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
+
+
+def _block_receivers(candidates: int, max_order: int, carriers: int) -> int:
+    """Receivers per trace block under _TRACE_BYTES, at least one."""
+    pair_bytes = _SEGMENT_BYTES * (max_order + 1) + _CARRIER_BYTES * carriers
+    return max(1, _TRACE_BYTES // (candidates * pair_bytes))
 
 
 def run_sweep_grid(env: Environment,
@@ -465,20 +481,29 @@ def run_sweep_grid(env: Environment,
     rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
     init_args = (env, tx, systems, frequencies, polarization, max_order, atmos)
-    # Every candidate of the image tree is tested against every receiver.
-    size = max(1, _TRACE_PAIRS // candidate_count(env, tx, max_order))
-    jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in range(0, n_samples, size)]
+    size = _block_receivers(candidate_count(env, tx, max_order), max_order, len(frequencies))
+    starts = range(0, n_samples, size)
+    jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in starts]
+
+    # Each block's results go straight into their slice of the grid.
+    grid = tuple(np.empty((n_samples, len(systems), len(frequencies))) for _ in range(3))
+
+    def store(i: int, block: tuple) -> None:
+        for out, x in zip(grid, block):
+            out[i:i + size] = x
 
     if workers <= 1:
         _init_worker(*init_args)
-        results = [_sweep_block(job) for job in jobs]
+        for i, job in zip(starts, jobs):
+            store(i, _sweep_block(job))
     else:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=init_args) as pool:
-            results = list(pool.map(_sweep_block, jobs))
+            for i, block in zip(starts, pool.map(_sweep_block, jobs)):
+                store(i, block)
 
-    power, rms, excess = (np.concatenate(r) for r in zip(*results))  # (n_pos, S, F)
+    power, rms, excess = grid
     return SweepGrid(
         environment=env.name,
         distances=distances,

@@ -44,6 +44,10 @@ MAX_ORDER = 2
 ON_SURFACE_TOL = 1e-9
 # Strictly interior parameter range used when testing a segment for occlusion.
 _T_INTERIOR = 1e-9
+# The occlusion test forms the sides of a block's vertices against every
+# surface plane for at most this many (surface, row, vertex) values at a time
+# (128 KB), so its arrays do not grow with the block.
+_OCCLUSION_CELLS = 1 << 14
 # Distance in metres within which a point counts as lying on a plane.
 _ON_PLANE = 1e-12
 # Closest transmitter-receiver separation in metres a trace accepts: below
@@ -113,20 +117,25 @@ def slab_transmission(slab: ObstacleSlab, theta: float, frequency: float,
 
 
 def _slab_transmission(eps_r, thickness, theta, frequency, pol: Polarization) -> np.ndarray:
-    """slab_transmission of dielectric slabs, broadcast over arrays."""
+    """slab_transmission of dielectric slabs, broadcast over arrays.
+
+    The phase and its cosine and sine are formed in place, so besides the
+    complex result at most two real arrays of its shape are held.
+    """
     r = _fresnel(eps_r, theta, pol)
     cos_t = np.sqrt(1.0 - np.sin(theta) ** 2 / eps_r)
     t_eff = thickness / cos_t
-    k_slab = 2.0 * math.pi * frequency * np.sqrt(eps_r) / SPEED_OF_LIGHT
-    phase = k_slab * t_eff
     amp = 1.0 - r * r
-    return _complex(amp * np.cos(phase), amp * -np.sin(phase))
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
-    out.real = re
-    out.imag = im
+    # k_slab * t_eff, with k_slab = 2 pi f sqrt(eps_r) / c.
+    phase = 2.0 * math.pi * frequency * np.sqrt(eps_r)
+    phase /= SPEED_OF_LIGHT
+    phase *= t_eff
+    out = np.empty(np.shape(phase), complex)
+    part = np.cos(phase, out=np.empty(out.shape))
+    np.multiply(amp, part, out=out.real)
+    np.sin(phase, out=part)
+    np.negative(part, out=part)
+    np.multiply(amp, part, out=out.imag)
     return out
 
 
@@ -228,7 +237,6 @@ class PathTable:
         if not len(self.crossing_row):
             return _NO_CROSSINGS
         freqs = np.asarray(frequencies, float).reshape(-1, 1)
-        trans = np.ones((len(freqs), len(self.length)), complex)
         rows = self.crossing_row
         slabs = [self.slabs[i] for i in self.crossing_slab.tolist()]
         t = _slab_transmission(np.array([s.material.eps_r for s in slabs]),
@@ -236,7 +244,9 @@ class PathTable:
                                self.crossing_angle, freqs, self.polarization)
         # Each row's crossings are contiguous and in path order.
         first = np.flatnonzero(np.diff(rows, prepend=-1))
-        trans[:, rows[first]] = np.multiply.reduceat(t, first, axis=1)
+        t = np.multiply.reduceat(t, first, axis=1)
+        trans = np.ones((len(freqs), len(self.length)), complex)
+        trans[:, rows[first]] = t
         return trans
 
     def paths(self, r: int) -> List[PathContribution]:
@@ -487,10 +497,22 @@ def _check_order(max_order) -> None:
 # Batched trace
 # ---------------------------------------------------------------------------
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u0*v0 + u1*v1 + u2*v2 of arrays (3, ...), summed left to right in
+    place: at most two arrays of the result's shape are held."""
+    out = u[0] * v[0]
+    term = u[1] * v[1]
+    out += term
+    np.multiply(u[2], v[2], out=term)
+    out += term
+    return out
+
+
 def _side(plane: _Planes, p: np.ndarray) -> np.ndarray:
     """n0*x + n1*y + n2*z - offset of points p (3, ...)."""
-    n = plane.normal
-    return n[0] * p[0] + n[1] * p[1] + n[2] * p[2] - plane.offset
+    side = _dot(plane.normal, p)
+    side -= plane.offset
+    return side
 
 
 def _on_rectangle(p: np.ndarray, rect: _Rects, tol: float) -> np.ndarray:
@@ -524,14 +546,19 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
         n = step.count
         p = p[:, :n]
         side = _side(step.plane, p)
+        valid = side > _ON_PLANE
         # The tree keeps an image only behind its plane (da < 0), so with
         # the next vertex in front, t is in (0, 1) up to rounding. A relative
         # margin on t would reject corner bounces a picometre apart in one
         # direction of travel but not in the other.
         da = step.image_side
-        t = da / (da - side)
-        valid = (side > _ON_PLANE) & (t > 0.0) & (t < 1.0)
-        p = step.image + t * (p - step.image)
+        t = np.subtract(da, side, out=side)
+        np.divide(da, t, out=t)
+        valid &= (t > 0.0) & (t < 1.0)
+        # image + t * (p - image), in place.
+        p = p - step.image
+        p *= t
+        p += step.image
         # Rectangles tested last to first, so the first that holds p wins.
         surface = np.full(p.shape[1:], -1)
         for cand, index, rect in reversed(step.members):
@@ -565,23 +592,30 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
 
     A crossing within _T_INTERIOR of either end, or with an endpoint on the
     plane (a bounce point, up to rounding), only touches the surface. Only
-    segments with their ends on opposite sides of a plane reach the
-    rectangle test. A segment of zero length, such as rx joined to itself
-    past a row's order, has no finite t; with both ends off the plane, a
-    denominator below 1e-12 also puts t outside (0, 1).
+    segments with their ends strictly on opposite sides of a plane reach the
+    crossing parameter t = da / (da - db): with both ends on one side,
+    rounding is monotone and keeps t outside (0, 1), so this is the same
+    rule as testing t for every segment. The (surfaces, rows, vertices)
+    sides are formed for at most _OCCLUSION_CELLS values at a time.
     """
-    plane = _Planes(surfaces.plane.normal[:, None, None], surfaces.plane.offset)
-    side = _side(plane, verts.transpose(2, 0, 1)[..., None])  # (rows, K + 2, surfaces)
-    da, db = side[:, :-1], side[:, 1:]
-    t = da / (da - db)
-    row, seg, surf = np.nonzero((t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
-                                & (np.abs(da) > _ON_PLANE) & (np.abs(db) > _ON_PLANE))
-    a, b = verts[row, seg].T, verts[row, seg + 1].T
-    # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-    hit = _on_rectangle(a + t[row, seg, surf] * (b - a), surfaces.rect.at(surf),
-                        -ON_SURFACE_TOL)
+    plane = _Planes(surfaces.plane.normal[..., None, None], surfaces.plane.offset[:, None, None])
+    step = max(1, _OCCLUSION_CELLS // max(1, len(surfaces.eps_r) * verts.shape[1]))
     blocked = np.zeros(len(verts), bool)
-    blocked[row[hit]] = True
+    for lo in range(0, len(verts), step):
+        v = verts[lo:lo + step]
+        side = _side(plane, v.transpose(2, 0, 1)[:, None])  # (surfaces, rows, vertices)
+        above, below = side > _ON_PLANE, side < -_ON_PLANE
+        surf, row, seg = np.nonzero((above[..., :-1] & below[..., 1:])
+                                    | (below[..., :-1] & above[..., 1:]))
+        end = seg + 1
+        da, db = side[surf, row, seg], side[surf, row, end]
+        del side, above, below
+        t = da / (da - db)
+        a, b = v[row, seg].T, v[row, end].T
+        # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
+        hit = _on_rectangle(a + t * (b - a), surfaces.rect.at(surf), -ON_SURFACE_TOL)
+        hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
+        blocked[lo + row[hit]] = True
     return blocked
 
 
@@ -622,33 +656,54 @@ def trace_receivers(env: Environment,
         if slabs:
             lo = np.array([s.interval[0] for s in slabs])
             hi = np.array([s.interval[1] for s in slabs])
-            x_lo = np.minimum(verts[:, :-1, 0], verts[:, 1:, 0])[..., None]
-            x_hi = np.maximum(verts[:, :-1, 0], verts[:, 1:, 0])[..., None]
-            live = np.arange(K + 1) <= order[:, None]
-            crosses = ~((x_hi <= lo) | (x_lo >= hi)) & live[..., None]
+            # A live segment crosses a slab if their x-intervals overlap.
+            a, b = verts[:, :-1, 0, None], verts[:, 1:, 0, None]
+            crosses = ~((np.maximum(a, b) <= lo) | (np.minimum(a, b) >= hi))
+            del a, b  # views that would keep the uncompacted vertices alive
+            crosses &= (np.arange(K + 1) <= order[:, None])[..., None]
             metal = np.array([s.material.is_conductor for s in slabs])
             keep &= ~crosses[..., metal].any(axis=(1, 2))
             crosses = crosses[keep]
 
-        recv, order, surf, verts = (x[keep] for x in (recv, order, surf, verts))
+        # Each step below drops what the later ones do not need, so that a
+        # row holds little more than its vertices and segments at any time.
+        recv, order, surf, verts = recv[keep], order[keep], surf[keep], verts[keep]
         diff = verts[:, 1:] - verts[:, :-1]
-        seg = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
-                      + diff[..., 2] * diff[..., 2])
+        seg = np.sqrt(_dot(diff.T, diff.T).T)
         length = seg[:, 0]
         for i in range(1, K + 1):
             length = length + seg[:, i]
-        dirs = diff / seg[..., None]
 
         # Paths of equal delay keep the order of their bounce surfaces.
         rows = np.lexsort((*surf.T[::-1], length / SPEED_OF_LIGHT, order, recv))
+        recv, order, length = recv[rows], order[rows], length[rows]
 
-        # Incidence angle and reflection coefficient of every bounce, in
-        # row then bounce order.
-        bounce = np.arange(K) < order[rows, None]
+        # Every bounce, in row then bounce order.
+        bounce = np.arange(K) < order[:, None]
         brow, slot = np.nonzero(bounce)
-        bsurf = surf[rows[brow], slot]
-        dot = dirs[rows[brow], slot].T * surfaces.plane.normal[:, bsurf]
+        src = rows[brow]
+        bsurf = surf[src, slot]
+        bpoint = verts[src, slot + 1]
+        del verts, surf
+
+        # Unit directions, in place; the incidence angle of a bounce is
+        # taken from the segment arriving at it.
+        dirs = np.divide(diff, seg[..., None], out=diff)
+        dot = dirs[src, slot].T * surfaces.plane.normal[:, bsurf]
         cos_inc = np.minimum(np.abs(dot[0] + dot[1] + dot[2]), 1.0)
+        del dot
+        if slabs:
+            # |dx| / seg = |dx / seg|: division rounds the same for either sign.
+            crow, cseg, cslab = np.nonzero(crosses[rows])
+            src = rows[crow]
+            ux = np.where(seg[src, cseg] > 0.0, np.abs(dirs[src, cseg, 0]), 0.0)
+            cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
+        else:
+            crow = cslab = np.zeros(0, int)
+            cangle = np.zeros(0)
+        departure, arrival = dirs[rows, 0], dirs[rows, order]
+        del diff, dirs, seg
+
         angle = np.minimum(np.arccos(cos_inc), math.pi / 2 - 1e-12)
         coeff = np.ones(bounce.shape)
         coeff[bounce] = np.where(surfaces.conductor[bsurf],
@@ -658,23 +713,10 @@ def trace_receivers(env: Environment,
         for j in range(K):
             reflection = reflection * coeff[:, j]
 
-        if slabs:
-            crow, cseg, cslab = np.nonzero(crosses[rows])
-            src = rows[crow]
-            seg_len = seg[src, cseg]
-            ux = np.where(seg_len > 0.0, np.abs(diff[src, cseg, 0]) / seg_len, 0.0)
-            cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
-        else:
-            crow = cslab = np.zeros(0, int)
-            cangle = np.zeros(0)
-
     return PathTable(
-        tx=tx, rx=rx, receiver=recv[rows], order=order[rows],
-        length=length[rows], reflection=reflection,
-        departure=np.ascontiguousarray(dirs[rows, 0]),
-        arrival=np.ascontiguousarray(dirs[rows, order[rows]]),
-        bounce_row=brow, bounce_surface=bsurf, bounce_point=verts[rows[brow], slot + 1],
-        bounce_angle=angle,
+        tx=tx, rx=rx, receiver=recv, order=order, length=length,
+        reflection=reflection, departure=departure, arrival=arrival,
+        bounce_row=brow, bounce_surface=bsurf, bounce_point=bpoint, bounce_angle=angle,
         crossing_row=crow, crossing_slab=cslab, crossing_angle=cangle,
         slabs=slabs, polarization=polarization)
 

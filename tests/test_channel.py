@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,27 +315,53 @@ BLOCK_CASES = {  # name -> (duct, carriers)
 }
 
 
-def _assert_budgets_do_not_matter(monkeypatch, name, trace_pairs, cells):
+def _assert_grids_equal(a, b):
+    for x, y in ((a.power_dbm, b.power_dbm), (a.rms_spread, b.rms_spread),
+                 (a.mean_excess, b.mean_excess)):
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+def _assert_budgets_do_not_matter(monkeypatch, name, trace_bytes, cells):
     """A 48-position sweep under the given budgets equals one without any."""
     env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
-    monkeypatch.setattr(mmray.channel, "_TRACE_PAIRS", 1 << 30)
+    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", 1 << 60)
     monkeypatch.setattr(mmray.channel, "_BLOCK_CELLS", 1 << 30)
     together = run_sweep_grid(env, PRESETS, freqs, n_samples=48)
-    monkeypatch.setattr(mmray.channel, "_TRACE_PAIRS", trace_pairs)
+    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", trace_bytes)
     monkeypatch.setattr(mmray.channel, "_BLOCK_CELLS", cells)
-    blocked = run_sweep_grid(env, PRESETS, freqs, n_samples=48)
-    for a, b in ((together.power_dbm, blocked.power_dbm),
-                 (together.rms_spread, blocked.rms_spread),
-                 (together.mean_excess, blocked.mean_excess)):
-        assert np.array_equal(a, b, equal_nan=True)
+    _assert_grids_equal(together, run_sweep_grid(env, PRESETS, freqs, n_samples=48))
+
+
+def _trace_budget(env, carriers: int, receivers: int) -> int:
+    """The trace budget that gives blocks of the given number of receivers."""
+    channel = mmray.channel
+    return (receivers * candidate_count(env, TX, 2)
+            * (channel._SEGMENT_BYTES * 3 + channel._CARRIER_BYTES * carriers))
+
+
+def _spy_on_trace_blocks(monkeypatch) -> list:
+    """The receiver count of every block the sweep traces, in call order."""
+    blocks, trace = [], mmray.channel.trace_receivers
+
+    def spy(env, tx, rx, *args):
+        blocks.append(len(rx))
+        return trace(env, tx, rx, *args)
+
+    monkeypatch.setattr(mmray.channel, "trace_receivers", spy)
+    return blocks
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 @pytest.mark.parametrize("receivers", [1, 7])
 def test_sweep_does_not_depend_on_trace_blocks(monkeypatch, name, receivers):
-    env = DUCTS[BLOCK_CASES[name][0]]
+    """Blocks of 1 and of 7 receivers, the last one ragged, give the grid
+    of one 48-receiver block; the spy checks the blocks really are that size."""
+    env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
+    blocks = _spy_on_trace_blocks(monkeypatch)
     _assert_budgets_do_not_matter(monkeypatch, name,
-                                  receivers * candidate_count(env, TX, 2), 1 << 30)
+                                  _trace_budget(env, len(freqs), receivers), 1 << 30)
+    ragged = [48 % receivers] if 48 % receivers else []
+    assert blocks == [48] + [receivers] * (48 // receivers) + ragged
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -350,7 +377,46 @@ def test_sweep_does_not_depend_on_receiver_blocks(monkeypatch, name, cells):
         n = int(np.bincount(counts[counts > 0]).argmax())
         assert np.count_nonzero(counts == n) > 2
         cells = 2 * len(PRESETS) * len(freqs) * n
-    _assert_budgets_do_not_matter(monkeypatch, name, mmray.channel._TRACE_PAIRS, cells)
+    _assert_budgets_do_not_matter(monkeypatch, name, mmray.channel._TRACE_BYTES, cells)
+
+
+def test_the_pool_fills_the_grid_in_position_order(monkeypatch):
+    """Five bent-duct blocks of 5 receivers, the last one ragged, some
+    without coverage, give the same grid on one worker, on two and as a
+    single block."""
+    env = build_bent_tunnel(45.0)
+    together = run_sweep_grid(env, [ISO], [60e9], n_samples=24)
+    assert np.isinf(together.power_dbm).any() and np.isfinite(together.power_dbm).any()
+    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", _trace_budget(env, 1, 5))
+    blocks = _spy_on_trace_blocks(monkeypatch)
+    serial = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=1)
+    assert blocks == [5, 5, 5, 5, 4]
+    pooled = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=2)
+    _assert_grids_equal(serial, together)
+    _assert_grids_equal(pooled, together)
+
+
+@pytest.mark.parametrize("name, carriers", [
+    ("straight_tunnel", 3), ("bent_tunnel", 3), ("obstacle_corridor", 31)])
+def test_every_sweep_block_stays_within_the_trace_budget(name, carriers):
+    """The numpy memory a default-size block allocates at its peak, traced
+    with tracemalloc over every block of a 1024-position sweep, is at most
+    the budget the block was sized by."""
+    env, freqs = DUCTS[name], tuple(60e9 + 1e9 * k for k in range(carriers))
+    size = mmray.channel._block_receivers(candidate_count(env, TX, 2), 2, carriers)
+    distances = np.linspace(1.0, env.axis_length, 1024).tolist()
+    rx = np.array([env.axis_point(d, height=1.5) for d in distances])
+    boresight = -np.array([env.axis_direction(d) for d in distances])
+    mmray.channel._init_worker(env, TX, tuple(PRESETS), freqs, mmray.Polarization.TE, 2, 0.0)
+    peak = 0
+    for i in range(0, len(rx), size):
+        tracemalloc.start()
+        try:
+            mmray.channel._sweep_block((rx[i:i + size], boresight[i:i + size]))
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 0 < peak <= mmray.channel._TRACE_BYTES
 
 
 # ---------------------------------------------------------------------------
