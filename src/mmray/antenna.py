@@ -160,7 +160,7 @@ def gain(sys: AntennaSystem,
     """
     arr = np.asarray(direction, dtype=float)
     single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
+    pts = arr if arr.ndim == 2 else np.atleast_2d(arr)  # (N, 3), the usual case, as is
     if pts.shape[-1] != 3:
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))

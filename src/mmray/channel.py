@@ -8,10 +8,10 @@ factor per antenna system (gains, reflections, transmit power) times a
 complex factor per carrier (spreading, phase, slab transmission). A sweep
 slides the receiver along the duct centerline: it traces the positions in
 blocks sized by a byte budget over what a block holds (the tracer's arrays
-per (candidate, receiver) pair and the kernel's per-carrier factors),
-evaluates each block's factors once, forms amplitudes and per-receiver sums
-in chunks of receivers sized from the kernel's (system, carrier, path)
-cells, and writes each block's results into its slice of the grid.
+per (candidate, receiver) pair and the kernel's per-carrier factors). A
+block, a pure function of its receivers and the sweep's settings, evaluates
+its factors once and forms amplitudes and per-receiver sums in chunks of
+receivers; one loop maps it over the blocks for any worker count.
 The per-path functions take a list of PathContribution, the one-receiver
 view of the same table. They keep the table of the last list with its
 factors, so calls for several systems and carriers on one list evaluate each
@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,9 +71,12 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def watts_to_dbm(watts: float) -> float:
+    """dBm of watts, NO_COVERAGE if <= 0; an array of powers > 0 gives an array."""
+    if isinstance(watts, np.ndarray):
+        return 10.0 * np.log10(watts * 1000.0)
     if watts <= 0.0:
         return NO_COVERAGE
-    return 10.0 * math.log10(watts * 1000.0)
+    return float(10.0 * np.log10(watts * 1000.0))
 
 
 @dataclass(frozen=True)
@@ -207,31 +211,14 @@ def _prop(table: PathTable, frequencies: Sequence[float],
     return prop
 
 
-def _tap_factors(table: PathTable,
-                 systems: Sequence[AntennaSystem],
-                 frequencies: Sequence[float],
-                 rx_boresight=None,
-                 atmospheric_loss_db_per_m: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-    """The two factors of the tap amplitudes: geo (systems, rows) real and
-    prop (carriers, rows) complex, with amplitude[s, f, i] = geo[s, i] * prop[f, i].
-
-    Gains are evaluated once per system and boresight, and slab
-    transmission once per carrier. Every factor is elementwise per row and
-    carrier, so its values do not depend on which systems and carriers
-    share the call.
-    """
-    groups = _rx_groups(table, rx_boresight)
-    geo = np.array([_geo(table, sys, groups) for sys in systems])
-    return geo, _prop(table, frequencies, atmospheric_loss_db_per_m)
-
-
 # The per-path functions are usually called once per system and carrier with
 # the same list, and received_power often right after impulse_response. So
 # the table of the last list is kept for the next call, with a memo of the
-# factors formed from it: geo per (system, rx boresight), prop per (carrier,
-# atmospheric loss) and their product per all four. Paths are immutable: the
-# same objects in the same order give the same table.
-_last_table: Tuple[tuple, Optional[PathTable], dict, dict, dict] = ((), None, {}, {}, {})
+# factors formed from it: per (system, rx boresight) the geo and its product
+# with each carrier's prop, and per (carrier, atmospheric loss) the prop, so
+# that a call hashes the system once. Paths are immutable: the same objects in
+# the same order give the same table.
+_last_table: Tuple[tuple, Optional[PathTable], dict, dict] = ((), None, {}, {})
 
 
 def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
@@ -242,21 +229,21 @@ def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
     The result is kept in the memo, so it is read-only.
     """
     global _last_table
-    key, table, geos, props, products = _last_table
+    key, table, systems, props = _last_table
     if len(key) != len(paths) or not all(map(operator.is_, key, paths)):
-        table, geos, props, products = PathTable.from_paths(paths), {}, {}, {}
-        _last_table = (tuple(paths), table, geos, props, products)
+        table, systems, props = PathTable.from_paths(paths), {}, {}
+        _last_table = (tuple(paths), table, systems, props)
     if rx_boresight is not None and type(rx_boresight) is not tuple:
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
     system_key = (sys, rx_boresight)
     carrier_key = (frequency, atmospheric_loss_db_per_m)
-    amps = products.get((system_key, carrier_key))
+    geo, products = systems.get(system_key) or systems.setdefault(
+        system_key, (_geo(table, sys, _rx_groups(table, rx_boresight)), {}))
+    amps = products.get(carrier_key)
     if amps is None:
-        if system_key not in geos:
-            geos[system_key] = _geo(table, sys, _rx_groups(table, rx_boresight))
         if carrier_key not in props:
             props[carrier_key] = _prop(table, (frequency,), atmospheric_loss_db_per_m)[0]
-        amps = products[system_key, carrier_key] = geos[system_key] * props[carrier_key]
+        amps = products[carrier_key] = geo * props[carrier_key]
         amps.flags.writeable = False
     return amps
 
@@ -276,7 +263,7 @@ def received_power(paths: Sequence[PathContribution],
         return NO_COVERAGE
     amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
                        atmospheric_loss_db_per_m)
-    return watts_to_dbm(abs(amps.sum()) ** 2)
+    return watts_to_dbm(np.abs(amps.sum()) ** 2)
 
 
 def impulse_response(paths: Sequence[PathContribution],
@@ -376,16 +363,6 @@ def mean_excess_delay(pdp: PowerDelayProfile) -> float:
 # Receiver sweeps
 # ---------------------------------------------------------------------------
 
-_WORKER_CTX: Optional[tuple] = None
-
-
-def _init_worker(env: Environment, tx: Vec3, systems, frequencies,
-                 polarization, max_order: int, atmospheric: float) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (env, tx, systems, frequencies, polarization, max_order,
-                   atmospheric)
-
-
 def _receiver_rows(counts: np.ndarray):
     """(receivers, row indices (receivers, n)) for each row count n > 0.
 
@@ -399,19 +376,23 @@ def _receiver_rows(counts: np.ndarray):
         yield receivers, starts[receivers, None] + np.arange(n)
 
 
-def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
+def _sweep_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
     """Powers (dBm) and delay moments (s) of a block of receiver positions.
 
+    ctx is (env, tx, systems, frequencies, polarization, max_order,
+    atmospheric loss in dB/m), job the block's (receivers, rx boresights).
     Each result is an array indexed [receiver, system, frequency]. The tap
     factors are evaluated once for the block; amplitudes are formed per
     row-count group, a chunk of at most _BLOCK_CELLS cells at a time. A
     receiver's values depend only on its own rows, so results merge
     identically for any block, chunk and worker count.
     """
-    env, tx, systems, frequencies, pol, max_order, atmos = _WORKER_CTX
+    env, tx, systems, frequencies, pol, max_order, atmos = ctx
     rx, rx_boresight = job
     table = trace_receivers(env, tx, rx, max_order, pol)
-    geo, prop = _tap_factors(table, systems, frequencies, rx_boresight, atmos)
+    groups = _rx_groups(table, rx_boresight)
+    geo = np.array([_geo(table, sys, groups) for sys in systems])
+    prop = _prop(table, frequencies, atmos)
     # The amplitudes need only the delays and the rows per receiver.
     delays, counts = table.delay, table.counts()
     del table
@@ -432,7 +413,7 @@ def _sweep_block(job: Tuple[np.ndarray, np.ndarray]) -> tuple:
     # No rows (no coverage) leaves zero power: NO_COVERAGE and NaN moments.
     power = np.full(shape, NO_COVERAGE)
     covered = ~(coherent <= 0.0)
-    power[covered] = 10.0 * np.log10(coherent[covered] * 1000.0)
+    power[covered] = watts_to_dbm(coherent[covered])
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
@@ -480,28 +461,17 @@ def run_sweep_grid(env: Environment,
     rx = np.array([env.axis_point(float(s), height=rx_height) for s in distances])
     rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
-    init_args = (env, tx, systems, frequencies, polarization, max_order, atmos)
+    block = partial(_sweep_block, (env, tx, systems, frequencies, polarization, max_order, atmos))
     size = _block_receivers(candidate_count(env, tx, max_order), max_order, len(frequencies))
     starts = range(0, n_samples, size)
     jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in starts]
 
     # Each block's results go straight into their slice of the grid.
     grid = tuple(np.empty((n_samples, len(systems), len(frequencies))) for _ in range(3))
-
-    def store(i: int, block: tuple) -> None:
-        for out, x in zip(grid, block):
-            out[i:i + size] = x
-
-    if workers <= 1:
-        _init_worker(*init_args)
-        for i, job in zip(starts, jobs):
-            store(i, _sweep_block(job))
-    else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=init_args) as pool:
-            for i, block in zip(starts, pool.map(_sweep_block, jobs)):
-                store(i, block)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for i, results in zip(starts, (pool.map if pool else map)(block, jobs)):
+            for out, x in zip(grid, results):
+                out[i:i + size] = x
 
     power, rms, excess = grid
     return SweepGrid(

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .geometry import (
     Vec3,
@@ -26,7 +28,6 @@ from .geometry import (
     scale,
     sub,
     unit,
-    vec3,
 )
 
 # Default material parameters for the built-in scenes.
@@ -38,6 +39,9 @@ CEILING_EPS_R = 1.0
 CONCRETE_EPS_R = 5.0
 WOOD_EPS_R = 3.3
 GLASS_EPS_R = 6.0  # not measured for these scenes; common architectural value
+# Environment.contains counts a point inside a duct from this many metres
+# inside its walls, floor and ceiling to this many past its open ends.
+_INSIDE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,26 +163,39 @@ class Environment:
             remaining -= seg.length
         return self.centerline[-1].direction
 
-    def contains(self, p: Vec3, tol: float = 1e-9) -> bool:
-        """True if p lies inside the duct volume.
-
-        Transverse bounds are strict; the longitudinal interval is closed
-        (the duct ends are open, so points on an end face count as inside).
-        An environment with no surfaces is unbounded free space.
-        """
+    def contains(self, p):
+        """True if p lies inside the duct volume; an (N, 3) array of points gives
+        an (N,) bool array. Transverse bounds are strict; the longitudinal
+        interval is closed (the duct ends are open, so points on an end face
+        count as inside). An environment with no surfaces is free space."""
+        pts = np.asarray(p, float)
+        if pts.shape[-1:] != (3,) or pts.ndim > 2:
+            raise ValueError(f"points must have 3 components, got shape {pts.shape}")
         if not self.surfaces:
-            return True
-        half_w = self.width / 2.0
-        for seg in self.centerline:
-            rel = sub(p, seg.origin)
-            u = dot(rel, seg.direction)
-            if u < -seg.ext_before - tol or u > seg.length + seg.ext_after + tol:
-                continue
-            left = (-seg.direction[1], seg.direction[0], 0.0)
-            v = dot(rel, left)
-            if abs(v) < half_w - tol and tol < p[2] < self.height - tol:
-                return True
-        return False
+            return True if pts.ndim == 1 else np.ones(len(pts), bool)
+        origin, axes, bound = self._segment_boxes
+        # (u, v, z) along each segment's axes and their negatives, (N, S, 6); an
+        # axis's zero components add exact zeros, so sums round as geometry.dot's.
+        w = ((pts[..., None, None, :] - origin) * axes).sum(-1)
+        inside = (w <= bound).all(-1).any(-1)
+        return bool(inside) if pts.ndim == 1 else inside
+
+    @cached_property
+    def _segment_boxes(self) -> Tuple[np.ndarray, ...]:
+        """Per centerline segment: its origin at z = 0, its direction, left =
+        (-dy, dx, 0), up and their negatives, and the bounds on (u, v, z) and
+        their negatives inside its box (hi, -lo); strict bounds sit an ulp in."""
+        t = _INSIDE_TOL
+        side = math.nextafter(self.width / 2.0 - t, -math.inf)
+        floor = math.nextafter(t, math.inf)
+        ceiling = math.nextafter(self.height - t, -math.inf)
+        c = self.centerline
+        axes = np.array([(s.direction, (-s.direction[1], s.direction[0], 0.0), (0.0, 0.0, 1.0))
+                         for s in c], float)
+        lo = np.array([(-s.ext_before - t, -side, floor) for s in c])
+        hi = np.array([(s.length + s.ext_after + t, side, ceiling) for s in c])
+        return (np.array([(s.origin[0], s.origin[1], 0.0) for s in c], float)[:, None],
+                np.concatenate((axes, -axes), axis=1), np.concatenate((hi, -lo), axis=1))
 
 
 @dataclass
@@ -249,10 +266,17 @@ def _duct_segment_surfaces(prefix: str,
     ]
 
 
+def _check_sizes(**sizes: float) -> None:
+    for name, value in sizes.items():
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
 def _straight_env(name: str, length: float, width: float, height: float,
                   floor_mat: Material, ceiling_mat: Material,
                   left_mat: Material, right_mat: Material,
                   obstacles: Sequence[ObstacleSlab] = ()) -> Environment:
+    _check_sizes(length=length, width=width, height=height)
     origin = (0.0, 0.0, 0.0)
     axis = (1.0, 0.0, 0.0)
     surfaces = _duct_segment_surfaces("", origin, axis, width, height,
@@ -319,9 +343,16 @@ def build_obstacle_corridor(length: float = 44.0,
                             wood_eps_r: float = WOOD_EPS_R,
                             glass_eps_r: float = GLASS_EPS_R,
                             obstacles: Optional[Sequence[ObstacleSlab]] = None) -> Environment:
-    """Plain corridor plus three full-cross-section slabs (door, lift, door)."""
+    """Plain corridor plus three full-cross-section slabs (door, lift, door).
+
+    wood_eps_r and glass_eps_r set the stock doors, which obstacles replace.
+    """
     base = build_plain_corridor(length, width, height, wall_eps_r, floor_eps_r,
                                 ceiling_eps_r, split_walls, ceiling_is_conductor)
+    for name, value, stock in (("wood_eps_r", wood_eps_r, WOOD_EPS_R),
+                               ("glass_eps_r", glass_eps_r, GLASS_EPS_R)):
+        if obstacles is not None and value != stock:
+            raise ValueError(f"{name}={value} has no effect: obstacles replace the stock doors")
     if obstacles is None:
         obstacles = default_corridor_obstacles(wood_eps_r, glass_eps_r)
     return replace(base, name="obstacle_corridor", obstacles=tuple(obstacles))
@@ -352,6 +383,7 @@ def build_bent_tunnel(bend_angle_deg: float = 45.0,
     """
     if not 0.0 < bend_angle_deg < 90.0:
         raise ValueError(f"bend angle must be in (0, 90) degrees, got {bend_angle_deg}")
+    _check_sizes(length=length, width=width, height=height)
     beta = math.radians(bend_angle_deg)
     half = length / 2.0
     half_w = width / 2.0
@@ -392,6 +424,7 @@ def build_bent_tunnel(bend_angle_deg: float = 45.0,
 
 def free_space(length: float = 44.0) -> Environment:
     """Unbounded environment with no reflectors; direct ray only."""
+    _check_sizes(length=length)
     return Environment(
         name="free_space",
         surfaces=(),

@@ -44,10 +44,6 @@ MAX_ORDER = 2
 ON_SURFACE_TOL = 1e-9
 # Strictly interior parameter range used when testing a segment for occlusion.
 _T_INTERIOR = 1e-9
-# The occlusion test forms the sides of a block's vertices against every
-# surface plane for at most this many (surface, row, vertex) values at a time
-# (128 KB), so its arrays do not grow with the block.
-_OCCLUSION_CELLS = 1 << 14
 # Distance in metres within which a point counts as lying on a plane.
 _ON_PLANE = 1e-12
 # Closest transmitter-receiver separation in metres a trace accepts: below
@@ -444,8 +440,10 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
     ends at that image) and it is not the plane of the previous bounce. The
     stacked arrays hold them by descending order, so the direct ray, which
     has no step, comes last. Only the receiver moves in a sweep, so this is
-    built once per transmitter.
+    built, and tx checked to lie inside env, once per transmitter.
     """
+    if not env.contains(tx):
+        raise ValueError(f"transmitter {tx} outside environment {env.name!r}")
     reflectors = _reflectors(env)
     surfaces = _surfaces(env)
     level = [((), (tx,))]
@@ -595,27 +593,23 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
     segments with their ends strictly on opposite sides of a plane reach the
     crossing parameter t = da / (da - db): with both ends on one side,
     rounding is monotone and keeps t outside (0, 1), so this is the same
-    rule as testing t for every segment. The (surfaces, rows, vertices)
-    sides are formed for at most _OCCLUSION_CELLS values at a time.
+    rule as testing t for every segment.
     """
     plane = _Planes(surfaces.plane.normal[..., None, None], surfaces.plane.offset[:, None, None])
-    step = max(1, _OCCLUSION_CELLS // max(1, len(surfaces.eps_r) * verts.shape[1]))
+    side = _side(plane, verts.transpose(2, 0, 1)[:, None])  # (surfaces, rows, vertices)
+    above, below = side > _ON_PLANE, side < -_ON_PLANE
+    surf, row, seg = np.nonzero((above[..., :-1] & below[..., 1:])
+                                | (below[..., :-1] & above[..., 1:]))
+    end = seg + 1
+    da, db = side[surf, row, seg], side[surf, row, end]
+    del side, above, below
+    t = da / (da - db)
+    a, b = verts[row, seg].T, verts[row, end].T
+    # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
+    hit = _on_rectangle(a + t * (b - a), surfaces.rect.at(surf), -ON_SURFACE_TOL)
+    hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
     blocked = np.zeros(len(verts), bool)
-    for lo in range(0, len(verts), step):
-        v = verts[lo:lo + step]
-        side = _side(plane, v.transpose(2, 0, 1)[:, None])  # (surfaces, rows, vertices)
-        above, below = side > _ON_PLANE, side < -_ON_PLANE
-        surf, row, seg = np.nonzero((above[..., :-1] & below[..., 1:])
-                                    | (below[..., :-1] & above[..., 1:]))
-        end = seg + 1
-        da, db = side[surf, row, seg], side[surf, row, end]
-        del side, above, below
-        t = da / (da - db)
-        a, b = v[row, seg].T, v[row, end].T
-        # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-        hit = _on_rectangle(a + t * (b - a), surfaces.rect.at(surf), -ON_SURFACE_TOL)
-        hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
-        blocked[lo + row[hit]] = True
+    blocked[row[hit]] = True
     return blocked
 
 
@@ -634,17 +628,18 @@ def trace_receivers(env: Environment,
     tx = vec3(tx)
     rx = np.array(receivers, float).reshape(-1, 3)
     _check_order(max_order)
-    if not env.contains(tx):
-        raise ValueError(f"transmitter {tx} outside environment {env.name!r}")
-    for p in map(tuple, rx.tolist()):
-        if not env.contains(p):
-            raise ValueError(f"receiver {p} outside environment {env.name!r}")
-        if not distance(tx, p) >= _MIN_SEPARATION:
-            raise ValueError(f"transmitter and receiver coincide at {p} "
-                             f"(closer than {_MIN_SEPARATION:g} m)")
-
     K = int(max_order)
     tree = _image_tree(env, tx, K)
+    # The first receiver outside, or closer to tx than _MIN_SEPARATION, is named.
+    inside = env.contains(rx)
+    good = inside & (((rx - tx) ** 2).sum(1) >= _MIN_SEPARATION ** 2)
+    if not good.all():
+        r = int(good.argmin())
+        p = tuple(rx[r].tolist())
+        if not inside[r]:
+            raise ValueError(f"receiver {p} outside environment {env.name!r}")
+        raise ValueError(f"transmitter and receiver coincide at {p} "
+                         f"(closer than {_MIN_SEPARATION:g} m)")
     surfaces = tree.surfaces
     slabs = env.obstacles
     with np.errstate(divide="ignore", invalid="ignore"):

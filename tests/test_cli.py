@@ -399,6 +399,9 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, body, flags, key):
     ("pdp", "output: {pdp_positions: []}", [],
      "output.pdp_positions: expected a non-empty list"),
     ("validate", "", ["--env", "hyperloop"], "--env: unknown environment 'hyperloop'"),
+    ("sweep", "environment: {name: obstacle_corridor, overrides: {wood_eps_r: 2.0, "
+     "glass_eps_r: 9.0}, obstacles: [{name: door, position: 10.0, eps_r: 3.3}]}", [],
+     "environment.overrides: wood_eps_r=2.0 has no effect"),
 ])
 def test_rejected_values_name_the_key(tmp_path, capsys, command, body, flags, message):
     scn = _write_scenario(tmp_path, body + "\n")
@@ -469,3 +472,97 @@ def test_main_plot(tmp_path):
     rc = main(["plot", str(csv), "--out", str(tmp_path / "o" / "p.gp")])
     assert rc == 0
     assert (tmp_path / "o" / "p.gp").exists()
+
+
+def test_main_freq_flag_selects_the_carriers(tmp_path, capsys):
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scn), "--freq", "70e9,80.5e9",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "sweep_straight_tunnel_70GHz.csv", "sweep_straight_tunnel_80.5GHz.csv"]
+    assert capsys.readouterr().out.split() == [
+        str(out / "sweep_straight_tunnel_70GHz.csv"), str(out / "sweep_straight_tunnel_80.5GHz.csv")]
+
+
+def test_main_system_flag_selects_the_presets(tmp_path):
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scn), "--system", "system3, system2",
+                 "--out", str(out)]) == 0
+    header = (out / "sweep_straight_tunnel_60GHz.csv").read_text().splitlines()[0]
+    assert header == "distance_m,power_dBm_system3,power_dBm_system2"
+
+
+def test_main_polarization_flag_sets_the_reflections(tmp_path):
+    """--polarization tm writes what a TM scenario writes, which is not
+    what the TE default writes."""
+    runs = {}
+    for name, body, flags in (("te", SMALL, []), ("flag", SMALL, ["--polarization", "tm"]),
+                              ("tm", SMALL + "physics: {polarization: tm}\n", [])):
+        (tmp_path / name).mkdir()
+        scn = _write_scenario(tmp_path / name, body)
+        assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / name / "o"),
+                     *flags]) == 0
+        runs[name] = (tmp_path / name / "o" / "sweep_straight_tunnel_60GHz.csv").read_text()
+    assert runs["flag"] == runs["tm"] != runs["te"]
+
+
+def test_main_pdp_without_rx_uses_the_scenario_positions(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, SMALL + "output: {pdp_positions: [5.0, 12.5]}\n")
+    out = tmp_path / "o"
+    assert main(["pdp", "--scenario", str(scn), "--out", str(out)]) == 0
+    names = ["pdp_straight_tunnel_system1_60GHz_5m.csv",
+             "pdp_straight_tunnel_system1_60GHz_12.5m.csv"]
+    assert capsys.readouterr().out.split() == [str(out / n) for n in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+def test_main_validate_reports_each_violation(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, """
+environment:
+  name: obstacle_corridor
+  obstacles:
+    - {name: door, position: 10.0, thickness: 0.5}
+    - {name: screen, position: 10.2}
+    - {name: far, position: 50.0}
+""")
+    assert main(["validate", "--scenario", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "violation: obstacles 'door' and 'screen' overlap",
+        "violation: obstacle 'far': position outside the duct axis"]
+
+
+@pytest.mark.parametrize("command, script", [("sweep", "plots.gp"), ("pdp", "pdp_plots.gp")])
+def test_plot_output_writes_a_script_beside_the_csvs(tmp_path, capsys, command, script):
+    scn = _write_scenario(tmp_path, SMALL + "frequencies: [60e9, 70e9]\noutput: {plot: true}\n")
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scn), "--out", str(out)]
+                + (["--rx", "10"] if command == "pdp" else [])) == 0
+    printed = capsys.readouterr().out.split()
+    assert printed[-1] == str(out / script)
+    text = (out / script).read_text()
+    assert len(printed) == 3
+    for csv in printed[:-1]:
+        assert f"'{csv}'" in text and f"set output '{pathlib.Path(csv).stem}.png'" in text
+
+
+def test_plot_script_for_pdp_and_table_csvs(tmp_path, capsys):
+    scn = _write_scenario(tmp_path)
+    out = tmp_path / "o"
+    assert main(["pdp", "--scenario", str(scn), "--rx", "10", "--out", str(out)]) == 0
+    assert main(["table", "--scenario", str(scn), "--out", str(out)]) == 0
+    pdp = out / "pdp_straight_tunnel_system1_60GHz_10m.csv"
+    table = out / "delay_spread_straight_tunnel.csv"
+    capsys.readouterr()
+    assert main(["plot", str(pdp), str(table), "--out", str(out / "p.gp")]) == 0
+    assert capsys.readouterr().out.strip() == str(out / "p.gp")
+    text = (out / "p.gp").read_text()
+    assert f"plot '{pdp}' using ($2*1e9):3 with impulses" in text
+    assert "set logscale y" in text and "set yrange [1e-7:2]" in text
+    assert f"plot for [col=2:*] '{table}' using col:xtic(1) title columnheader" in text
+    assert "set style data histograms" in text
+    # the log axis of the PDP is switched off again for the table after it
+    assert text.index("unset logscale y") > text.index("set logscale y")

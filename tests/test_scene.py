@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from mmray.scene import (
@@ -185,6 +187,92 @@ def test_contains_is_transverse_strict_axial_closed():
     assert not env.contains((10.0, 0.0, 2.5))   # on the ceiling: outside
     assert not env.contains((-0.5, 0.0, 1.0))
     assert not env.contains((44.5, 0.0, 1.0))
+
+
+def test_contains_of_many_points_is_the_duct_box():
+    """About 10 000 random points around the straight duct, some on its
+    faces, tested at once, equal the box 0 <= x <= 44, |y| < 1.25,
+    0 < z < 2.5 up to the 1e-9 tolerance."""
+    env, tol = build_straight_tunnel(), 1e-9
+    rng = np.random.default_rng(7)
+    pts = rng.uniform((-1.0, -1.5, -0.5), (45.0, 1.5, 3.0), (10_000, 3))
+    pts[::7, 0] = rng.choice([0.0, 44.0, -tol / 2, 44.0 + 2 * tol], len(pts[::7]))
+    pts[::11, 1] = rng.choice([1.25, -1.25, 1.25 - tol / 2], len(pts[::11]))
+    pts[::13, 2] = rng.choice([0.0, 2.5, tol / 2, 2.5 - 2 * tol], len(pts[::13]))
+    x, y, z = pts.T
+    box = ((x >= -tol) & (x <= 44.0 + tol) & (np.abs(y) < 1.25 - tol)
+           & (z > tol) & (z < 2.5 - tol))
+    inside = env.contains(pts)
+    assert inside.shape == (len(pts),) and inside.dtype == bool
+    assert 0 < inside.sum() < len(pts)
+    assert np.array_equal(inside, box)
+
+
+def _contains_one(env, p, tol=1e-9):
+    """The per-segment box rule, one point at a time: the axial interval
+    is closed with tol past each end, v and z are strict with tol inside."""
+    for seg in env.centerline:
+        (ox, oy, oz), (dx, dy, dz) = seg.origin, seg.direction
+        rx, ry, rz = p[0] - ox, p[1] - oy, p[2] - oz
+        u = rx * dx + ry * dy + rz * dz
+        if u < -seg.ext_before - tol or u > seg.length + seg.ext_after + tol:
+            continue
+        v = rx * -dy + ry * dx + rz * 0.0
+        if abs(v) < env.width / 2.0 - tol and tol < p[2] < env.height - tol:
+            return True
+    return False
+
+
+def test_contains_of_an_array_follows_the_scalar_rule_in_the_bent_duct():
+    """Random points plus points within a few ulps of every bound of both
+    segments' boxes (ends with their overhang, walls, floor, ceiling)."""
+    env, tol = build_bent_tunnel(45.0), 1e-9
+    rng = np.random.default_rng(8)
+    pts = [rng.uniform((-1.0, -2.0, -0.5), (45.0, 18.0, 3.0), (2000, 3))]
+    for seg in env.centerline:
+        (ox, oy, _), (dx, dy, _) = seg.origin, seg.direction
+        u_ends = (-seg.ext_before - tol, seg.length + seg.ext_after + tol)
+        v_walls = (env.width / 2.0 - tol, -(env.width / 2.0 - tol))
+        z_faces = (tol, env.height - tol)
+        for _ in range(1500):
+            u = rng.choice(u_ends) if rng.random() < 0.4 else rng.uniform(*u_ends)
+            v = rng.choice(v_walls) if rng.random() < 0.4 else rng.uniform(-1.0, 1.0)
+            z = rng.choice(z_faces) if rng.random() < 0.4 else rng.uniform(0.1, 2.4)
+            u, v, z = (np.nextafter(w, rng.choice([-np.inf, np.inf])) if rng.random() < 0.5 else w
+                       for w in (u, v, z))
+            pts.append([(ox + u * dx - v * dy, oy + u * dy + v * dx, z)])
+    pts = np.concatenate(pts)
+    inside = env.contains(pts)
+    expected = [_contains_one(env, p) for p in pts.tolist()]
+    assert 0 < sum(expected) < len(pts)
+    assert inside.tolist() == expected
+    assert [env.contains(p) for p in pts[:50].tolist()] == expected[:50]
+    assert free_space().contains(pts).all()
+    with pytest.raises(ValueError, match="3 components"):
+        env.contains(pts[:, :2])
+
+
+@pytest.mark.parametrize("builder, kwargs, message", [
+    (build_straight_tunnel, {"width": -1.0}, "width must be > 0, got -1.0"),
+    (build_straight_tunnel, {"length": -5.0}, "length must be > 0, got -5.0"),
+    (build_straight_tunnel, {"height": 0.0}, "height must be > 0, got 0.0"),
+    (build_plain_corridor, {"width": 0.0}, "width must be > 0, got 0.0"),
+    (build_bent_tunnel, {"length": -5.0}, "length must be > 0, got -5.0"),
+    (build_bent_tunnel, {"height": math.nan}, "height must be > 0, got nan"),
+    (free_space, {"length": -3}, "length must be > 0, got -3"),
+    (build_obstacle_corridor, {"wood_eps_r": 2.0, "glass_eps_r": 9.0, "obstacles": ()},
+     "wood_eps_r=2.0 has no effect: obstacles replace the stock doors"),
+    (build_obstacle_corridor, {"glass_eps_r": 9.0, "obstacles": default_corridor_obstacles()},
+     "glass_eps_r=9.0 has no effect"),
+])
+def test_builders_reject_input_that_cannot_take_effect(builder, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        builder(**kwargs)
+
+
+def test_door_permittivities_still_set_the_stock_doors():
+    env = build_obstacle_corridor(wood_eps_r=2.0, glass_eps_r=9.0)
+    assert [o.material.eps_r for o in env.obstacles if not o.material.is_conductor] == [2.0, 9.0]
 
 
 # ---------------------------------------------------------------------------

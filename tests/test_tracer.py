@@ -218,6 +218,23 @@ def test_enumerate_rejects_invalid_inputs():
             enumerate_paths(env, TX, rx)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((50.0, 0.0, 1.5), "receiver (50.0, 0.0, 1.5) outside environment 'straight_tunnel'"),
+    ((0.0, 1e-10, 2.0), "transmitter and receiver coincide at (0.0, 1e-10, 2.0)"),
+])
+def test_a_bad_receiver_inside_a_block_is_named(bad, message):
+    """A block checks its receivers together; the error names the first
+    offending one, here in the middle of the block, before a second."""
+    env = build_straight_tunnel()
+    rx = [(float(x), 0.0, 1.5) for x in range(1, 9)]
+    rx[4], rx[6] = bad, (0.0, 0.0, 2.0)
+    with pytest.raises(ValueError) as info:
+        tracer.trace_receivers(env, TX, rx)
+    assert str(info.value).startswith(message)
+    with pytest.raises(ValueError, match="transmitter"):
+        tracer.trace_receivers(env, (0.0, 5.0, 1.0), rx[:4])
+
+
 def test_path_geometry_consistency(tunnel_paths):
     for p in tunnel_paths:
         lengths, angles = path_geometry(p)
