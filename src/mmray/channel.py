@@ -12,16 +12,15 @@ per (candidate, receiver) pair and the kernel's per-carrier factors). A
 block, a pure function of its receivers and the sweep's settings, evaluates
 its factors once and forms amplitudes and per-receiver sums in chunks of
 receivers; one loop maps it over the blocks for any worker count.
-The per-path functions take a list of PathContribution, the one-receiver
-view of the same table. They keep the table of the last list with its
-factors, so calls for several systems and carriers on one list evaluate each
-system's gains and each carrier's phases once.
+The per-path functions take a list of PathContribution. The list that
+enumerate_paths returns carries its table and the factors formed from it, so
+calls for several systems and carriers on one list evaluate each system's
+gains and each carrier's phases once; other sequences go through from_paths.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from .scene import Environment
 from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
     SPEED_OF_LIGHT,
     PathContribution,
+    PathList,
     PathTable,
     Polarization,
     candidate_count,
@@ -117,12 +117,12 @@ class PowerDelayProfile:
 
     @cached_property
     def _moments(self) -> Tuple[float, float]:
-        """(RMS delay spread, mean excess delay), computed once per profile."""
+        """(RMS delay spread, mean excess delay) of a profile built by hand;
+        power_delay_profile sets them from the arrays it forms."""
         if not self.taps:
             raise ValueError("empty power delay profile")
         delays, powers = np.array(self.taps).T
-        rms, excess = _delay_moments(delays, powers, self.first_arrival)
-        return float(rms), float(excess)
+        return tuple(map(float, _delay_moments(delays, powers, self.first_arrival)))
 
 
 @dataclass(eq=False)
@@ -211,28 +211,21 @@ def _prop(table: PathTable, frequencies: Sequence[float],
     return prop
 
 
-# The per-path functions are usually called once per system and carrier with
-# the same list, and received_power often right after impulse_response. So
-# the table of the last list is kept for the next call, with a memo of the
-# factors formed from it: per (system, rx boresight) the geo and its product
-# with each carrier's prop, and per (carrier, atmospheric loss) the prop, so
-# that a call hashes the system once. Paths are immutable: the same objects in
-# the same order give the same table.
-_last_table: Tuple[tuple, Optional[PathTable], dict, dict] = ((), None, {}, {})
-
-
 def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
                 frequency: float, rx_boresight,
-                atmospheric_loss_db_per_m: float) -> np.ndarray:
-    """Complex tap amplitudes (sqrt-watt) of one system and carrier, (rows,).
+                atmospheric_loss_db_per_m: float) -> Tuple[PathTable, np.ndarray]:
+    """The table of paths and its complex tap amplitudes (sqrt-watt) of one
+    system and carrier, (rows,), which are read-only.
 
-    The result is kept in the memo, so it is read-only.
+    A traced list keeps in its memo, per (system, rx boresight), the geo and
+    its product with each carrier's prop, and per (carrier, atmospheric
+    loss) the prop, so a call hashes the system once.
     """
-    global _last_table
-    key, table, systems, props = _last_table
-    if len(key) != len(paths) or not all(map(operator.is_, key, paths)):
-        table, systems, props = PathTable.from_paths(paths), {}, {}
-        _last_table = (tuple(paths), table, systems, props)
+    table = paths.table if isinstance(paths, PathList) else None
+    if table is None:
+        table, (systems, props) = PathTable.from_paths(paths), ({}, {})
+    else:
+        systems, props = paths.memo
     if rx_boresight is not None and type(rx_boresight) is not tuple:
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
     system_key = (sys, rx_boresight)
@@ -245,7 +238,7 @@ def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
             props[carrier_key] = _prop(table, (frequency,), atmospheric_loss_db_per_m)[0]
         amps = products[carrier_key] = geo * props[carrier_key]
         amps.flags.writeable = False
-    return amps
+    return table, amps
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -261,8 +254,8 @@ def received_power(paths: Sequence[PathContribution],
     """
     if not paths:
         return NO_COVERAGE
-    amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
-                       atmospheric_loss_db_per_m)
+    _, amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
+                          atmospheric_loss_db_per_m)
     return watts_to_dbm(np.abs(amps.sum()) ** 2)
 
 
@@ -277,12 +270,13 @@ def impulse_response(paths: Sequence[PathContribution],
     """
     if not paths:
         return []
-    amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
-                       atmospheric_loss_db_per_m)
-    taps = [ChannelTap(delay=p.delay, amplitude=a, power=w)
-            for p, a, w in zip(paths, amps.tolist(), (np.abs(amps) ** 2).tolist())]
-    taps.sort(key=lambda t: t.delay)
-    return taps
+    table, amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
+                              atmospheric_loss_db_per_m)
+    delays = table.delay
+    order = delays.argsort(kind="stable")
+    amps = amps[order]
+    return list(map(ChannelTap, delays[order].tolist(), amps.tolist(),
+                    (np.abs(amps) ** 2).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +293,34 @@ def power_delay_profile(taps: Sequence[ChannelTap],
     """
     if not taps:
         raise ValueError("cannot build a power delay profile from zero taps")
-    if bin_width < 0.0:
+    if not bin_width >= 0.0:
         raise ValueError(f"bin_width must be >= 0, got {bin_width}")
-    ordered = sorted(taps, key=lambda t: t.delay)
-    first = ordered[0].delay
+    delays, powers = np.array([(t.delay, t.power) for t in taps], float).T
+    order = delays.argsort(kind="stable")
+    delays, powers = delays[order], powers[order]
+    first = delays[0]
 
-    if bin_width == 0.0:
-        entries = [(t.delay, t.power) for t in ordered]
-    else:
-        bins: dict = {}
-        for t in ordered:
-            idx = int((t.delay - first) / bin_width)
-            bins.setdefault(idx, []).append(t)
-        entries = []
-        for idx in sorted(bins):
-            members = bins[idx]
-            total = sum(t.power for t in members)
-            if total > 0.0:
-                centroid = sum(t.power * t.delay for t in members) / total
-            else:
-                centroid = sum(t.delay for t in members) / len(members)
-            entries.append((centroid, total))
+    if bin_width > 0.0:
+        # Each bin sums its taps in delay order, as bincount adds its weights
+        # in input order. A bin without power sits at its taps' mean delay.
+        bins = np.unique(((delays - first) / bin_width).astype(int),
+                         return_inverse=True)[1]
+        total = np.bincount(bins, powers)
+        weights = np.where(total[bins] > 0.0, powers, 1.0)
+        delays = np.bincount(bins, weights * delays) / np.bincount(bins, weights)
+        powers = total
 
-    peak = max(p for _, p in entries)
+    peak = powers.max()
     if peak <= 0.0:
         raise ValueError("all taps have zero power")
-    return PowerDelayProfile(
-        taps=tuple((d, p / peak) for d, p in entries),
+    powers = powers / peak
+    pdp = PowerDelayProfile(
+        taps=tuple(zip(delays.tolist(), powers.tolist())),
         bin_width=bin_width,
-        first_arrival=first,
+        first_arrival=float(first),
     )
+    pdp.__dict__["_moments"] = tuple(map(float, _delay_moments(delays, powers, first)))
+    return pdp
 
 
 def _delay_moments(delays: np.ndarray, powers: np.ndarray,

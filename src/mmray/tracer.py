@@ -25,10 +25,11 @@ math module in the last bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,8 +246,8 @@ class PathTable:
         trans[:, rows[first]] = t
         return trans
 
-    def paths(self, r: int) -> List[PathContribution]:
-        """The rows of receiver r as PathContribution objects."""
+    def paths(self, r: int) -> "PathList":
+        """The rows of receiver r as PathContribution objects, in a PathList."""
         lo, hi = np.searchsorted(self.receiver, [r, r + 1]).tolist()
         rx = tuple(self.rx[r].tolist())
         bounces = [[] for _ in range(lo, hi)]
@@ -262,7 +263,7 @@ class PathTable:
                            self.crossing_slab[c_lo:c_hi].tolist(),
                            self.crossing_angle[c_lo:c_hi].tolist()):
             crossings[i - lo].append(SlabCrossing(s, self.slabs[s], a))
-        return [PathContribution(
+        return PathList(self if len(self.rx) == 1 else None, [PathContribution(
                     order=k,
                     vertices=(self.tx, *(b.point for b in bs), rx),
                     length=length,
@@ -276,38 +277,50 @@ class PathTable:
                 for k, length, refl, dep, arr, bs, cs in zip(
                     self.order[lo:hi].tolist(), self.length[lo:hi].tolist(),
                     self.reflection[lo:hi].tolist(), self.departure[lo:hi].tolist(),
-                    self.arrival[lo:hi].tolist(), bounces, crossings)]
+                    self.arrival[lo:hi].tolist(), bounces, crossings)])
 
     @classmethod
     def from_paths(cls, paths: Sequence[PathContribution]) -> "PathTable":
         """One receiver's (non-empty) path list as a table."""
-        n = len(paths)
-        cols = np.array([(p.order, p.length, p.reflection_product, *p.departure_dir,
-                          *p.arrival_dir) for p in paths], float).T.copy()
-        bounces = np.array([(i, b.surface_index, *b.point, b.incidence_angle)
-                            for i, p in enumerate(paths) for b in p.bounces],
-                           float).reshape(-1, 6).T.copy()
+        bounces = [(i, b) for i, p in enumerate(paths) for b in p.bounces]
         crossings = [(i, c) for i, p in enumerate(paths) for c in p.crossings]
         slabs = {c.obstacle_index: c.slab for _, c in crossings}
         return cls(
             tx=paths[0].vertices[0],
             rx=np.array([paths[0].vertices[-1]], float),
-            receiver=np.zeros(n, int),
-            order=cols[0].astype(int),
-            length=cols[1],
-            reflection=cols[2],
-            departure=np.ascontiguousarray(cols[3:6].T),
-            arrival=np.ascontiguousarray(cols[6:9].T),
-            bounce_row=bounces[0].astype(int),
-            bounce_surface=bounces[1].astype(int),
-            bounce_point=bounces[2:5].T,
-            bounce_angle=bounces[5],
+            receiver=np.zeros(len(paths), int),
+            order=np.array([p.order for p in paths], int),
+            length=np.array([p.length for p in paths], float),
+            reflection=np.array([p.reflection_product for p in paths], float),
+            departure=np.array([p.departure_dir for p in paths], float),
+            arrival=np.array([p.arrival_dir for p in paths], float),
+            bounce_row=np.array([i for i, _ in bounces], int),
+            bounce_surface=np.array([b.surface_index for _, b in bounces], int),
+            bounce_point=np.array([b.point for _, b in bounces], float).reshape(-1, 3),
+            bounce_angle=np.array([b.incidence_angle for _, b in bounces], float),
             crossing_row=np.array([i for i, _ in crossings], int),
             crossing_slab=np.array([c.obstacle_index for _, c in crossings], int),
             crossing_angle=np.array([c.incidence_angle for _, c in crossings], float),
             slabs=tuple(slabs.get(i) for i in range(max(slabs, default=-1) + 1)),
             polarization=paths[0].polarization,
         )
+
+
+class PathList(list):
+    """A receiver's paths, which carry the PathTable they were made from if
+    it holds no other receiver, and a memo for the channel's factors of it (a
+    dict per antenna system and one per carrier). table is None once the
+    list no longer holds the objects it was made with, in their order."""
+
+    def __init__(self, table: Optional[PathTable], paths: List[PathContribution]):
+        super().__init__(paths)
+        self._table, self._made, self.memo = table, tuple(paths), ({}, {})
+
+    @property
+    def table(self) -> Optional[PathTable]:
+        made = self._made
+        intact = len(made) == len(self) and all(map(operator.is_, made, self))
+        return self._table if intact else None
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +739,6 @@ def enumerate_paths(env: Environment,
     Returns the direct path and every specular reflection path of order
     1..max_order, sorted by (order, delay). Paths crossing a conductor slab
     are removed; dielectric slab crossings are recorded on the path. This is
-    trace_receivers for a single receiver.
+    trace_receivers for a single receiver; the list carries its table.
     """
     return trace_receivers(env, tx, [vec3(rx)], max_order, polarization).paths(0)

@@ -317,3 +317,46 @@ def delay_stats_ns(delays_s, powers_w):
     mu = float(np.sum(w * ex) / np.sum(w))
     var = float(np.sum(w * (ex - mu) ** 2) / np.sum(w))
     return mu * 1e9, math.sqrt(max(var, 0.0)) * 1e9
+
+
+def power_delay_profile_reference(taps, bin_width=0.0):
+    """((delay, normalized power) entries, first arrival, rms spread, mean excess).
+
+    A loop over the taps sorted by delay: with bin_width > 0 they go into
+    dict bins counted from the first arrival, and each bin's power is the
+    sum of its taps' powers in delay order, placed at their power-weighted
+    centroid (at their mean delay if the bin has no power). The moments sum
+    over the entries as numpy arrays, E[x^2] - E[x]^2 of the excess delay.
+    Raises ValueError for no taps, a negative bin width or no power.
+    """
+    if not taps:
+        raise ValueError("no taps")
+    if bin_width < 0.0:
+        raise ValueError("negative bin width")
+    ordered = sorted(taps, key=lambda t: t.delay)
+    first = ordered[0].delay
+    if bin_width == 0.0:
+        entries = [(t.delay, t.power) for t in ordered]
+    else:
+        bins = {}
+        for t in ordered:
+            bins.setdefault(int((t.delay - first) / bin_width), []).append(t)
+        entries = []
+        for idx in sorted(bins):
+            members = bins[idx]
+            total = sum(t.power for t in members)
+            if total > 0.0:
+                centroid = sum(t.power * t.delay for t in members) / total
+            else:
+                centroid = sum(t.delay for t in members) / len(members)
+            entries.append((centroid, total))
+    peak = max(p for _, p in entries)
+    if peak <= 0.0:
+        raise ValueError("no power")
+    entries = tuple((d, p / peak) for d, p in entries)
+    delays, powers = np.array(entries).T
+    excess = delays - first
+    total = powers.sum()
+    mean = (powers * excess).sum() / total
+    second = (powers * excess ** 2).sum() / total
+    return entries, first, float(np.sqrt(max(second - mean * mean, 0.0))), float(mean)

@@ -1,5 +1,6 @@
 """Narrowband power, delay profiles, and sweep plumbing."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -8,10 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mmray
 from mmray import (
-    ATMOSPHERIC_LOSS_DB_PER_M, NO_COVERAGE, CarrierConfig, ChannelTap, build_bent_tunnel,
+    ATMOSPHERIC_LOSS_DB_PER_M, NO_COVERAGE, CarrierConfig, ChannelTap, PowerDelayProfile,
+    build_bent_tunnel,
     build_obstacle_corridor, build_plain_corridor, build_straight_tunnel,
     dbm_to_watts, delay_spread_table, enumerate_paths, free_space,
     impulse_response, make_system, mean_excess_delay, power_delay_profile,
@@ -19,7 +23,7 @@ from mmray import (
     watts_to_dbm,
 )
 from mmray.tracer import candidate_count, trace_receivers
-from oracles import friis_dbm
+from oracles import friis_dbm, power_delay_profile_reference
 
 TX = (0.0, 0.0, 2.0)
 ISO = system_preset("system1")
@@ -152,6 +156,11 @@ def test_pdp_rejects_empty_or_dark_taps():
         power_delay_profile([])
     with pytest.raises(ValueError):
         power_delay_profile(_taps([(1e-9, 0.0)]))
+    for bin_width in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="bin_width"):
+            power_delay_profile(_taps([(1e-9, 1.0)]), bin_width)
+    with pytest.raises(ValueError, match="empty"):
+        rms_delay_spread(PowerDelayProfile((), 0.0, 0.0))
 
 
 def test_pdp_binning_merges_taps():
@@ -193,6 +202,40 @@ def test_two_tap_spread_closed_form():
     pdp = power_delay_profile(_taps([(0.0, 1.0), (8e-9, 1.0)]))
     assert rms_delay_spread(pdp) == pytest.approx(4e-9, rel=1e-12)
     assert mean_excess_delay(pdp) == pytest.approx(4e-9, rel=1e-12)
+
+
+# Delays from a short list collide; powers include exact zeros.
+TAP_DELAYS = st.one_of(st.sampled_from([20e-9, 20.05e-9, 21e-9, 33e-9, 33.4e-9]),
+                       st.floats(3e-9, 3e-7))
+TAP_POWERS = st.one_of(st.just(0.0), st.floats(0.0, 1e-3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(TAP_DELAYS, TAP_POWERS), max_size=12),
+       st.sampled_from([0.0, 1e-10, 1e-9, 5e-9]))
+@example([(33e-9, 2e-5)], 0.0)  # a single tap
+@example([(33e-9, 2e-5)], 1e-9)
+@example([(21e-9, 1e-6), (20e-9, 3e-6), (21e-9, 2e-6), (20e-9, 0.0)], 0.0)  # equal delays
+@example([(20e-9, 0.0), (20.05e-9, 1e-6), (20.5e-9, 0.0), (33e-9, 4e-6)], 1e-9)  # zeros in a bin
+@example([(20e-9, 0.0), (20.05e-9, 0.0), (33e-9, 4e-6), (33.4e-9, 1e-6)], 1e-9)  # a dark bin
+@example([(20e-9, 0.0), (33e-9, 0.0)], 5e-9)  # no power
+@example([], 0.0)
+def test_pdp_equals_the_loop_reference(pairs, bin_width):
+    """The profile formed from arrays has the taps, first arrival and moments
+    of the sorted-list, dict-bin reference, to the bit, and a profile built
+    by hand from its taps has the same moments."""
+    taps = _taps(pairs)
+    try:
+        want = power_delay_profile_reference(taps, bin_width)
+    except ValueError:
+        with pytest.raises(ValueError):
+            power_delay_profile(taps, bin_width)
+        return
+    pdp = power_delay_profile(taps, bin_width)
+    got = (pdp.taps, pdp.first_arrival, rms_delay_spread(pdp), mean_excess_delay(pdp))
+    assert got == want
+    hand = PowerDelayProfile(pdp.taps, bin_width, pdp.first_arrival)
+    assert (rms_delay_spread(hand), mean_excess_delay(hand)) == want[2:]
 
 
 def test_delay_stats_against_independent_formula(tunnel_paths):
@@ -483,6 +526,46 @@ def test_per_call_gains_are_evaluated_once_per_system(monkeypatch):
     for system, carrier in itertools.product(PRESETS, CARRIERS):
         _per_call(paths, system, carrier, (-1.0, 0.0, 0.0), 0.0)
     assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
+
+
+def test_interleaved_path_lists_evaluate_each_gain_once(monkeypatch):
+    """Two traced lists used in turn keep their own factors: each evaluates
+    the departure and the arrival gain of each system once."""
+    env = DUCTS["straight_tunnel"]
+    lists = [enumerate_paths(env, TX, rx) for rx in ((10.0, 0.3, 1.5), (14.0, -0.2, 1.1))]
+    # The departure gain gets the departure directions, the arrival gain the
+    # reversed arrival directions, so each call's directions name its list.
+    owner = {}
+    for i, paths in enumerate(lists):
+        owner[tuple(p.departure_dir for p in paths)] = i
+        owner[tuple(tuple(-c for c in p.arrival_dir) for p in paths)] = i
+    calls = []
+    original = mmray.channel.gain
+    monkeypatch.setattr(mmray.channel, "gain", lambda *args: calls.append(
+        (args[0], owner[tuple(map(tuple, args[1].tolist()))])) or original(*args))
+    for system, carrier in itertools.product(PRESETS, CARRIERS):
+        for paths in lists:
+            impulse_response(paths, system, carrier, rx_boresight=(-1.0, 0.0, 0.0))
+            received_power(paths, system, carrier, rx_boresight=(-1.0, 0.0, 0.0))
+    assert calls == [(s, i) for s in PRESETS for i in (0, 1) for _ in ("departure", "arrival")]
+
+
+def test_a_changed_copy_or_a_slice_of_a_traced_list_is_evaluated_afresh():
+    """A copy with one path replaced by another receiver's, a copy with a
+    path appended and a slice give the values of fresh objects with their
+    own contents, not those kept for the traced list."""
+    env = DUCTS["obstacle_corridor"]
+    paths = enumerate_paths(env, TX, (15.0, 0.3, 1.2))
+    other = enumerate_paths(env, TX, (12.0, -0.4, 1.6))
+    args = (PRESETS[2], CARRIERS[1], OBLIQUE, ATMOSPHERIC_LOSS_DB_PER_M)
+    kept = _per_call(paths, *args)
+    replaced, appended = copy.copy(paths), copy.copy(paths)
+    assert type(replaced) is type(paths) and replaced.table is paths.table
+    replaced[3] = other[3]
+    appended.append(other[-1])
+    for variant in (replaced, appended, paths[2:]):
+        assert _per_call(variant, *args) == _per_call(_fresh(variant), *args) != kept
+    assert _per_call(paths, *args) == kept == _per_call(_fresh(paths), *args)
 
 
 def test_alternating_path_lists_keep_their_own_values():

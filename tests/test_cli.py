@@ -104,7 +104,7 @@ def test_preset_with_unknown_kind_names_the_key():
         parse_scenario("systems: [{preset: system1, kind: dish}]\n")
 
 
-@pytest.mark.parametrize("order", [3, -1])
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, -1])
 def test_max_order_outside_the_tracer_cap_rejected(order):
     with pytest.raises(ScenarioError, match=r"physics\.max_order"):
         parse_scenario(f"physics: {{max_order: {order}}}\n")

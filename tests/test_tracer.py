@@ -205,7 +205,7 @@ def test_image_tree_keeps_chains_whose_images_face_the_next_surface():
 def test_enumerate_rejects_invalid_inputs():
     env = build_straight_tunnel()
     with pytest.raises(ValueError):
-        enumerate_paths(env, TX, (10.0, 0.0, 1.5), max_order=3)
+        enumerate_paths(env, TX, (10.0, 0.0, 1.5), max_order=tracer.MAX_ORDER + 1)
     with pytest.raises(ValueError):
         enumerate_paths(env, (0.0, 5.0, 1.0), (10.0, 0.0, 1.5))
     with pytest.raises(ValueError):
