@@ -156,7 +156,8 @@ def gain(sys: AntennaSystem,
     """Linear power gain of the pattern in the given unit direction(s).
 
     direction may be one 3-vector or an (N, 3) array. boresight overrides
-    the system's own pointing direction (used for the receiving end).
+    the system's own pointing direction (used for the receiving end): one
+    direction for all, or one per direction (N, 3). Only the horn uses it.
     """
     arr = np.asarray(direction, dtype=float)
     single = arr.ndim == 1
@@ -173,9 +174,14 @@ def gain(sys: AntennaSystem,
         cos_el = np.sqrt(np.clip(1.0 - pts[:, 2] ** 2, 0.0, 1.0))
         out = sys.peak_gain_linear * cos_el ** sys.pattern_exponent
     else:
-        b = np.asarray(boresight if boresight is not None else sys.boresight, float)
-        b = b / math.sqrt(b @ b)
+        b = np.asarray(sys.boresight if boresight is None else boresight, float).T
         # Elementwise, so a direction's gain does not depend on its batch.
+        n = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+        bad = ~((n > 1e-12) & (n < math.inf))
+        if bad.any():
+            raise ValueError("boresight must be a non-zero finite vector, "
+                             f"got {tuple(b.T[bad][0].tolist())}")
+        b = b / n
         cos_psi = pts[:, 0] * b[0] + pts[:, 1] * b[1] + pts[:, 2] * b[2]
         front = np.maximum(
             sys.peak_gain_linear * np.clip(cos_psi, 0.0, 1.0) ** sys.pattern_exponent,

@@ -86,8 +86,8 @@ class CarrierConfig:
     frequency: float  # Hz
 
     def __post_init__(self) -> None:
-        if self.frequency <= 0.0:
-            raise ValueError(f"carrier frequency must be > 0, got {self.frequency}")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"carrier frequency must be > 0 and finite, got {self.frequency}")
 
     @cached_property
     def wavelength(self) -> float:
@@ -164,31 +164,13 @@ class DelaySpreadTable:
 # Tap construction
 # ---------------------------------------------------------------------------
 
-def _rx_groups(table: PathTable, rx_boresight) -> list:
-    """(rows, receiver boresight) pairs that cover the rows of table.
-
-    rx_boresight is one direction for every row, one per receiver of the
-    table (R, 3), or None for each system's own reversed boresight.
-    """
-    if rx_boresight is None or np.ndim(rx_boresight) != 2:
-        return [(slice(None), rx_boresight)]
-    per_receiver = [tuple(b) for b in np.asarray(rx_boresight, float).tolist()]
-    unique = {b: g for g, b in enumerate(dict.fromkeys(per_receiver))}
-    if len(unique) == 1:
-        return [(slice(None), per_receiver[0])]
-    row_group = np.array([unique[b] for b in per_receiver])[table.receiver]
-    return [(row_group == g, b) for b, g in unique.items()]
-
-
-def _geo(table: PathTable, sys: AntennaSystem, groups: list) -> np.ndarray:
+def _geo(table: PathTable, sys: AntennaSystem, rx_boresight) -> np.ndarray:
     """The real factor of one system's tap amplitudes, (rows,):
-    geo_i = sqrt(T_R a_t a_r) * refl_i, with groups from _rx_groups."""
-    a_r = np.empty(len(table.length))
-    for rows, b in groups:
-        a_r[rows] = gain(sys, -table.arrival[rows],
-                         neg(sys.boresight) if b is None else b)
-    return (np.sqrt(gain(sys, table.departure) * a_r) * table.reflection
-            * math.sqrt(sys.tx_power_watts))
+    geo_i = sqrt(T_R a_t a_r) * refl_i. rx_boresight is one direction, one
+    per row (rows, 3), or None for the system's own reversed boresight."""
+    b = neg(sys.boresight) if rx_boresight is None else rx_boresight
+    return (np.sqrt(gain(sys, table.departure) * gain(sys, -table.arrival, b))
+            * table.reflection * math.sqrt(sys.tx_power_watts))
 
 
 def _prop(table: PathTable, frequencies: Sequence[float],
@@ -215,11 +197,11 @@ def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
                 frequency: float, rx_boresight,
                 atmospheric_loss_db_per_m: float) -> Tuple[PathTable, np.ndarray]:
     """The table of paths and its complex tap amplitudes (sqrt-watt) of one
-    system and carrier, (rows,), which are read-only.
+    system and carrier, (rows,).
 
-    A traced list keeps in its memo, per (system, rx boresight), the geo and
-    its product with each carrier's prop, and per (carrier, atmospheric
-    loss) the prop, so a call hashes the system once.
+    A traced list keeps in its memo the two factors of the amplitudes: the
+    geo per (system, rx boresight) and the prop per (carrier, atmospheric
+    loss).
     """
     table = paths.table if isinstance(paths, PathList) else None
     if table is None:
@@ -230,15 +212,13 @@ def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
     system_key = (sys, rx_boresight)
     carrier_key = (frequency, atmospheric_loss_db_per_m)
-    geo, products = systems.get(system_key) or systems.setdefault(
-        system_key, (_geo(table, sys, _rx_groups(table, rx_boresight)), {}))
-    amps = products.get(carrier_key)
-    if amps is None:
-        if carrier_key not in props:
-            props[carrier_key] = _prop(table, (frequency,), atmospheric_loss_db_per_m)[0]
-        amps = products[carrier_key] = geo * props[carrier_key]
-        amps.flags.writeable = False
-    return table, amps
+    geo = systems.get(system_key)
+    if geo is None:
+        geo = systems[system_key] = _geo(table, sys, rx_boresight)
+    prop = props.get(carrier_key)
+    if prop is None:
+        prop = props[carrier_key] = _prop(table, (frequency,), atmospheric_loss_db_per_m)[0]
+    return table, geo * prop
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -382,8 +362,8 @@ def _sweep_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
     env, tx, systems, frequencies, pol, max_order, atmos = ctx
     rx, rx_boresight = job
     table = trace_receivers(env, tx, rx, max_order, pol)
-    groups = _rx_groups(table, rx_boresight)
-    geo = np.array([_geo(table, sys, groups) for sys in systems])
+    b = rx_boresight[table.receiver]
+    geo = np.array([_geo(table, sys, b) for sys in systems])
     prop = _prop(table, frequencies, atmos)
     # The amplitudes need only the delays and the rows per receiver.
     delays, counts = table.delay, table.counts()
@@ -448,7 +428,7 @@ def run_sweep_grid(env: Environment,
 
     tx = vec3(tx)
     systems = tuple(systems)
-    frequencies = tuple(float(f) for f in frequencies)
+    frequencies = tuple(CarrierConfig(float(f)).frequency for f in frequencies)
     distances = np.linspace(rx_start, env.axis_length, n_samples)
     rx = np.array([env.axis_point(float(s), height=rx_height) for s in distances])
     rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])

@@ -352,12 +352,10 @@ class _Frame:
         return abs(other.offset - sign * self.offset) < 1e-9
 
 
-@lru_cache(maxsize=32)
 def _frames(env: Environment) -> Tuple[_Frame, ...]:
     return tuple(_Frame(i, s) for i, s in enumerate(env.surfaces))
 
 
-@lru_cache(maxsize=32)
 def _reflectors(env: Environment) -> Tuple[Tuple[_Frame, ...], ...]:
     """The surfaces grouped by plane, each group in surface-index order.
 
@@ -402,7 +400,6 @@ class _Surfaces(NamedTuple):
     conductor: np.ndarray  # (S,) bool
 
 
-@lru_cache(maxsize=32)
 def _surfaces(env: Environment) -> _Surfaces:
     s = env.surfaces
 

@@ -117,6 +117,18 @@ def test_horn_boresight_override():
     assert gain(s, (1.0, 0.0, 0.0), boresight=d) < s.peak_gain_linear
 
 
+@pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0), (math.nan, 1.0, 0.0), (0.0, math.inf, 0.0)])
+def test_horn_rejects_a_bad_boresight_row(bad):
+    """A zero or non-finite boresight row fails like AntennaSystem's check
+    instead of giving the back-lobe floor."""
+    s = system_preset("system3")
+    dirs = np.array([[1.0, 0.0, 0.0]] * 3)
+    with pytest.raises(ValueError, match="boresight must be a non-zero finite vector"):
+        gain(s, dirs, boresight=np.array([(1.0, 0.0, 0.0), bad, (0.0, 1.0, 0.0)]))
+    with pytest.raises(ValueError, match="boresight must be a non-zero finite vector"):
+        gain(s, dirs, boresight=bad)
+
+
 def test_gain_accepts_batches():
     s = system_preset("system2")
     dirs = fibonacci_sphere(64)

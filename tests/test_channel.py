@@ -49,6 +49,23 @@ def test_carrier_config():
         CarrierConfig(0.0)
 
 
+BAD_FREQUENCIES = [-60e9, 0.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("freq", BAD_FREQUENCIES)
+def test_carrier_and_sweeps_reject_a_bad_frequency(freq):
+    """One rule for every entry point: 0 < f < inf. A sweep at -60 GHz gave
+    the +60 GHz powers, and at 0 Hz, NaN or inf a grid of NOCOV."""
+    message = "carrier frequency must be > 0 and finite"
+    with pytest.raises(ValueError, match=message):
+        CarrierConfig(freq)
+    env = build_straight_tunnel()
+    with pytest.raises(ValueError, match=message):
+        run_sweep_grid(env, [ISO], [60e9, freq], n_samples=4)
+    with pytest.raises(ValueError, match=message):
+        delay_spread_table([env], [ISO], [freq], n_samples=4)
+
+
 # ---------------------------------------------------------------------------
 # Free-space behavior
 # ---------------------------------------------------------------------------
@@ -321,6 +338,8 @@ DUCTS = {
     "bent_tunnel": build_bent_tunnel(45.0),
     "plain_corridor": build_plain_corridor(),
     "obstacle_corridor": build_obstacle_corridor(),
+    # The second leg's boresight squares to 1 - 1e-16 summed term by term.
+    "bent_tunnel_80": build_bent_tunnel(80.0),
 }
 PRESETS = [system_preset(k) for k in ("system1", "system2", "system3")]
 
@@ -482,6 +501,36 @@ def test_lone_row_gain_equals_the_batched_gain():
     batched = mmray.antenna.gain(horn, dirs)
     lone = np.array([mmray.antenna.gain(horn, dirs[i:i + 1])[0] for i in range(len(dirs))])
     assert lone.view(np.uint64).tolist() == batched.view(np.uint64).tolist()
+    # Per-row boresights, not unit length, near the directions so that most
+    # gains are above the back-lobe floor.
+    boresights = (dirs + 0.3 * rng.normal(size=dirs.shape)) * rng.uniform(0.1, 10.0, (len(dirs), 1))
+    batched = mmray.antenna.gain(horn, dirs, boresights)
+    lone = np.array([mmray.antenna.gain(horn, dirs[i:i + 1], boresights[i])[0]
+                     for i in range(len(dirs))])
+    assert (batched > mmray.antenna.BACK_LOBE_GAIN).mean() > 0.5
+    assert lone.view(np.uint64).tolist() == batched.view(np.uint64).tolist()
+
+
+def _spy_on_gain(monkeypatch, record) -> list:
+    """record(args) of every gain call the channel makes, in call order."""
+    calls, original = [], mmray.channel.gain
+    monkeypatch.setattr(mmray.channel, "gain",
+                        lambda *args: calls.append(record(args)) or original(*args))
+    return calls
+
+
+def test_a_sweep_block_across_the_elbow_calls_gain_twice_per_system(monkeypatch):
+    """Receivers on both legs of the bent duct face back along their own
+    leg, yet each system gets one departure and one arrival call."""
+    env = DUCTS["bent_tunnel"]
+    distances = [12.0, 18.0, 26.0, 34.0]
+    rx = np.array([env.axis_point(d, height=1.5) for d in distances])
+    boresight = -np.array([env.axis_direction(d) for d in distances])
+    assert len({tuple(b) for b in boresight.tolist()}) == 2
+    calls = _spy_on_gain(monkeypatch, lambda args: args[0])
+    ctx = (env, TX, tuple(PRESETS), (60e9,), mmray.Polarization.TE, 2, 0.0)
+    mmray.channel._sweep_block(ctx, (rx, boresight))
+    assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
 
 
 def _fresh(paths):
@@ -519,10 +568,7 @@ def test_warm_per_call_results_equal_cold_ones(seed):
 
 def test_per_call_gains_are_evaluated_once_per_system(monkeypatch):
     paths = enumerate_paths(DUCTS["straight_tunnel"], TX, (10.0, 0.3, 1.5))
-    calls = []
-    original = mmray.channel.gain
-    monkeypatch.setattr(mmray.channel, "gain",
-                        lambda *args: calls.append(args[0]) or original(*args))
+    calls = _spy_on_gain(monkeypatch, lambda args: args[0])
     for system, carrier in itertools.product(PRESETS, CARRIERS):
         _per_call(paths, system, carrier, (-1.0, 0.0, 0.0), 0.0)
     assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
@@ -539,10 +585,8 @@ def test_interleaved_path_lists_evaluate_each_gain_once(monkeypatch):
     for i, paths in enumerate(lists):
         owner[tuple(p.departure_dir for p in paths)] = i
         owner[tuple(tuple(-c for c in p.arrival_dir) for p in paths)] = i
-    calls = []
-    original = mmray.channel.gain
-    monkeypatch.setattr(mmray.channel, "gain", lambda *args: calls.append(
-        (args[0], owner[tuple(map(tuple, args[1].tolist()))])) or original(*args))
+    calls = _spy_on_gain(monkeypatch,
+                         lambda args: (args[0], owner[tuple(map(tuple, args[1].tolist()))]))
     for system, carrier in itertools.product(PRESETS, CARRIERS):
         for paths in lists:
             impulse_response(paths, system, carrier, rx_boresight=(-1.0, 0.0, 0.0))
@@ -577,6 +621,16 @@ def test_alternating_path_lists_keep_their_own_values():
     cold_a, cold_b = (_per_call(_fresh(p), *args) for p in (a, b))
     assert cold_a != cold_b
     assert [_per_call(p, *args) for p in (a, b, a)] == [cold_a, cold_b, cold_a]
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
+def test_a_bad_rx_boresight_is_rejected(bad):
+    """The horn at (10, 0, 1.5) read -94.11 dBm, its back-lobe floor, for
+    these instead of -37.12 dBm."""
+    paths = enumerate_paths(DUCTS["straight_tunnel"], TX, (10.0, 0.0, 1.5))
+    assert round(received_power(paths, PRESETS[2], CARRIERS[0]), 2) == -37.12
+    with pytest.raises(ValueError, match="boresight must be a non-zero finite vector"):
+        received_power(paths, PRESETS[2], CARRIERS[0], rx_boresight=bad)
 
 
 def test_changing_only_the_boresight_or_the_loss_changes_the_result():
