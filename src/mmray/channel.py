@@ -3,14 +3,16 @@
 Each traced path becomes one complex tap. The coherent phasor sum of the
 taps gives the narrowband received power; tap powers versus delay give the
 power delay profile and its moments (mean excess delay, RMS delay spread).
-One kernel turns the rows of a tracer PathTable into tap amplitudes: a real
-factor per antenna system (gains, reflections, transmit power) times a
-complex factor per carrier (spreading, phase, slab transmission). A sweep
-slides the receiver along the duct centerline: it traces the positions in
-blocks sized by a byte budget over what a block holds (the tracer's arrays
-per (candidate, receiver) pair and the kernel's per-carrier factors). A
+The carrier enters a tap in two places only, the factor lambda/4pi and the
+phase k L, so one kernel turns the rows of a tracer PathTable into
+carrier-free factors: a real gain g per antenna system (antenna gains,
+reflections, slab magnitudes, 1/d, atmospheric loss) and the optical length
+L (path length plus each slab's sqrt(eps_r) t_eff). Tap powers are one
+profile up to (lambda/4pi)^2, so delay moments are taken once per system.
+A sweep slides the receiver along the duct centerline: it traces the
+positions in blocks sized by a byte budget over the tracer's arrays. A
 block, a pure function of its receivers and the sweep's settings, evaluates
-its factors once and forms amplitudes and per-receiver sums in chunks of
+its factors once and forms phases and per-receiver sums in chunks of
 receivers; one loop maps it over the blocks for any worker count.
 The per-path functions take a list of PathContribution. The list that
 enumerate_paths returns carries its table and the factors formed from it, so
@@ -25,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
     PathList,
     PathTable,
     Polarization,
+    _slab_factors,
     candidate_count,
     enumerate_paths,
     trace_receivers,
@@ -54,15 +57,14 @@ NO_COVERAGE = float("-inf")
 # at most _TRACE_BYTES (1.75 MiB) of arrays. A block of R receivers and C
 # image-tree candidates of up to max_order reflections is counted as C * R
 # (candidate, receiver) pairs. Each pair is counted as _SEGMENT_BYTES per path
-# segment (max_order + 1 of them) for the tracer's arrays at their peak, and as
-# _CARRIER_BYTES per carrier for the kernel's complex (carrier, row) factors,
-# of which three are alive at once (a pair gives at most one row). Larger
-# blocks cut the fixed cost per trace but raise the peak memory of a sweep.
+# segment (max_order + 1 of them) for the tracer's arrays at their peak; the
+# kernel's carrier-free (system, row) factors fit within that, and what it
+# holds per carrier is bounded by _BLOCK_CELLS. Larger blocks cut the fixed
+# cost per trace but raise the peak memory of a sweep.
 _TRACE_BYTES = 7 << 18
-_SEGMENT_BYTES = 96
-_CARRIER_BYTES = 48
-# Within a block, tap amplitudes are formed for at most _BLOCK_CELLS complex
-# (system, carrier, path) cells at a time (128 KB).
+_SEGMENT_BYTES = 144
+# Within a block, phases and amplitudes are formed for at most _BLOCK_CELLS
+# complex (system, carrier, path) cells at a time (128 KB).
 _BLOCK_CELLS = 1 << 13
 
 
@@ -98,8 +100,7 @@ class CarrierConfig:
         return 2.0 * math.pi / self.wavelength
 
 
-@dataclass(frozen=True)
-class ChannelTap:
+class ChannelTap(NamedTuple):
     """One resolvable multipath component of the impulse response."""
 
     delay: float        # seconds
@@ -165,7 +166,7 @@ class DelaySpreadTable:
 # ---------------------------------------------------------------------------
 
 def _geo(table: PathTable, sys: AntennaSystem, rx_boresight) -> np.ndarray:
-    """The real factor of one system's tap amplitudes, (rows,):
+    """The antenna and reflection factor of one system's gains, (rows,):
     geo_i = sqrt(T_R a_t a_r) * refl_i. rx_boresight is one direction, one
     per row (rows, 3), or None for the system's own reversed boresight."""
     b = neg(sys.boresight) if rx_boresight is None else rx_boresight
@@ -173,52 +174,74 @@ def _geo(table: PathTable, sys: AntennaSystem, rx_boresight) -> np.ndarray:
             * table.reflection * math.sqrt(sys.tx_power_watts))
 
 
-def _prop(table: PathTable, frequencies: Sequence[float],
-          atmospheric_loss_db_per_m: float) -> np.ndarray:
-    """The complex factor of the tap amplitudes, (carriers, rows):
-    prop_i = (lambda/4pi) * trans_i * exp(-j k d_i) / d_i, times the
-    atmospheric loss, if any."""
-    d = table.length
-    # Evaluated left to right; exp and the division work in place. The
-    # complex product does not: numpy rounds a one-element complex product
-    # written over its operand differently.
-    freqs = np.array(frequencies, float).reshape(-1, 1)
-    k = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-    prop = -1j * k * d
-    np.exp(prop, out=prop)
-    prop = SPEED_OF_LIGHT / (4.0 * math.pi) / freqs * table.transmission(frequencies) * prop
-    prop /= d
+def _path_factors(table: PathTable,
+                  atmospheric_loss_db_per_m: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The carrier-free factors of every row, (rows,) each: the real
+    h_i = prod(1 - r^2) * atm(d_i) / d_i and the optical length
+    L_i = d_i + sum sqrt(eps_r) t_eff, both over the row's slab crossings."""
+    d = optical = table.length
+    amp = np.ones_like(d)
+    rows = table.crossing_row
+    if len(rows):
+        slabs = [table.slabs[i] for i in table.crossing_slab.tolist()]
+        t, extra = _slab_factors(np.array([s.material.eps_r for s in slabs]),
+                                 np.array([s.thickness for s in slabs]),
+                                 table.crossing_angle, table.polarization)
+        # Each row's crossings are contiguous and in path order.
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        amp[rows[first]] = np.multiply.reduceat(t, first)
+        optical = d.copy()
+        optical[rows[first]] += np.add.reduceat(extra, first)
+    h = amp / d
     if atmospheric_loss_db_per_m > 0.0:
-        prop *= 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
-    return prop
+        h *= 10.0 ** (-atmospheric_loss_db_per_m * d / 20.0)
+    return h, optical
 
 
-def _amplitudes(paths: Sequence[PathContribution], sys: AntennaSystem,
-                frequency: float, rx_boresight,
-                atmospheric_loss_db_per_m: float) -> Tuple[PathTable, np.ndarray]:
-    """The table of paths and its complex tap amplitudes (sqrt-watt) of one
-    system and carrier, (rows,).
+def _phase(frequencies: np.ndarray, optical: np.ndarray) -> np.ndarray:
+    """exp(-j k L), the carrier's one phase factor, of carriers broadcast
+    against optical lengths."""
+    x = -1j * (2.0 * math.pi * frequencies / SPEED_OF_LIGHT) * optical
+    return np.exp(x, out=x)
 
-    A traced list keeps in its memo the two factors of the amplitudes: the
-    geo per (system, rx boresight) and the prop per (carrier, atmospheric
-    loss).
+
+def _coherent(amps: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
+    """Coherent power in watts, (lambda/4pi)^2 |sum a|^2, of amplitudes
+    a = g exp(-j k L) summed over the last axis; frequencies broadcast
+    against the sums."""
+    return np.abs(amps.sum(axis=-1)) ** 2 * (SPEED_OF_LIGHT / (4.0 * math.pi) / frequencies) ** 2
+
+
+def _memo(cache: dict, key, make):
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+    return value
+
+
+def _terms(paths: Sequence[PathContribution], sys: AntennaSystem,
+           frequency: float, rx_boresight,
+           atmospheric_loss_db_per_m: float) -> Tuple[PathTable, np.ndarray, np.ndarray]:
+    """The table of paths, and the real gains g = geo * h and the phases
+    exp(-j k L) of one system and carrier, (rows,) each.
+
+    A traced list keeps in its memo the path factors per atmospheric loss,
+    g per (system, rx boresight, atmospheric loss) and the phases per
+    carrier.
     """
     table = paths.table if isinstance(paths, PathList) else None
     if table is None:
-        table, (systems, props) = PathTable.from_paths(paths), ({}, {})
+        table, memo = PathTable.from_paths(paths), ({}, {}, {})
     else:
-        systems, props = paths.memo
+        memo = paths.memo
     if rx_boresight is not None and type(rx_boresight) is not tuple:
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
-    system_key = (sys, rx_boresight)
-    carrier_key = (frequency, atmospheric_loss_db_per_m)
-    geo = systems.get(system_key)
-    if geo is None:
-        geo = systems[system_key] = _geo(table, sys, rx_boresight)
-    prop = props.get(carrier_key)
-    if prop is None:
-        prop = props[carrier_key] = _prop(table, (frequency,), atmospheric_loss_db_per_m)[0]
-    return table, geo * prop
+    factors, gains, phases = memo
+    atmos = atmospheric_loss_db_per_m
+    h, optical = _memo(factors, atmos, lambda: _path_factors(table, atmos))
+    g = _memo(gains, (sys, rx_boresight, atmos), lambda: _geo(table, sys, rx_boresight) * h)
+    phase = _memo(phases, frequency, lambda: _phase(np.array([frequency]), optical))
+    return table, g, phase
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -228,15 +251,19 @@ def received_power(paths: Sequence[PathContribution],
                    atmospheric_loss_db_per_m: float = 0.0) -> float:
     """Coherent narrowband received power in dBm.
 
-    R = T_R * (lambda/4pi)^2 * |sum_i sqrt(a_t a_r) refl_i trans_i
-        exp(-j k d_i)/d_i|^2. An empty path list (blocked receiver) returns
-    the NO_COVERAGE sentinel rather than raising.
+    R = (lambda/4pi)^2 * |sum_i g_i exp(-j k L_i)|^2, with the real
+    g_i = sqrt(T_R a_t a_r) refl_i prod(1 - r^2) atm(d_i) / d_i and the
+    optical length L_i = d_i + sum sqrt(eps_r) t_eff over the path's slab
+    crossings. An empty path list (blocked receiver) returns the
+    NO_COVERAGE sentinel rather than raising.
     """
     if not paths:
         return NO_COVERAGE
-    _, amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
-                          atmospheric_loss_db_per_m)
-    return watts_to_dbm(np.abs(amps.sum()) ** 2)
+    _, g, phase = _terms(paths, sys, carrier.frequency, rx_boresight,
+                         atmospheric_loss_db_per_m)
+    # A batch of one receiver, so the sum takes the sweep's array path.
+    watts = _coherent((g * phase)[None], np.array([carrier.frequency]))
+    return watts_to_dbm(float(watts[0]))
 
 
 def impulse_response(paths: Sequence[PathContribution],
@@ -244,19 +271,21 @@ def impulse_response(paths: Sequence[PathContribution],
                      carrier: CarrierConfig,
                      rx_boresight: Optional[Vec3] = None,
                      atmospheric_loss_db_per_m: float = 0.0) -> List[ChannelTap]:
-    """One complex tap per traced path, sorted by delay.
+    """One complex tap per traced path, sorted by delay: amplitude
+    (lambda/4pi) g_i exp(-j k L_i) and power ((lambda/4pi) g_i)^2.
 
     Summing the tap amplitudes coherently reproduces received_power.
     """
     if not paths:
         return []
-    table, amps = _amplitudes(paths, sys, carrier.frequency, rx_boresight,
-                              atmospheric_loss_db_per_m)
+    table, g, phase = _terms(paths, sys, carrier.frequency, rx_boresight,
+                             atmospheric_loss_db_per_m)
     delays = table.delay
     order = delays.argsort(kind="stable")
-    amps = amps[order]
-    return list(map(ChannelTap, delays[order].tolist(), amps.tolist(),
-                    (np.abs(amps) ** 2).tolist()))
+    amps = SPEED_OF_LIGHT / (4.0 * math.pi) / carrier.frequency * g[order]
+    # tuple.__new__ makes each tap without the Python-level ChannelTap.__new__.
+    return list(map(partial(tuple.__new__, ChannelTap), zip(
+        delays[order].tolist(), (amps * phase[order]).tolist(), (amps * amps).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -353,46 +382,49 @@ def _sweep_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
 
     ctx is (env, tx, systems, frequencies, polarization, max_order,
     atmospheric loss in dB/m), job the block's (receivers, rx boresights).
-    Each result is an array indexed [receiver, system, frequency]. The tap
-    factors are evaluated once for the block; amplitudes are formed per
-    row-count group, a chunk of at most _BLOCK_CELLS cells at a time. A
-    receiver's values depend only on its own rows, so results merge
-    identically for any block, chunk and worker count.
+    Each result is an array indexed [receiver, system, frequency]. The
+    real gains are evaluated once for the block. The delay moments are
+    taken of their squares, once per system, and hold for every carrier;
+    the phases and coherent sums are formed per row-count group, a chunk
+    of at most _BLOCK_CELLS cells at a time. A receiver's values depend
+    only on its own rows, so results merge identically for any block,
+    chunk and worker count.
     """
     env, tx, systems, frequencies, pol, max_order, atmos = ctx
     rx, rx_boresight = job
     table = trace_receivers(env, tx, rx, max_order, pol)
+    h, optical = _path_factors(table, atmos)
     b = rx_boresight[table.receiver]
-    geo = np.array([_geo(table, sys, b) for sys in systems])
-    prop = _prop(table, frequencies, atmos)
-    # The amplitudes need only the delays and the rows per receiver.
+    g = np.array([_geo(table, sys, b) for sys in systems]) * h  # (S, rows)
+    # Of the table, the kernel needs only the delays and the rows per receiver.
     delays, counts = table.delay, table.counts()
     del table
+    freqs = np.array(frequencies)
     shape = (len(systems), len(frequencies), len(rx))
     coherent = np.zeros(shape)
-    rms = np.full(shape, math.nan)
-    excess = np.full(shape, math.nan)
+    rms = np.full(shape[::2], math.nan)
+    excess = np.full(shape[::2], math.nan)
     for receivers, rows in _receiver_rows(counts):
+        d = delays[rows]
+        rms[:, receivers], excess[:, receivers] = _delay_moments(
+            d, g[:, rows] ** 2, d.min(axis=-1, keepdims=True))
         step = max(1, _BLOCK_CELLS // (len(systems) * len(frequencies) * rows.shape[1]))
         for i in range(0, len(receivers), step):
             chunk, r = receivers[i:i + step], rows[i:i + step]
             # C order, so each receiver's rows are summed as a dense last axis.
-            a = np.multiply(geo[:, None, r], prop[:, r], order="C")  # (S, F, receivers, n)
-            coherent[..., chunk] = np.abs(a.sum(axis=-1)) ** 2
-            d = delays[r]
-            rms[..., chunk], excess[..., chunk] = _delay_moments(
-                d, np.abs(a) ** 2, d.min(axis=-1, keepdims=True))
+            a = np.multiply(g[:, None, r], _phase(freqs[:, None, None], optical[r]), order="C")
+            coherent[..., chunk] = _coherent(a, freqs[:, None])  # a is (S, F, receivers, n)
     # No rows (no coverage) leaves zero power: NO_COVERAGE and NaN moments.
     power = np.full(shape, NO_COVERAGE)
     covered = ~(coherent <= 0.0)
     power[covered] = watts_to_dbm(coherent[covered])
+    rms, excess = (np.broadcast_to(x[:, None], shape) for x in (rms, excess))
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
-def _block_receivers(candidates: int, max_order: int, carriers: int) -> int:
+def _block_receivers(candidates: int, max_order: int) -> int:
     """Receivers per trace block under _TRACE_BYTES, at least one."""
-    pair_bytes = _SEGMENT_BYTES * (max_order + 1) + _CARRIER_BYTES * carriers
-    return max(1, _TRACE_BYTES // (candidates * pair_bytes))
+    return max(1, _TRACE_BYTES // (candidates * _SEGMENT_BYTES * (max_order + 1)))
 
 
 def run_sweep_grid(env: Environment,
@@ -434,7 +466,7 @@ def run_sweep_grid(env: Environment,
     rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
     block = partial(_sweep_block, (env, tx, systems, frequencies, polarization, max_order, atmos))
-    size = _block_receivers(candidate_count(env, tx, max_order), max_order, len(frequencies))
+    size = _block_receivers(candidate_count(env, tx, max_order), max_order)
     starts = range(0, n_samples, size)
     jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in starts]
 

@@ -50,9 +50,6 @@ _ON_PLANE = 1e-12
 # Closest transmitter-receiver separation in metres a trace accepts: below
 # it the direct path has no usable direction and a meaningless power.
 _MIN_SEPARATION = 1e-9
-# Slab transmission of a table without slab crossings: a broadcastable 1.
-_NO_CROSSINGS = np.ones((1, 1), complex)
-_NO_CROSSINGS.flags.writeable = False
 
 
 class Polarization(Enum):
@@ -102,38 +99,23 @@ def slab_transmission(slab: ObstacleSlab, theta: float, frequency: float,
     """Amplitude transmission through a thin slab crossed at angle theta.
 
     Two air-dielectric interfaces without internal multiple reflections:
-    T = (1 - r^2) * exp(-j * k_slab * t_eff), where r is the single-interface
-    Fresnel coefficient, k_slab the in-slab wavenumber and t_eff the in-slab
-    path length. Conductor slabs transmit nothing.
+    T = (1 - r^2) * exp(-j * k * sqrt(eps_r) * t_eff), where r is the
+    single-interface Fresnel coefficient, k the free-space wavenumber and
+    t_eff the in-slab path length. Conductor slabs transmit nothing.
     """
     if slab.material.is_conductor:
         return 0.0j
     _check_angle(theta)
-    return complex(_slab_transmission(slab.material.eps_r, slab.thickness,
-                                      np.float64(theta), frequency, pol))
+    amp, optical = _slab_factors(slab.material.eps_r, slab.thickness, np.float64(theta), pol)
+    return complex(amp * np.exp(-1j * (2.0 * math.pi * frequency / SPEED_OF_LIGHT) * optical))
 
 
-def _slab_transmission(eps_r, thickness, theta, frequency, pol: Polarization) -> np.ndarray:
-    """slab_transmission of dielectric slabs, broadcast over arrays.
-
-    The phase and its cosine and sine are formed in place, so besides the
-    complex result at most two real arrays of its shape are held.
-    """
+def _slab_factors(eps_r, thickness, theta, pol: Polarization):
+    """The carrier-free factors of slab_transmission, broadcast over arrays:
+    the magnitude 1 - r^2 and the optical thickness sqrt(eps_r) * t_eff."""
     r = _fresnel(eps_r, theta, pol)
     cos_t = np.sqrt(1.0 - np.sin(theta) ** 2 / eps_r)
-    t_eff = thickness / cos_t
-    amp = 1.0 - r * r
-    # k_slab * t_eff, with k_slab = 2 pi f sqrt(eps_r) / c.
-    phase = 2.0 * math.pi * frequency * np.sqrt(eps_r)
-    phase /= SPEED_OF_LIGHT
-    phase *= t_eff
-    out = np.empty(np.shape(phase), complex)
-    part = np.cos(phase, out=np.empty(out.shape))
-    np.multiply(amp, part, out=out.real)
-    np.sin(phase, out=part)
-    np.negative(part, out=part)
-    np.multiply(amp, part, out=out.imag)
-    return out
+    return 1.0 - r * r, np.sqrt(eps_r) * (thickness / cos_t)
 
 
 @dataclass(frozen=True)
@@ -225,27 +207,6 @@ class PathTable:
         """Rows per receiver."""
         return np.bincount(self.receiver, minlength=len(self.rx))
 
-    def transmission(self, frequencies: Sequence[float]) -> np.ndarray:
-        """Product of slab transmissions of every row, (carriers, M) complex.
-
-        A table without slab crossings gives a read-only (1, 1) array of
-        ones, which broadcasts as that product.
-        """
-        if not len(self.crossing_row):
-            return _NO_CROSSINGS
-        freqs = np.asarray(frequencies, float).reshape(-1, 1)
-        rows = self.crossing_row
-        slabs = [self.slabs[i] for i in self.crossing_slab.tolist()]
-        t = _slab_transmission(np.array([s.material.eps_r for s in slabs]),
-                               np.array([s.thickness for s in slabs]),
-                               self.crossing_angle, freqs, self.polarization)
-        # Each row's crossings are contiguous and in path order.
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        t = np.multiply.reduceat(t, first, axis=1)
-        trans = np.ones((len(freqs), len(self.length)), complex)
-        trans[:, rows[first]] = t
-        return trans
-
     def paths(self, r: int) -> "PathList":
         """The rows of receiver r as PathContribution objects, in a PathList."""
         lo, hi = np.searchsorted(self.receiver, [r, r + 1]).tolist()
@@ -309,12 +270,13 @@ class PathTable:
 class PathList(list):
     """A receiver's paths, which carry the PathTable they were made from if
     it holds no other receiver, and a memo for the channel's factors of it (a
-    dict per antenna system and one per carrier). table is None once the
-    list no longer holds the objects it was made with, in their order."""
+    dict per atmospheric loss, one per antenna system and one per carrier).
+    table is None once the list no longer holds the objects it was made
+    with, in their order."""
 
     def __init__(self, table: Optional[PathTable], paths: List[PathContribution]):
         super().__init__(paths)
-        self._table, self._made, self.memo = table, tuple(paths), ({}, {})
+        self._table, self._made, self.memo = table, tuple(paths), ({}, {}, {})
 
     @property
     def table(self) -> Optional[PathTable]:

@@ -6,6 +6,7 @@ the tracer or channel internals, so that agreement between the two code
 paths is meaningful evidence rather than a tautology.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -258,6 +259,25 @@ def coherent_power_watts(paths, frequency, tx_power_dbm, surfaces):
     amps = np.array(refls) * np.exp(-1j * k * d) / d
     scale = math.sqrt(t_r) * lam / (4.0 * math.pi)
     return float(abs(np.sum(scale * amps)) ** 2)
+
+
+def phasor_sum_dbm(paths, frequency, tx_power_dbm, gains):
+    """Coherent power in dBm of paths through slabs, one complex term per path.
+
+        P = T_R (lambda / 4 pi)^2 | sum_i sqrt(G_i) R_i T_i(f) e^{-j k d_i} / d_i |^2
+
+    gains: the power gain product a_t a_r of each path. R_i is the path's
+    reflection_product and T_i(f) its transmission_product, so the slab
+    phase enters through each crossing's own transmission coefficient.
+    """
+    lam = SPEED_OF_LIGHT / frequency
+    k = 2.0 * math.pi / lam
+    total = 0j
+    for path, g in zip(paths, gains):
+        total += (math.sqrt(g) * path.reflection_product * path.transmission_product(frequency)
+                  * cmath.exp(-1j * k * path.length) / path.length)
+    watts = 10.0 ** (tx_power_dbm / 10.0) / 1000.0 * (lam / (4.0 * math.pi)) ** 2 * abs(total) ** 2
+    return 10.0 * math.log10(watts * 1000.0)
 
 
 def friis_dbm(tx_power_dbm, frequency, distance):

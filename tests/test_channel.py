@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import mmray
 from mmray import (
-    ATMOSPHERIC_LOSS_DB_PER_M, NO_COVERAGE, CarrierConfig, ChannelTap, PowerDelayProfile,
-    build_bent_tunnel,
+    ATMOSPHERIC_LOSS_DB_PER_M, NO_COVERAGE, CarrierConfig, ChannelTap, Material, ObstacleSlab,
+    Polarization, PowerDelayProfile, build_bent_tunnel,
     build_obstacle_corridor, build_plain_corridor, build_straight_tunnel,
     dbm_to_watts, delay_spread_table, enumerate_paths, free_space,
     impulse_response, make_system, mean_excess_delay, power_delay_profile,
@@ -23,7 +23,7 @@ from mmray import (
     watts_to_dbm,
 )
 from mmray.tracer import candidate_count, trace_receivers
-from oracles import friis_dbm, power_delay_profile_reference
+from oracles import friis_dbm, phasor_sum_dbm, power_delay_profile_reference
 
 TX = (0.0, 0.0, 2.0)
 ISO = system_preset("system1")
@@ -346,27 +346,86 @@ PRESETS = [system_preset(k) for k in ("system1", "system2", "system3")]
 
 @pytest.mark.parametrize("name", sorted(DUCTS))
 def test_sweep_matches_the_per_path_functions_at_every_position(name):
+    """Without and with the atmospheric loss, which enters the real gains."""
     env = DUCTS[name]
     freqs = [60e9, 80e9]
-    grid = run_sweep_grid(env, PRESETS, freqs, n_samples=64)
-    for i, d in enumerate(grid.distances.tolist()):
-        paths = enumerate_paths(env, TX, env.axis_point(d, height=1.5))
-        boresight = tuple(-c for c in env.axis_direction(d))
-        if not paths:
-            assert np.all(grid.power_dbm[i] == NO_COVERAGE)
-            assert np.all(np.isnan(grid.rms_spread[i]) & np.isnan(grid.mean_excess[i]))
-            continue
-        for s, system in enumerate(PRESETS):
-            for f, freq in enumerate(freqs):
-                carrier = CarrierConfig(freq)
-                assert grid.power_dbm[i, s, f] == received_power(
-                    paths, system, carrier, rx_boresight=boresight)
-                pdp = power_delay_profile(impulse_response(paths, system, carrier,
-                                                           rx_boresight=boresight))
-                assert grid.rms_spread[i, s, f] == pytest.approx(
-                    rms_delay_spread(pdp), rel=1e-9, abs=1e-15)
-                assert grid.mean_excess[i, s, f] == pytest.approx(
-                    mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
+    for atmospheric in (False, True):
+        grid = run_sweep_grid(env, PRESETS, freqs, n_samples=64, atmospheric=atmospheric)
+        loss = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
+        for i, d in enumerate(grid.distances.tolist()):
+            paths = enumerate_paths(env, TX, env.axis_point(d, height=1.5))
+            kw = dict(rx_boresight=tuple(-c for c in env.axis_direction(d)),
+                      atmospheric_loss_db_per_m=loss)
+            if not paths:
+                assert np.all(grid.power_dbm[i] == NO_COVERAGE)
+                assert np.all(np.isnan(grid.rms_spread[i]) & np.isnan(grid.mean_excess[i]))
+                continue
+            for s, system in enumerate(PRESETS):
+                for f, freq in enumerate(freqs):
+                    carrier = CarrierConfig(freq)
+                    assert grid.power_dbm[i, s, f] == received_power(paths, system, carrier, **kw)
+                    pdp = power_delay_profile(impulse_response(paths, system, carrier, **kw))
+                    assert grid.rms_spread[i, s, f] == pytest.approx(
+                        rms_delay_spread(pdp), rel=1e-9, abs=1e-15)
+                    assert grid.mean_excess[i, s, f] == pytest.approx(
+                        mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
+
+
+def test_path_factors_carry_each_rows_transmission_product():
+    """A row's carrier-free factors hold its slab transmissions: without a
+    crossing h = 1/d and L = d exactly; with one or two, wood at 10 m and
+    glass at 30 m, (h d) exp(-j k (L - d)) is the row's transmission_product.
+    The tolerance is one rounding of L = d + sqrt(eps_r) t_eff, which moves
+    the phase by up to k ulp(d) / 2 = 6.7e-12 rad at 90 GHz and d < 64 m
+    (the worst row reads 6.5e-12)."""
+    slabs = (
+        ObstacleSlab("wooden_door", 10.0, 0.1, Material("wood", 3.3)),
+        ObstacleSlab("glass_door", 30.0, 0.1, Material("glass", 6.0)),
+    )
+    env = build_obstacle_corridor(obstacles=slabs)
+    rx = [env.axis_point(d, height=1.5) for d in np.linspace(1.0, 43.0, 40)]
+    freqs = np.array([60e9 + 5e9 * k for k in range(7)])
+    k = 2.0 * math.pi * freqs / 299792458.0
+    for pol in Polarization:
+        table = trace_receivers(env, TX, rx, 2, pol)
+        h, optical = mmray.channel._path_factors(table, 0.0)
+        paths = [p for r in range(len(rx)) for p in table.paths(r)]
+        assert len(paths) == len(h) == len(optical)
+        assert {len(p.crossings) for p in paths} >= {0, 1, 2}
+        for path, h_i, length_i in zip(paths, h.tolist(), optical.tolist()):
+            d = path.length
+            if not path.crossings:
+                assert (h_i, length_i) == (1.0 / d, d)
+                continue
+            want = [path.transmission_product(f) for f in freqs.tolist()]
+            np.testing.assert_allclose((h_i * d) * np.exp(-1j * k * (length_i - d)), want,
+                                       rtol=2e-11, atol=0.0)
+
+
+def test_received_power_equals_a_phasor_sum_over_the_paths():
+    """In the obstacle corridor, on and off the axis in front of the lift,
+    received_power equals the oracle's sum of one complex term per path,
+    with the slab phase taken from each crossing's transmission."""
+    env = DUCTS["obstacle_corridor"]
+    rng = np.random.default_rng(3)
+    receivers = [env.axis_point(d, height=1.5) for d in np.linspace(1.0, 19.5, 19).tolist()]
+    receivers += [(rng.uniform(1.0, 19.5), rng.uniform(-0.9, 0.9), rng.uniform(0.4, 2.4))
+                  for _ in range(19)]
+    crossed = 0
+    for rx in receivers:
+        paths = enumerate_paths(env, TX, rx)
+        crossed += any(p.crossings for p in paths)
+        boresight = tuple(-c for c in env.axis_direction(rx[0]))
+        departure = np.array([p.departure_dir for p in paths])
+        arrival = np.array([p.arrival_dir for p in paths])
+        for system in PRESETS:
+            gains = (mmray.antenna.gain(system, departure)
+                     * mmray.antenna.gain(system, -arrival, boresight)).tolist()
+            for carrier in CARRIERS:
+                want = phasor_sum_dbm(paths, carrier.frequency, system.tx_power_dbm, gains)
+                got = received_power(paths, system, carrier, rx_boresight=boresight)
+                assert got == pytest.approx(want, abs=1e-9)
+    assert crossed > len(receivers) // 3
 
 
 BLOCK_CASES = {  # name -> (duct, carriers)
@@ -394,11 +453,9 @@ def _assert_budgets_do_not_matter(monkeypatch, name, trace_bytes, cells):
     _assert_grids_equal(together, run_sweep_grid(env, PRESETS, freqs, n_samples=48))
 
 
-def _trace_budget(env, carriers: int, receivers: int) -> int:
+def _trace_budget(env, receivers: int) -> int:
     """The trace budget that gives blocks of the given number of receivers."""
-    channel = mmray.channel
-    return (receivers * candidate_count(env, TX, 2)
-            * (channel._SEGMENT_BYTES * 3 + channel._CARRIER_BYTES * carriers))
+    return receivers * candidate_count(env, TX, 2) * mmray.channel._SEGMENT_BYTES * 3
 
 
 def _spy_on_trace_blocks(monkeypatch) -> list:
@@ -421,7 +478,7 @@ def test_sweep_does_not_depend_on_trace_blocks(monkeypatch, name, receivers):
     env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
     blocks = _spy_on_trace_blocks(monkeypatch)
     _assert_budgets_do_not_matter(monkeypatch, name,
-                                  _trace_budget(env, len(freqs), receivers), 1 << 30)
+                                  _trace_budget(env, receivers), 1 << 30)
     ragged = [48 % receivers] if 48 % receivers else []
     assert blocks == [48] + [receivers] * (48 // receivers) + ragged
 
@@ -449,7 +506,7 @@ def test_the_pool_fills_the_grid_in_position_order(monkeypatch):
     env = build_bent_tunnel(45.0)
     together = run_sweep_grid(env, [ISO], [60e9], n_samples=24)
     assert np.isinf(together.power_dbm).any() and np.isfinite(together.power_dbm).any()
-    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", _trace_budget(env, 1, 5))
+    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", _trace_budget(env, 5))
     blocks = _spy_on_trace_blocks(monkeypatch)
     serial = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=1)
     assert blocks == [5, 5, 5, 5, 4]
@@ -465,7 +522,7 @@ def test_every_sweep_block_stays_within_the_trace_budget(name, carriers):
     with tracemalloc over every block of a 1024-position sweep, is at most
     the budget the block was sized by."""
     env, freqs = DUCTS[name], tuple(60e9 + 1e9 * k for k in range(carriers))
-    size = mmray.channel._block_receivers(candidate_count(env, TX, 2), 2, carriers)
+    size = mmray.channel._block_receivers(candidate_count(env, TX, 2), 2)
     distances = np.linspace(1.0, env.axis_length, 1024).tolist()
     rx = np.array([env.axis_point(d, height=1.5) for d in distances])
     boresight = -np.array([env.axis_direction(d) for d in distances])

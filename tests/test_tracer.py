@@ -415,29 +415,6 @@ def test_two_dielectric_crossings_compound():
     assert t_both < t_wood < 1.0
 
 
-def test_table_transmission_equals_each_rows_transmission_product():
-    # wood at 10 m and glass at 30 m, no lift: rows behind 30 m cross both
-    slabs = (
-        ObstacleSlab("wooden_door", 10.0, 0.1, Material("wood", 3.3)),
-        ObstacleSlab("glass_door", 30.0, 0.1, Material("glass", 6.0)),
-    )
-    env = build_obstacle_corridor(obstacles=slabs)
-    rx = [env.axis_point(d, height=1.5) for d in np.linspace(1.0, 43.0, 40)]
-    freqs = [60e9 + 5e9 * k for k in range(7)]
-    for pol in Polarization:
-        table = tracer.trace_receivers(env, TX, rx, 2, pol)
-        trans = table.transmission(freqs)
-        paths = [p for r in range(len(rx)) for p in table.paths(r)]
-        assert len(paths) == trans.shape[1]
-        assert {len(p.crossings) for p in paths} >= {0, 1, 2}
-        for path, got in zip(paths, trans.T):
-            want = [path.transmission_product(f) for f in freqs]
-            if len(path.crossings) < 2:
-                assert got.tolist() == want
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-
-
 def test_blocked_receiver_in_plain_corridor_does_not_happen():
     env = build_plain_corridor()
     for d in (1.0, 10.0, 25.0, 43.9):
