@@ -9,21 +9,19 @@ carrier-free factors: a real gain g per antenna system (antenna gains,
 reflections, slab magnitudes, 1/d, atmospheric loss) and the optical length
 L (path length plus each slab's sqrt(eps_r) t_eff). Tap powers are one
 profile up to (lambda/4pi)^2, so delay moments are taken once per system.
-A sweep slides the receiver along the duct centerline: it traces the
-positions in blocks sized by a byte budget over the tracer's arrays. A
-block, a pure function of its receivers and the sweep's settings, evaluates
-its factors once and forms phases and per-receiver sums in chunks of
-receivers; one loop maps it over the blocks for any worker count.
-The per-path functions take a list of PathContribution. The list that
-enumerate_paths returns carries its table and the factors formed from it, so
-calls for several systems and carriers on one list evaluate each system's
-gains and each carrier's phases once; other sequences go through from_paths.
+A sweep traces receivers along the duct centerline in blocks sized by a
+byte budget. A block, a pure function of its receivers and the settings,
+forms its factors and moments once; a sweep's block adds phases and
+coherent sums, a delay-spread table's forms neither. One loop maps a block
+over the blocks for any worker count. The per-path functions take a list
+of PathContribution; the list enumerate_paths returns carries its table
+and a memo, so each system's gains and each carrier's phases are formed
+once per list; other sequences go through from_paths.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -365,60 +363,59 @@ def mean_excess_delay(pdp: PowerDelayProfile) -> float:
 # ---------------------------------------------------------------------------
 
 def _receiver_rows(counts: np.ndarray):
-    """(receivers, row indices (receivers, n)) for each row count n > 0.
-
-    Gathering x[..., rows] lays each receiver's n rows out as one dense last
-    axis, so a .sum over it adds them in the same order as for that receiver
-    alone.
-    """
+    """(receivers, row indices (receivers, n)) for each row count n > 0:
+    gathering x[..., rows] lays each receiver's n rows out as one dense last
+    axis, so a .sum over it adds them in the same order as for it alone."""
     starts = np.cumsum(counts) - counts
     for n in sorted(set(counts.tolist()) - {0}):
         receivers = np.flatnonzero(counts == n)
         yield receivers, starts[receivers, None] + np.arange(n)
 
 
-def _sweep_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
-    """Powers (dBm) and delay moments (s) of a block of receiver positions.
-
-    ctx is (env, tx, systems, frequencies, polarization, max_order,
+def _trace_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
+    """What every sweep block forms: the real gains g (systems, rows), the
+    optical lengths (rows,), the row-count groups, and the RMS delay spread
+    and mean excess delay (s) of g^2, (2, systems, receivers), NaN without
+    rows. ctx is (env, tx, systems, frequencies, polarization, max_order,
     atmospheric loss in dB/m), job the block's (receivers, rx boresights).
-    Each result is an array indexed [receiver, system, frequency]. The
-    real gains are evaluated once for the block. The delay moments are
-    taken of their squares, once per system, and hold for every carrier;
-    the phases and coherent sums are formed per row-count group, a chunk
-    of at most _BLOCK_CELLS cells at a time. A receiver's values depend
-    only on its own rows, so results merge identically for any block,
-    chunk and worker count.
-    """
-    env, tx, systems, frequencies, pol, max_order, atmos = ctx
+    A receiver's values depend only on its own rows, so results merge
+    identically for any block and worker count."""
+    env, tx, systems, _, pol, max_order, atmos = ctx
     rx, rx_boresight = job
     table = trace_receivers(env, tx, rx, max_order, pol)
     h, optical = _path_factors(table, atmos)
     b = rx_boresight[table.receiver]
     g = np.array([_geo(table, sys, b) for sys in systems]) * h  # (S, rows)
-    # Of the table, the kernel needs only the delays and the rows per receiver.
-    delays, counts = table.delay, table.counts()
-    del table
-    freqs = np.array(frequencies)
-    shape = (len(systems), len(frequencies), len(rx))
-    coherent = np.zeros(shape)
-    rms = np.full(shape[::2], math.nan)
-    excess = np.full(shape[::2], math.nan)
-    for receivers, rows in _receiver_rows(counts):
+    delays, groups = table.delay, list(_receiver_rows(table.counts()))
+    moments = np.full((2, len(systems), len(rx)), math.nan)
+    for receivers, rows in groups:
         d = delays[rows]
-        rms[:, receivers], excess[:, receivers] = _delay_moments(
-            d, g[:, rows] ** 2, d.min(axis=-1, keepdims=True))
-        step = max(1, _BLOCK_CELLS // (len(systems) * len(frequencies) * rows.shape[1]))
+        moments[..., receivers] = _delay_moments(d, g[:, rows] ** 2, d.min(axis=-1, keepdims=True))
+    return g, optical, groups, moments
+
+
+def _spread_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
+    """A table's block: RMS delay spreads (s) [receiver, system], no phases."""
+    return (_trace_block(ctx, job)[3][0].T,)
+
+
+def _sweep_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
+    """A sweep's block: powers (dBm) and delay moments (s) [receiver, system,
+    frequency], its phases formed in chunks of at most _BLOCK_CELLS cells."""
+    g, optical, groups, moments = _trace_block(ctx, job)
+    freqs = np.array(ctx[3])
+    shape = (len(g), len(freqs), moments.shape[-1])
+    coherent = np.zeros(shape)
+    for receivers, rows in groups:
+        step = max(1, _BLOCK_CELLS // (shape[0] * shape[1] * rows.shape[1]))
         for i in range(0, len(receivers), step):
             chunk, r = receivers[i:i + step], rows[i:i + step]
             # C order, so each receiver's rows are summed as a dense last axis.
             a = np.multiply(g[:, None, r], _phase(freqs[:, None, None], optical[r]), order="C")
             coherent[..., chunk] = _coherent(a, freqs[:, None])  # a is (S, F, receivers, n)
-    # No rows (no coverage) leaves zero power: NO_COVERAGE and NaN moments.
-    power = np.full(shape, NO_COVERAGE)
-    covered = ~(coherent <= 0.0)
-    power[covered] = watts_to_dbm(coherent[covered])
-    rms, excess = (np.broadcast_to(x[:, None], shape) for x in (rms, excess))
+    with np.errstate(divide="ignore"):  # no rows (no coverage): zero power, NO_COVERAGE
+        power = watts_to_dbm(coherent)
+    rms, excess = (np.broadcast_to(x[:, None], shape) for x in moments)
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
@@ -427,16 +424,64 @@ def _block_receivers(candidates: int, max_order: int) -> int:
     return max(1, _TRACE_BYTES // (candidates * _SEGMENT_BYTES * (max_order + 1)))
 
 
-def run_sweep_grid(env: Environment,
-                   systems: Sequence[AntennaSystem],
-                   frequencies: Sequence[float],
-                   n_samples: int = 1024,
-                   rx_start: float = 1.0,
-                   rx_height: float = 1.5,
-                   tx: Vec3 = (0.0, 0.0, 2.0),
-                   polarization: Polarization = Polarization.TE,
-                   max_order: int = 2,
-                   workers: int = 1,
+def _axis_receivers(env: Environment, distances: np.ndarray, height: float) -> tuple:
+    """env.axis_point(s, height) and neg(env.axis_direction(s)) of each distance
+    s, (N, 3) each, bit for bit: the same operations, a segment at a time."""
+    rx, boresight = np.empty((2, len(distances), 3))
+    remaining, todo = distances, np.ones(len(distances), bool)
+    for seg in env.centerline:
+        here = todo if seg is env.centerline[-1] else todo & (remaining <= seg.length)
+        rx[here] = np.add(seg.origin, np.multiply(seg.direction, remaining[here, None]))
+        boresight[here], todo, remaining = neg(seg.direction), todo & ~here, remaining - seg.length
+    rx[:, 2] += height
+    return rx, boresight
+
+
+def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
+           frequencies: Sequence[float], n_samples: int = 1024, rx_start: float = 1.0,
+           rx_height: float = 1.5, tx: Vec3 = (0.0, 0.0, 2.0),
+           polarization: Polarization = Polarization.TE, max_order: int = 2,
+           workers: int = 1, atmospheric: bool = False) -> tuple:
+    """run_sweep_grid, and delay_spread_table's sweep, with block as the
+    kernel: returns (distances, systems, frequencies, block's results)."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if not systems:
+        raise ValueError("at least one antenna system is required")
+    if not frequencies:
+        raise ValueError("at least one frequency is required")
+    if not 0.0 < rx_start < env.axis_length:
+        raise ValueError(f"rx_start must be in (0, {env.axis_length}), got {rx_start}")
+    if math.isfinite(env.height) and not 0.0 < rx_height < env.height:
+        raise ValueError(f"rx_height must be in (0, {env.height}), got {rx_height}")
+
+    tx, systems = vec3(tx), tuple(systems)
+    frequencies = tuple(CarrierConfig(float(f)).frequency for f in frequencies)
+    distances = np.linspace(rx_start, env.axis_length, n_samples)
+    rx, rx_boresight = _axis_receivers(env, distances, rx_height)
+    atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
+    block = partial(block, (env, tx, systems, frequencies, polarization, max_order, atmos))
+    size = _block_receivers(candidate_count(env, tx, max_order), max_order)
+    starts = range(0, n_samples, size)
+    jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in starts]
+
+    # Each block's results go into their slice of arrays shaped as the first's.
+    arrays = ()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for i, results in zip(starts, (pool.map if pool else map)(block, jobs)):
+            arrays = arrays or tuple(np.empty((n_samples,) + x.shape[1:]) for x in results)
+            for out, x in zip(arrays, results):
+                out[i:i + size] = x
+    return distances, systems, frequencies, arrays
+
+
+def run_sweep_grid(env: Environment, systems: Sequence[AntennaSystem],
+                   frequencies: Sequence[float], n_samples: int = 1024,
+                   rx_start: float = 1.0, rx_height: float = 1.5,
+                   tx: Vec3 = (0.0, 0.0, 2.0), polarization: Polarization = Polarization.TE,
+                   max_order: int = 2, workers: int = 1,
                    atmospheric: bool = False) -> SweepGrid:
     """Evaluate every (position, system, frequency) combination of a sweep.
 
@@ -445,48 +490,11 @@ def run_sweep_grid(env: Environment,
     in a process pool; results are merged in position order, so the output
     is identical for any worker count.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if not systems:
-        raise ValueError("at least one antenna system is required")
-    if not frequencies:
-        raise ValueError("at least one frequency is required")
-    if not 0.0 < rx_start < env.axis_length:
-        raise ValueError(
-            f"rx_start must be in (0, {env.axis_length}), got {rx_start}")
-    if math.isfinite(env.height) and not 0.0 < rx_height < env.height:
-        raise ValueError(
-            f"rx_height must be in (0, {env.height}), got {rx_height}")
-
-    tx = vec3(tx)
-    systems = tuple(systems)
-    frequencies = tuple(CarrierConfig(float(f)).frequency for f in frequencies)
-    distances = np.linspace(rx_start, env.axis_length, n_samples)
-    rx = np.array([env.axis_point(float(s), height=rx_height) for s in distances])
-    rx_boresight = np.array([neg(env.axis_direction(float(s))) for s in distances])
-    atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
-    block = partial(_sweep_block, (env, tx, systems, frequencies, polarization, max_order, atmos))
-    size = _block_receivers(candidate_count(env, tx, max_order), max_order)
-    starts = range(0, n_samples, size)
-    jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in starts]
-
-    # Each block's results go straight into their slice of the grid.
-    grid = tuple(np.empty((n_samples, len(systems), len(frequencies))) for _ in range(3))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for i, results in zip(starts, (pool.map if pool else map)(block, jobs)):
-            for out, x in zip(grid, results):
-                out[i:i + size] = x
-
-    power, rms, excess = grid
-    return SweepGrid(
-        environment=env.name,
-        distances=distances,
-        systems=systems,
-        frequencies=frequencies,
-        power_dbm=power,
-        rms_spread=rms,
-        mean_excess=excess,
-    )
+    distances, systems, frequencies, arrays = _sweep(
+        _sweep_block, env, systems, frequencies, n_samples=n_samples, rx_start=rx_start,
+        rx_height=rx_height, tx=tx, polarization=polarization, max_order=max_order,
+        workers=workers, atmospheric=atmospheric)
+    return SweepGrid(env.name, distances, systems, frequencies, *arrays)
 
 
 def delay_spread_table(envs: Sequence[Environment],
@@ -496,30 +504,22 @@ def delay_spread_table(envs: Sequence[Environment],
                        **sweep) -> DelaySpreadTable:
     """Sweep-aggregated RMS delay spread per (environment, system, frequency).
 
-    Each environment is swept by run_sweep_grid, which takes the remaining
-    keywords unchanged (n_samples, rx_start, rx_height, tx, polarization,
-    max_order, workers, atmospheric) with its own defaults. Positions
-    without coverage are excluded from the aggregate; aggregate is "mean"
-    (default) or "median" over the per-position spreads.
+    Each environment is swept as by run_sweep_grid, with its keywords,
+    checks and defaults (n_samples, rx_start, rx_height, tx, polarization,
+    max_order, workers, atmospheric), but a block is only traced and its
+    delay moments taken. Spreads do not depend on the carrier, so each
+    (environment, system) is aggregated once for every frequency. Positions
+    without coverage are excluded; aggregate is "mean" (default) or
+    "median" over the per-position spreads.
     """
     if aggregate not in ("mean", "median"):
         raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
-    values = np.empty((len(envs), len(systems), len(frequencies)))
+    values = np.full((len(envs), len(systems), len(frequencies)), math.nan)
     for i, env in enumerate(envs):
-        grid = run_sweep_grid(env, systems, frequencies, **sweep)
-        for s in range(len(systems)):
-            for f in range(len(frequencies)):
-                col = grid.rms_spread[:, s, f]
-                col = col[np.isfinite(col)]
-                if col.size == 0:
-                    values[i, s, f] = math.nan
-                    continue
-                agg = np.mean(col) if aggregate == "mean" else np.median(col)
-                values[i, s, f] = float(agg) * 1e9
-    return DelaySpreadTable(
-        environments=tuple(e.name for e in envs),
-        system_labels=tuple(s.kind for s in systems),
-        frequencies=tuple(float(f) for f in frequencies),
-        values_ns=values,
-        aggregate=aggregate,
-    )
+        (rms,) = _sweep(_spread_block, env, systems, frequencies, **sweep)[3]
+        for s, col in enumerate(rms.T):
+            col = col[np.isfinite(col)]
+            if col.size:
+                values[i, s] = float(np.mean(col) if aggregate == "mean" else np.median(col)) * 1e9
+    return DelaySpreadTable(tuple(e.name for e in envs), tuple(s.kind for s in systems),
+                            tuple(float(f) for f in frequencies), values, aggregate)

@@ -170,15 +170,25 @@ def test_sphere_average_rejects_unknown_kind():
         solve_pattern_exponent("dish", 30.0)
 
 
-def test_runtime_import_does_not_load_scipy():
-    code = ("import sys, mmray; mmray.system_preset('horn'); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _loaded_in_a_fresh_process(code: str, modules: str) -> str:
+    """The modules matching the expression `modules` (of m) after code runs."""
+    code += f"; import sys; print(sorted(m for m in sys.modules if {modules}))"
     src = str(Path(mmray.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_runtime_import_does_not_load_scipy():
+    code = "import mmray; mmray.system_preset('horn')"
+    assert _loaded_in_a_fresh_process(code, "m.split('.')[0] == 'scipy'") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    """Only a sweep or table on more than one worker needs multiprocessing."""
+    pool = "m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'"
+    assert _loaded_in_a_fresh_process("import mmray, mmray.cli", pool) == "[]"
 
 
 def test_solver_rejects_nonzero_isotropic_gain():

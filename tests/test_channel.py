@@ -371,6 +371,26 @@ def test_sweep_matches_the_per_path_functions_at_every_position(name):
                         mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
 
 
+@pytest.mark.parametrize("name", sorted(DUCTS))
+def test_sweep_receivers_equal_the_per_point_axis_calls(name):
+    """The sweep's receiver positions and boresights, formed a centerline
+    segment at a time, equal env.axis_point and -env.axis_direction bit for
+    bit: at 1024 sweep positions, on and an ulp either side of every
+    segment's end (the bent ducts' elbow and the far end), and at 0."""
+    env = DUCTS[name]
+    ends = np.cumsum([seg.length for seg in env.centerline])
+    distances = np.concatenate([
+        np.linspace(1.0, env.axis_length, 1024), [0.0, env.axis_length],
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    rx, boresight = mmray.channel._axis_receivers(env, distances, 1.5)
+    expected = [env.axis_point(s, height=1.5) for s in distances.tolist()]
+    assert rx.tobytes() == np.array(expected).tobytes()
+    expected = [tuple(-c for c in env.axis_direction(s)) for s in distances.tolist()]
+    assert boresight.tobytes() == np.array(expected).tobytes()
+    if len(env.centerline) > 1:
+        assert len({tuple(b) for b in boresight.tolist()}) == 2
+
+
 def test_path_factors_carry_each_rows_transmission_product():
     """A row's carrier-free factors hold its slab transmissions: without a
     crossing h = 1/d and L = d exactly; with one or two, wood at 10 m and
@@ -745,3 +765,64 @@ def test_delay_spread_ordering_small_grid():
     table = delay_spread_table(envs, systems, [60e9], n_samples=128)
     iso, omni, horn = table.values_ns[0, :, 0]
     assert horn < omni < iso
+
+
+def _finite_mean(col):
+    return np.mean(col[np.isfinite(col)])
+
+
+@pytest.mark.parametrize("name", sorted(DUCTS))
+def test_delay_spread_table_aggregates_the_sweep_grid_spreads(name):
+    """Each cell is the mean, or the median, over the finite RMS spreads of
+    run_sweep_grid's column, bit for bit, on one worker and on two. The
+    median is np.nanmedian; the mean is taken over the finite entries only:
+    np.nanmean adds zeros in place of NaN, which regroups numpy's pairwise
+    sum and moves some means by an ulp where a duct has NOCOV positions."""
+    env, freqs = DUCTS[name], [60e9, 80e9]
+    for pol, atmospheric in itertools.product(Polarization, (False, True)):
+        kw = dict(n_samples=48, polarization=pol, atmospheric=atmospheric)
+        spreads = run_sweep_grid(env, PRESETS, freqs, **kw).rms_spread
+        means = np.array([[_finite_mean(spreads[:, s, f]) for f in range(2)] for s in range(3)])
+        medians = np.nanmedian(spreads, axis=0)
+        for workers in (1, 2):
+            for aggregate, expected in (("mean", means * 1e9), ("median", medians * 1e9)):
+                table = delay_spread_table([env], PRESETS, freqs, aggregate=aggregate,
+                                           workers=workers, **kw)
+                assert table.values_ns[0].tobytes() == expected.tobytes()
+
+
+def test_a_delay_spread_table_forms_no_phase_or_coherent_power(monkeypatch):
+    """The table takes the carrier-free moments only, at any carrier count."""
+    calls = []
+    for name in ("_phase", "_coherent"):
+        monkeypatch.setattr(mmray.channel, name, lambda *args, name=name: calls.append(name))
+    freqs = [60e9 + 1e9 * k for k in range(31)]
+    for env in (DUCTS["bent_tunnel"], DUCTS["obstacle_corridor"]):
+        table = delay_spread_table([env], PRESETS, freqs, n_samples=64)
+        assert np.isfinite(table.values_ns).all()
+    assert calls == []
+
+
+TABLE_SWEEP_ERRORS = [
+    (dict(n_samples=1), "n_samples must be >= 2"),
+    (dict(rx_start=0.0), r"rx_start must be in \(0, 44.0\)"),
+    (dict(rx_start=45.0), r"rx_start must be in \(0, 44.0\)"),
+    (dict(rx_height=2.5), r"rx_height must be in \(0, "),
+    (dict(tx=(0.0, 5.0, 2.0)), "outside environment 'straight_tunnel'"),
+    # The first receiver sits within a nanometre of the transmitter.
+    (dict(tx=(1.0, 1e-10, 1.5), rx_start=1.0), "coincide"),
+    (dict(systems=[]), "at least one antenna system is required"),
+    (dict(frequencies=[]), "at least one frequency is required"),
+    (dict(frequencies=[60e9, -60e9]), "carrier frequency must be > 0 and finite"),
+]
+
+
+@pytest.mark.parametrize("kw, message", TABLE_SWEEP_ERRORS)
+def test_delay_spread_table_raises_the_sweeps_errors(kw, message):
+    kw = dict(kw)
+    systems, freqs = kw.pop("systems", [ISO]), kw.pop("frequencies", [60e9])
+    env = build_straight_tunnel()
+    with pytest.raises(ValueError, match=message):
+        run_sweep_grid(env, systems, freqs, **kw)
+    with pytest.raises(ValueError, match=message):
+        delay_spread_table([env], systems, freqs, **kw)

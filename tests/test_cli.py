@@ -414,15 +414,16 @@ def test_rejected_values_name_the_key(tmp_path, capsys, command, body, flags, me
 
 
 def test_sweep_and_table_sweep_with_the_same_settings(tmp_path, monkeypatch):
+    """Both commands reach the sweep front end that run_sweep_grid and
+    delay_spread_table share, with equal keywords."""
     calls = []
-    original = channel.run_sweep_grid
+    original = channel._sweep
 
-    def recording(env, systems, frequencies, **kwargs):
+    def recording(block, env, systems, frequencies, **kwargs):
         calls.append(kwargs)
-        return original(env, systems, frequencies, **kwargs)
+        return original(block, env, systems, frequencies, **kwargs)
 
-    monkeypatch.setattr(channel, "run_sweep_grid", recording)
-    monkeypatch.setattr(cli, "run_sweep_grid", recording)
+    monkeypatch.setattr(channel, "_sweep", recording)
     cfg = parse_scenario(SMALL + "physics: {polarization: tm, atmospheric_loss_on: true}\n")
     run_sweep_command(cfg, out_dir=tmp_path)
     run_table_command(cfg, out_dir=tmp_path)
