@@ -15,6 +15,17 @@ plane and recorded on the first, in surface-index order, that holds it;
 that surface gives its material. enumerate_paths is the one-receiver view
 of the same trace.
 
+Two rejections are decided before any path is formed. A segment is tested
+for occlusion only against the surfaces whose plane has some corner of the
+environment (of a rectangle or of a centerline segment's box) strictly
+behind it: every other plane has all points of the environment on or in
+front of it, so none in a convex duct. A bounce may lie up to
+ON_SURFACE_TOL outside its rectangle's edge; such a point is never tested
+against a face with the whole duct in front of it. And a receiver whose
+direct ray crosses a metal slab is not back-traced: each path is an
+unbroken polyline from tx to rx, so its x-range holds the direct ray's and
+it crosses the same slab. Such a receiver keeps its place with no rows.
+
 Every formula is an elementwise numpy expression with one order of
 operations for all rows (n0*x0 + n1*x1 + n2*x2, a + t*(b - a)), so a path's
 numbers do not depend on which receivers share its block. The functions
@@ -24,6 +35,7 @@ math module in the last bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -361,6 +373,9 @@ class _Surfaces(NamedTuple):
     eps_r: np.ndarray      # (S,)
     conductor: np.ndarray  # (S,) bool
 
+    def at(self, i) -> "_Surfaces":
+        return _Surfaces(self.plane.at(i), self.rect.at(i), self.eps_r[i], self.conductor[i])
+
 
 def _surfaces(env: Environment) -> _Surfaces:
     s = env.surfaces
@@ -395,8 +410,34 @@ class _Step(NamedTuple):
     after: _Planes         # plane of the next bounce (unused at step 0)
 
 
+def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
+    """The surfaces that can occlude a segment, or None if none can.
+
+    Those are the surfaces whose plane has a corner of some rectangle, or of
+    some centerline segment's box (the volume Environment.contains accepts),
+    strictly behind it. Every other plane has the whole environment on or in
+    front of it, and a segment between two such points never has its ends on
+    opposite sides.
+    """
+    if not env.surfaces:
+        return None
+    rect = surfaces.rect
+    corners = [rect.origin, rect.origin + rect.edge_u, rect.origin + rect.edge_v,
+               rect.origin + rect.edge_u + rect.edge_v]
+    origin, axes, bound = env._segment_boxes
+    # A box is {p : (p - origin) . axes[k] <= bound[k]}; axes k and k + 3 are
+    # opposite, so each corner takes one bound of every pair.
+    corners += [(origin[:, 0] + (bound[:, k, None] * axes[:, k]).sum(1)).T
+                for k in map(list, itertools.product((0, 3), (1, 4), (2, 5)))]
+    plane = _Planes(surfaces.plane.normal[..., None], surfaces.plane.offset[:, None])
+    behind = _side(plane, np.concatenate(corners, axis=1)[:, None]) < -_ON_PLANE
+    occluding = np.flatnonzero(behind.any(1))
+    return surfaces.at(occluding) if len(occluding) else None
+
+
 class _Tree(NamedTuple):
     surfaces: _Surfaces
+    occluders: Optional[_Surfaces]  # the surfaces that can occlude a segment
     order: np.ndarray               # (C,) order of each candidate, stacked
     steps: Tuple[_Step, ...]        # one per step 0..max_order - 1
 
@@ -449,7 +490,7 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
         steps.append(_Step(int(live.sum()), plane,
                            tuple((c, m[c, None], surfaces.rect.at(m[c, None])) for c, m in slots),
                            image, _side(plane, image), surfaces.plane.at(after)))
-    return _Tree(surfaces, order, tuple(steps))
+    return _Tree(surfaces, _occluders(env, surfaces), order, tuple(steps))
 
 
 def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
@@ -585,6 +626,23 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
     return blocked
 
 
+def _overlaps(a, b, lo, hi):
+    """Whether the x-interval between a and b overlaps the slab (lo, hi)."""
+    return ~((np.maximum(a, b) <= lo) | (np.minimum(a, b) >= hi))
+
+
+def _lit(slabs: Sequence[ObstacleSlab], tx: Vec3, rx: np.ndarray) -> np.ndarray:
+    """The indices of the receivers whose direct ray crosses no metal slab.
+    Every path runs from tx to rx without a break, so its x-range holds the
+    direct ray's: a receiver whose direct ray crosses a metal slab has no
+    path."""
+    metal = [s.interval for s in slabs if s.material.is_conductor]
+    if not metal:
+        return np.arange(len(rx))
+    lo, hi = np.array(metal).T
+    return np.flatnonzero(~_overlaps(rx[:, :1], tx[0], lo, hi).any(1))
+
+
 def trace_receivers(env: Environment,
                     tx: Vec3,
                     receivers: Sequence[Vec3],
@@ -614,27 +672,33 @@ def trace_receivers(env: Environment,
                          f"(closer than {_MIN_SEPARATION:g} m)")
     surfaces = tree.surfaces
     slabs = env.obstacles
+    lit = _lit(slabs, tx, rx)
     with np.errstate(divide="ignore", invalid="ignore"):
-        recv, order, surf, verts = _back_trace(tree, tx, rx)
+        recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
+        recv = lit[recv]
 
         # Segments verts[:, i] -> verts[:, i + 1]; those past a row's order
         # join rx to itself.
-        keep = ~_blocked(verts, surfaces)
+        keep = np.ones(len(verts), bool)
+        if tree.occluders is not None:
+            keep = ~_blocked(verts, tree.occluders)
         if slabs:
             lo = np.array([s.interval[0] for s in slabs])
             hi = np.array([s.interval[1] for s in slabs])
             # A live segment crosses a slab if their x-intervals overlap.
             a, b = verts[:, :-1, 0, None], verts[:, 1:, 0, None]
-            crosses = ~((np.maximum(a, b) <= lo) | (np.minimum(a, b) >= hi))
+            crosses = _overlaps(a, b, lo, hi)
             del a, b  # views that would keep the uncompacted vertices alive
             crosses &= (np.arange(K + 1) <= order[:, None])[..., None]
             metal = np.array([s.material.is_conductor for s in slabs])
             keep &= ~crosses[..., metal].any(axis=(1, 2))
-            crosses = crosses[keep]
 
         # Each step below drops what the later ones do not need, so that a
         # row holds little more than its vertices and segments at any time.
-        recv, order, surf, verts = recv[keep], order[keep], surf[keep], verts[keep]
+        if not keep.all():
+            recv, order, surf, verts = recv[keep], order[keep], surf[keep], verts[keep]
+            if slabs:
+                crosses = crosses[keep]
         diff = verts[:, 1:] - verts[:, :-1]
         seg = np.sqrt(_dot(diff.T, diff.T).T)
         length = seg[:, 0]

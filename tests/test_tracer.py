@@ -1,5 +1,6 @@
 """Image-method enumeration and interface physics."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from mmray import (
     slab_transmission,
 )
 from mmray import tracer
-from mmray.scene import METAL
+from mmray.scene import METAL, CenterlineSegment, Environment, Material, Surface
 
 import oracles
 
@@ -419,3 +420,154 @@ def test_blocked_receiver_in_plain_corridor_does_not_happen():
     env = build_plain_corridor()
     for d in (1.0, 10.0, 25.0, 43.9):
         assert enumerate_paths(env, TX, (d, 0.0, 1.5))
+
+
+# ---------------------------------------------------------------------------
+# Culls: occluders and the metal shadow
+# ---------------------------------------------------------------------------
+
+CULL_DUCTS = {
+    "straight_tunnel": build_straight_tunnel(),
+    "plain_corridor": build_plain_corridor(),
+    "obstacle_corridor": build_obstacle_corridor(),
+    "bent_tunnel": build_bent_tunnel(45.0),
+    "bent_tunnel_30": build_bent_tunnel(30.0),
+    "bent_tunnel_80": build_bent_tunnel(80.0),
+}
+
+
+def _without_culls(monkeypatch):
+    """Trace as if every surface could occlude and no receiver were shadowed."""
+    tree = tracer._image_tree
+    monkeypatch.setattr(tracer, "_image_tree",
+                        lambda *args: tree(*args)._replace(occluders=tree(*args).surfaces))
+    monkeypatch.setattr(tracer, "_lit", lambda slabs, tx, rx: np.arange(len(rx)))
+
+
+def _assert_tables_identical(a, b):
+    for f in dataclasses.fields(tracer.PathTable):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+def _interior_receivers(env, rng, n):
+    """Receivers at random arclength, lateral offset and height inside env."""
+    rx = []
+    for s, lateral, h in zip(rng.uniform(0.5, env.axis_length, n), rng.uniform(-1.1, 1.1, n),
+                             rng.uniform(0.05, 2.4, n)):
+        p, d = env.axis_point(float(s), float(h)), env.axis_direction(float(s))
+        q = (p[0] - d[1] * lateral, p[1] + d[0] * lateral, p[2])
+        if env.contains(q):
+            rx.append(q)
+    return rx
+
+
+@pytest.mark.parametrize("pol", list(Polarization), ids=lambda p: p.name)
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CULL_DUCTS))
+def test_the_culls_drop_no_path(monkeypatch, name, order, pol):
+    """Random interior receivers, traced from transmitters in the benchmark's
+    range, give the bits of a trace that tests every surface for occlusion
+    and back-traces every receiver."""
+    env = CULL_DUCTS[name]
+    rng = np.random.default_rng([sorted(CULL_DUCTS).index(name), order, pol is Polarization.TM])
+    cases = []
+    for _ in range(3):
+        tx = (0.0, float(rng.uniform(-0.4, 0.4)), float(rng.uniform(1.6, 2.1)))
+        rx = _interior_receivers(env, rng, 120)
+        cases.append((tx, rx, tracer.trace_receivers(env, tx, rx, order, pol)))
+    _without_culls(monkeypatch)
+    for tx, rx, culled in cases:
+        _assert_tables_identical(culled, tracer.trace_receivers(env, tx, rx, order, pol))
+
+
+def _occluder_names(env):
+    occluders = tracer._image_tree(env, TX, 2).occluders
+    if occluders is None:
+        return []
+    normals = set(map(tuple, occluders.plane.normal.T.tolist()))
+    return [s.name for s in env.surfaces if s.normal in normals]
+
+
+@pytest.mark.parametrize("env, names", [
+    (build_straight_tunnel(), []),
+    (build_plain_corridor(), []),
+    (build_obstacle_corridor(), []),
+    (mmray.free_space(), []),
+    (build_bent_tunnel(10.0), ["a_left_wall", "b_left_wall"]),
+    (build_bent_tunnel(30.0), ["a_left_wall", "b_left_wall"]),
+    (build_bent_tunnel(45.0), ["a_left_wall", "b_left_wall"]),
+    # Past 45 degrees each leg's box, which reaches a nanometre past the
+    # miter, has a corner a nanometre behind the other leg's outer wall.
+    (build_bent_tunnel(80.0), ["a_left_wall", "a_right_wall", "b_left_wall", "b_right_wall"]),
+    (build_bent_tunnel(89.0), ["a_left_wall", "a_right_wall", "b_left_wall", "b_right_wall"]),
+], ids=["straight", "plain", "obstacle", "free space", "bent 10", "bent 30", "bent 45",
+        "bent 80", "bent 89"])
+def test_only_faces_with_the_duct_behind_them_can_occlude(env, names):
+    assert _occluder_names(env) == names
+
+
+def _baffled_duct():
+    """A hand-built duct: a floor on x in [0, 10] and a baffle across the
+    whole section at x = 10, facing the transmitter. No rectangle corner is
+    behind the baffle, but the duct's box, 44 m long, is."""
+    floor = build_straight_tunnel().surfaces[0]
+    baffle = Surface("baffle", (10.0, -1.25, 0.0), (0.0, 0.0, 2.5), (0.0, 2.5, 0.0),
+                     Material("concrete", 5.0))
+    return Environment("baffled", (replace(floor, edge_u=(10.0, 0.0, 0.0)), baffle), (),
+                       (CenterlineSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 44.0),),
+                       2.5, 2.5, 44.0)
+
+
+def test_a_face_with_only_the_duct_box_behind_it_occludes(monkeypatch):
+    env = _baffled_duct()
+    assert _occluder_names(env) == ["baffle"]
+    rx = [(5.0, 0.3, 1.5), (20.0, 0.0, 1.5), (30.0, -0.5, 0.7)]
+    culled = tracer.trace_receivers(env, TX, rx)
+    assert culled.counts()[0] > 0 and culled.counts()[1:].tolist() == [0, 0]
+    _without_culls(monkeypatch)
+    _assert_tables_identical(culled, tracer.trace_receivers(env, TX, rx))
+
+
+@pytest.mark.parametrize("pol", list(Polarization), ids=lambda p: p.name)
+@pytest.mark.parametrize("tx", [(0.0, 0.2, 1.9), (25.0, -0.3, 1.7)], ids=["before", "past"])
+def test_receivers_behind_the_lift_get_no_rows_and_keep_their_place(monkeypatch, tx, pol):
+    """One block with receivers on both sides of the metal lift (20 to
+    20.1 m), the transmitter on either side: each receiver gets the rows of
+    a trace of its own, those across the lift none, and the table the bits
+    of a trace that back-traces every receiver."""
+    env = build_obstacle_corridor()
+    xs = [5.0, 25.0, 19.9, 20.0, 20.05, 20.1, 12.0, 35.0, 43.0, 20.2, 1.0, 15.0]
+    rx = [(x, 0.4 * math.sin(x), 1.0 + 0.04 * x) for x in xs]
+    table = tracer.trace_receivers(env, tx, rx, 2, pol)
+    across = [min(x, tx[0]) < 20.1 and max(x, tx[0]) > 20.0 for x in xs]
+    assert table.counts().tolist() == [
+        0 if a else len(enumerate_paths(env, tx, p, 2, pol)) for a, p in zip(across, rx)]
+    assert 0 < sum(across) < len(rx)
+    for r, p in enumerate(rx):
+        assert table.paths(r) == enumerate_paths(env, tx, p, 2, pol)
+    assert np.array_equal(table.rx, np.array(rx))
+    _without_culls(monkeypatch)
+    _assert_tables_identical(table, tracer.trace_receivers(env, tx, rx, 2, pol))
+
+
+def test_a_block_all_behind_the_lift_keeps_its_receivers_and_has_no_rows(monkeypatch):
+    env = build_obstacle_corridor()
+    rx = [(x, 0.1, 1.5) for x in (20.2, 25.0, 30.0, 43.9)]
+    table = tracer.trace_receivers(env, TX, rx)
+    assert np.array_equal(table.rx, np.array(rx))
+    assert len(table.receiver) == len(table.bounce_row) == len(table.crossing_row) == 0
+    assert table.counts().tolist() == [0, 0, 0, 0]
+    _without_culls(monkeypatch)
+    _assert_tables_identical(table, tracer.trace_receivers(env, TX, rx))
+
+
+def test_an_outside_receiver_behind_the_lift_is_still_named():
+    env = build_obstacle_corridor()
+    rx = [(25.0, 0.0, 1.5), (30.0, 5.0, 1.5), (35.0, 0.0, 1.5)]
+    with pytest.raises(ValueError, match=r"receiver \(30.0, 5.0, 1.5\) outside environment "
+                                         "'obstacle_corridor'"):
+        tracer.trace_receivers(env, TX, rx)
