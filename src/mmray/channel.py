@@ -9,14 +9,19 @@ carrier-free factors: a real gain g per antenna system (antenna gains,
 reflections, slab magnitudes, 1/d, atmospheric loss) and the optical length
 L (path length plus each slab's sqrt(eps_r) t_eff). Tap powers are one
 profile up to (lambda/4pi)^2, so delay moments are taken once per system.
-A sweep traces receivers along the duct centerline in blocks sized by a
-byte budget. A block, a pure function of its receivers and the settings,
-forms its factors and moments once; a sweep's block adds phases and
-coherent sums, a delay-spread table's forms neither. One loop maps a block
-over the blocks for any worker count. The per-path functions take a list
-of PathContribution; the list enumerate_paths returns carries its table
-and a memo, so each system's gains and each carrier's phases are formed
-once per list; other sequences go through from_paths.
+A sweep traces receivers along the duct centerline in blocks of
+consecutive positions. Each block back-traces only the image-tree
+candidates whose sweep window (tracer._sweep_windows) meets its positions,
+and takes as many positions as keep those (candidate, receiver) pairs
+under a byte budget. A block, a pure function of its receivers, its
+candidates and the settings, forms its gains once, then what its output
+needs: a grid's block the coherent powers and the delay moments, a
+delay-spread table's the moments only, and `mmray sweep`'s the powers
+only. One loop maps a block over the blocks for any worker count. The
+per-path functions take a list of PathContribution; the list
+enumerate_paths returns carries its table and a memo, so each system's
+gains and each carrier's phases are formed once per list; other sequences
+go through from_paths.
 """
 
 from __future__ import annotations
@@ -38,10 +43,11 @@ from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
     PathList,
     PathTable,
     Polarization,
+    _check_order,
     _slab_factors,
-    candidate_count,
+    _sweep_windows,
+    _trace,
     enumerate_paths,
-    trace_receivers,
 )
 
 # Sea-level 60 GHz oxygen absorption is ~0.00116 dB/m; negligible over tens
@@ -52,13 +58,14 @@ ATMOSPHERIC_LOSS_DB_PER_M = 0.00116
 NO_COVERAGE = float("-inf")
 
 # A sweep works under two budgets. Receivers are traced in blocks that hold
-# at most _TRACE_BYTES (1.75 MiB) of arrays. A block of R receivers and C
-# image-tree candidates of up to max_order reflections is counted as C * R
-# (candidate, receiver) pairs. Each pair is counted as _SEGMENT_BYTES per path
-# segment (max_order + 1 of them) for the tracer's arrays at their peak; the
-# kernel's carrier-free (system, row) factors fit within that, and what it
-# holds per carrier is bounded by _BLOCK_CELLS. Larger blocks cut the fixed
-# cost per trace but raise the peak memory of a sweep.
+# at most _TRACE_BYTES (1.75 MiB) of arrays. A block of R receivers whose
+# positions meet the windows of C image-tree candidates of up to max_order
+# reflections is counted as C * R (candidate, receiver) pairs. Each pair is
+# counted as _SEGMENT_BYTES per path segment (max_order + 1 of them) for the
+# tracer's arrays at their peak; the kernel's carrier-free (system, row)
+# factors fit within that, and what it holds per carrier is bounded by
+# _BLOCK_CELLS. Larger blocks cut the fixed cost per trace but raise the
+# peak memory of a sweep.
 _TRACE_BYTES = 7 << 18
 _SEGMENT_BYTES = 144
 # Within a block, phases and amplitudes are formed for at most _BLOCK_CELLS
@@ -130,7 +137,8 @@ class SweepGrid:
 
     Arrays are indexed [position, system, frequency]. Power is in dBm with
     -inf marking no coverage; delay statistics are in seconds with NaN
-    where undefined.
+    where undefined. The grid `mmray sweep` writes has powers only, and
+    None for the delay statistics.
     """
 
     environment: str
@@ -138,8 +146,8 @@ class SweepGrid:
     systems: Tuple[AntennaSystem, ...]
     frequencies: Tuple[float, ...]
     power_dbm: np.ndarray
-    rms_spread: np.ndarray
-    mean_excess: np.ndarray
+    rms_spread: Optional[np.ndarray]
+    mean_excess: Optional[np.ndarray]
 
 
 @dataclass(eq=False)
@@ -372,56 +380,94 @@ def _receiver_rows(counts: np.ndarray):
         yield receivers, starts[receivers, None] + np.arange(n)
 
 
-def _trace_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
-    """What every sweep block forms: the real gains g (systems, rows), the
-    optical lengths (rows,), the row-count groups, and the RMS delay spread
-    and mean excess delay (s) of g^2, (2, systems, receivers), NaN without
-    rows. ctx is (env, tx, systems, frequencies, polarization, max_order,
-    atmospheric loss in dB/m), job the block's (receivers, rx boresights).
-    A receiver's values depend only on its own rows, so results merge
-    identically for any block and worker count."""
+def _trace_block(ctx: tuple, job: tuple) -> tuple:
+    """What every sweep block forms: the receivers' PathTable, the real gains
+    g (systems, rows), the optical lengths (rows,) and the row-count groups.
+    ctx is (env, tx, systems, frequencies, polarization, max_order,
+    atmospheric loss in dB/m), job the block's (receivers, rx boresights,
+    stacked candidates to back-trace). A receiver's values depend only on
+    its own rows, so results merge identically for any block and worker
+    count."""
     env, tx, systems, _, pol, max_order, atmos = ctx
-    rx, rx_boresight = job
-    table = trace_receivers(env, tx, rx, max_order, pol)
+    rx, rx_boresight, live = job
+    table = _trace(env, tx, rx, max_order, pol, live)
     h, optical = _path_factors(table, atmos)
     b = rx_boresight[table.receiver]
     g = np.array([_geo(table, sys, b) for sys in systems]) * h  # (S, rows)
-    delays, groups = table.delay, list(_receiver_rows(table.counts()))
-    moments = np.full((2, len(systems), len(rx)), math.nan)
+    return table, g, optical, list(_receiver_rows(table.counts()))
+
+
+def _moments(table: PathTable, g: np.ndarray, groups: list) -> np.ndarray:
+    """The RMS delay spread and mean excess delay (s) of g^2, (2, systems,
+    receivers), NaN without rows."""
+    delays = table.delay
+    moments = np.full((2, len(g), len(table.rx)), math.nan)
     for receivers, rows in groups:
         d = delays[rows]
         moments[..., receivers] = _delay_moments(d, g[:, rows] ** 2, d.min(axis=-1, keepdims=True))
-    return g, optical, groups, moments
+    return moments
 
 
-def _spread_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
-    """A table's block: RMS delay spreads (s) [receiver, system], no phases."""
-    return (_trace_block(ctx, job)[3][0].T,)
-
-
-def _sweep_block(ctx: tuple, job: Tuple[np.ndarray, np.ndarray]) -> tuple:
-    """A sweep's block: powers (dBm) and delay moments (s) [receiver, system,
-    frequency], its phases formed in chunks of at most _BLOCK_CELLS cells."""
-    g, optical, groups, moments = _trace_block(ctx, job)
-    freqs = np.array(ctx[3])
-    shape = (len(g), len(freqs), moments.shape[-1])
-    coherent = np.zeros(shape)
-    for receivers, rows in groups:
-        step = max(1, _BLOCK_CELLS // (shape[0] * shape[1] * rows.shape[1]))
-        for i in range(0, len(receivers), step):
-            chunk, r = receivers[i:i + step], rows[i:i + step]
+def _powers(g: np.ndarray, optical: np.ndarray, groups: list, freqs: np.ndarray,
+            receivers: int) -> np.ndarray:
+    """Coherent powers (dBm), (systems, frequencies, receivers), NO_COVERAGE
+    without rows; phases formed in chunks of at most _BLOCK_CELLS cells."""
+    coherent = np.zeros((len(g), len(freqs), receivers))
+    for group, rows in groups:
+        step = max(1, _BLOCK_CELLS // (len(g) * len(freqs) * rows.shape[1]))
+        for i in range(0, len(group), step):
+            chunk, r = group[i:i + step], rows[i:i + step]
             # C order, so each receiver's rows are summed as a dense last axis.
             a = np.multiply(g[:, None, r], _phase(freqs[:, None, None], optical[r]), order="C")
             coherent[..., chunk] = _coherent(a, freqs[:, None])  # a is (S, F, receivers, n)
     with np.errstate(divide="ignore"):  # no rows (no coverage): zero power, NO_COVERAGE
-        power = watts_to_dbm(coherent)
-    rms, excess = (np.broadcast_to(x[:, None], shape) for x in moments)
+        return watts_to_dbm(coherent)
+
+
+def _spread_block(ctx: tuple, job: tuple) -> tuple:
+    """A table's block: RMS delay spreads (s) [receiver, system], no phases."""
+    table, g, _, groups = _trace_block(ctx, job)
+    return (_moments(table, g, groups)[0].T,)
+
+
+def _power_block(ctx: tuple, job: tuple) -> tuple:
+    """`mmray sweep`'s block: powers (dBm) [receiver, system, frequency], no
+    delay moments."""
+    _, g, optical, groups = _trace_block(ctx, job)
+    return (np.moveaxis(_powers(g, optical, groups, np.array(ctx[3]), len(job[0])), -1, 0),)
+
+
+def _sweep_block(ctx: tuple, job: tuple) -> tuple:
+    """A grid's block: powers (dBm) and delay moments (s) [receiver, system,
+    frequency]."""
+    table, g, optical, groups = _trace_block(ctx, job)
+    power = _powers(g, optical, groups, np.array(ctx[3]), len(job[0]))
+    rms, excess = (np.broadcast_to(x[:, None], power.shape) for x in _moments(table, g, groups))
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
-def _block_receivers(candidates: int, max_order: int) -> int:
-    """Receivers per trace block under _TRACE_BYTES, at least one."""
-    return max(1, _TRACE_BYTES // (candidates * _SEGMENT_BYTES * (max_order + 1)))
+def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarray,
+                rx: np.ndarray, rx_boresight: np.ndarray, height: float) -> tuple:
+    """The trace blocks of a sweep: (slices, jobs). A block holds consecutive
+    positions and back-traces only the candidates whose sweep window holds
+    one of them. From its first position it takes the most positions whose
+    (candidate, receiver) pairs fit _TRACE_BYTES, at least one."""
+    lo, hi = _sweep_windows(env, tx, max_order, height)
+    first = np.searchsorted(distances, lo)            # first position in a window
+    stop = np.searchsorted(distances, hi, "right")    # one past its last
+    stop[first >= stop] = 0                           # no position in it
+    pair = _SEGMENT_BYTES * (max_order + 1)
+    slices, jobs, i = [], [], 0
+    while i < len(distances):
+        # Bytes of the blocks [i, end) for every end: live candidates grow with end.
+        ends = np.arange(i + 1, len(distances) + 1)
+        held = np.searchsorted(np.sort(first[stop > i]), ends) * (ends - i) * pair
+        end = i + max(1, int(np.count_nonzero(held <= _TRACE_BYTES)))
+        live = np.flatnonzero((stop > i) & (first < end))
+        slices.append(slice(i, end))
+        jobs.append((rx[i:end], rx_boresight[i:end], live))
+        i = end
+    return slices, jobs
 
 
 def _axis_receivers(env: Environment, distances: np.ndarray, height: float) -> tuple:
@@ -461,19 +507,18 @@ def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
     rx, rx_boresight = _axis_receivers(env, distances, rx_height)
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
     block = partial(block, (env, tx, systems, frequencies, polarization, max_order, atmos))
-    size = _block_receivers(candidate_count(env, tx, max_order), max_order)
-    starts = range(0, n_samples, size)
-    jobs = [(rx[i:i + size], rx_boresight[i:i + size]) for i in starts]
+    _check_order(max_order)
+    slices, jobs = _trace_jobs(env, tx, int(max_order), distances, rx, rx_boresight, rx_height)
 
     # Each block's results go into their slice of arrays shaped as the first's.
     arrays = ()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for i, results in zip(starts, (pool.map if pool else map)(block, jobs)):
+        for part, results in zip(slices, (pool.map if pool else map)(block, jobs)):
             arrays = arrays or tuple(np.empty((n_samples,) + x.shape[1:]) for x in results)
             for out, x in zip(arrays, results):
-                out[i:i + size] = x
+                out[part] = x
     return distances, systems, frequencies, arrays
 
 
@@ -495,6 +540,15 @@ def run_sweep_grid(env: Environment, systems: Sequence[AntennaSystem],
         rx_height=rx_height, tx=tx, polarization=polarization, max_order=max_order,
         workers=workers, atmospheric=atmospheric)
     return SweepGrid(env.name, distances, systems, frequencies, *arrays)
+
+
+def _power_grid(env: Environment, systems: Sequence[AntennaSystem],
+                frequencies: Sequence[float], **sweep) -> SweepGrid:
+    """run_sweep_grid, with its keywords, checks and defaults, without the
+    delay moments, which it leaves None: the powers `mmray sweep` writes."""
+    distances, systems, frequencies, (power,) = _sweep(_power_block, env, systems,
+                                                       frequencies, **sweep)
+    return SweepGrid(env.name, distances, systems, frequencies, power, None, None)
 
 
 def delay_spread_table(envs: Sequence[Environment],

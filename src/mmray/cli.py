@@ -37,12 +37,12 @@ from .channel import (
     CarrierConfig,
     DelaySpreadTable,
     SweepGrid,
+    _power_grid,
     delay_spread_table,
     impulse_response,
     mean_excess_delay,
     power_delay_profile,
     rms_delay_spread,
-    run_sweep_grid,
 )
 from .geometry import Vec3, neg
 from .scene import BUILDERS, METAL, Environment, Material, ObstacleSlab, validate_environment
@@ -416,22 +416,78 @@ def _write_text(path: Path, text: str) -> None:
         raise CommandError(f"cannot write {path}: {exc}") from exc
 
 
+# Magnitudes at and above which a cell is formatted by '%.4f' itself. Below
+# it |x| * 1e4 < 2^50, where floats are at most 1/8 apart, so a product not
+# within an ulp of a half integer rounds to the integer x * 1e4 rounds to.
+_FAST_CELL = 1e11
+# The four ASCII digits of 0..9999, one uint32 each.
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+                               + ord("0")).view(np.uint32)[:, 0]
+
+
+def _csv_rows(values: np.ndarray) -> str:
+    """The rows of values (rows, columns) as CSV lines, each cell as '%.4f'
+    formats it, with -inf and NaN as NOCOV, in one numpy pass.
+
+    A cell is q = rint(x * 1e4) written as digits, '.', four digits, with
+    '-' if x has its sign bit set (so -0.0 and tiny negatives give
+    -0.0000). rint of the rounded product equals the correct rounding of
+    x to four decimals unless the product is within an ulp of a half
+    integer; such cells, and those too large or not finite, are formatted
+    by '%.4f'. Each cell is a right-aligned field of equal width, padded
+    with zero bytes, which are dropped at the end; the fields are built a
+    byte position at a time, across all cells.
+    """
+    x = np.asarray(values, float)
+    flat = x.ravel()
+    small = np.abs(flat) < _FAST_CELL  # NaN fails it too
+    y = np.where(small, flat, 0.0) * 1e4
+    q = np.rint(y)
+    fast = small & (0.5 - np.abs(y - q) > np.abs(y) * 2.0 ** -52)  # |y| 2^-52 >= its ulp
+    whole, frac = np.divmod(np.abs(np.where(fast, q, 0.0)).astype(np.int64), 10000)
+    nocov = np.isnan(flat) | (flat == -math.inf)
+    slow = {i: "%.4f" % v for i, v in zip(np.flatnonzero(~fast & ~nocov).tolist(),
+                                         flat[~fast & ~nocov].tolist())}
+    digits = len(str(int(whole.max(initial=0))))
+    width = max([digits + 7] + [len(t) + 1 for t in slow.values()])
+    field = np.zeros((width, len(flat)), np.uint8)  # [byte position, cell]
+    # Integer digits, from groups of four, end before the '.', four digits
+    # and the separator; zeros before the first digit shown are dropped,
+    # and the sign goes just before it.
+    groups, first = -(-digits // 4), width - 6 - digits
+    ints = np.concatenate([_DIGITS[whole // 10 ** (4 * k) % 10000].view(np.uint8).reshape(-1, 4).T
+                           for k in range(groups - 1, -1, -1)])[4 * groups - digits:]
+    shown = whole >= 10 ** np.arange(digits - 1, -1, -1)[:, None]
+    shown[-1] = True
+    field[first:first + digits] = ints * shown
+    lead = shown.copy()
+    lead[1:] &= ~shown[:-1]
+    lead &= np.signbit(flat) & fast
+    field[first - 1:first - 1 + digits] |= lead.view(np.uint8) * np.uint8(ord("-"))
+    field[width - 6] = ord(".")
+    field[width - 5:width - 1] = _DIGITS[frac].view(np.uint8).reshape(-1, 4).T
+    field[width - 1] = ord(",")
+    field[width - 1, x.shape[1] - 1::x.shape[1]] = ord("\n")
+    nocov = np.flatnonzero(nocov)
+    field[:width - 1, nocov] = np.frombuffer(b"NOCOV".rjust(width - 1, b"\0"), np.uint8)[:, None]
+    for i, text in slow.items():
+        field[:width - 1, i] = np.frombuffer(text.encode().rjust(width - 1, b"\0"), np.uint8)
+    return field.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_sweep_csvs(grid: SweepGrid, labels: Sequence[str],
                      out_dir: Path) -> List[Path]:
     """One CSV per frequency: distance column plus a power column per system.
 
-    Values print with 4 decimals; a power of NO_COVERAGE or NaN prints NOCOV.
+    Values print as '%.4f' prints them; a power of NO_COVERAGE or NaN
+    prints NOCOV. Only the grid's distances and powers are read.
     """
     paths = []
-    header = "distance_m," + ",".join(f"power_dBm_{lbl}" for lbl in labels)
-    row = "\n" + ",".join(["%.4f"] * (len(labels) + 1))
+    header = "distance_m," + ",".join(f"power_dBm_{lbl}" for lbl in labels) + "\n"
     for f, freq in enumerate(grid.frequencies):
         values = np.column_stack([grid.distances, grid.power_dbm[:, :len(labels), f]])
-        body = "".join([row % tuple(r) for r in values.tolist()])
-        # %.4f writes NO_COVERAGE as -inf and NaN as nan; distances are finite.
-        body = body.replace("-inf", "NOCOV").replace("nan", "NOCOV")
         path = out_dir / f"sweep_{grid.environment}_{_ghz(freq)}GHz.csv"
-        _write_text(path, header + body + "\n")
+        _write_text(path, header + _csv_rows(values))
         paths.append(path)
     return paths
 
@@ -439,11 +495,12 @@ def write_sweep_csvs(grid: SweepGrid, labels: Sequence[str],
 def run_sweep_command(config: ScenarioConfig,
                       out_dir: Optional[Path] = None,
                       workers: int = 1) -> List[Path]:
-    """Full receiver sweep; writes one CSV per configured frequency."""
+    """Full receiver sweep; writes one CSV per configured frequency. It forms
+    the powers alone: the CSVs hold no delay statistics."""
     env = build_environment(config.environment)
     systems = build_systems(config)
-    grid = run_sweep_grid(env, systems, config.frequencies, workers=workers,
-                          **_sweep_settings(config))
+    grid = _power_grid(env, systems, config.frequencies, workers=workers,
+                       **_sweep_settings(config))
     out = Path(out_dir) if out_dir is not None else Path(config.output.csv_dir)
     files = write_sweep_csvs(grid, [s.label for s in config.systems], out)
     if config.output.plot:

@@ -26,6 +26,17 @@ direct ray crosses a metal slab is not back-traced: each path is an
 unbroken polyline from tx to rx, so its x-range holds the direct ray's and
 it crosses the same slab. Such a receiver keeps its place with no rows.
 
+A sweep moves the receiver along the duct centerline, and there most
+candidates never give a path. Each back-trace step is a central projection,
+linear in homogeneous coordinates, so the vertices of a receiver on a
+centerline segment are linear in its axial distance and each test of the
+back-trace is one linear inequality in it. _sweep_windows solves them once
+per sweep, with every bound relaxed and the result widened, into a window
+of axial distance per candidate that holds every position where it passes
+the back-trace (occlusion and slabs are left out). A sweep block then
+back-traces, through _trace, only the candidates whose window meets its
+positions; trace_receivers and enumerate_paths keep the whole tree.
+
 Every formula is an elementwise numpy expression with one order of
 operations for all rows (n0*x0 + n1*x1 + n2*x2, a + t*(b - a)), so a path's
 numbers do not depend on which receivers share its block. The functions
@@ -493,6 +504,28 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
     return _Tree(surfaces, _occluders(env, surfaces), order, tuple(steps))
 
 
+def _select(tree: _Tree, live: np.ndarray) -> _Tree:
+    """The tree of the stacked candidates live (ascending), stacked as
+    before: each step's arrays gathered along their candidate axis."""
+
+    steps = []
+    for step in tree.steps:
+        n = int(np.searchsorted(live, step.count))
+        keep = live[:n]
+        position = np.full(step.count, -1)
+        position[keep] = np.arange(n)
+        members = []
+        for cand, index, rect in step.members:
+            new = position.take(cand)
+            hit = np.flatnonzero(new >= 0)
+            members.append((new.take(hit), index.take(hit, 0),
+                            _Rects(*(x.take(hit, -2) for x in rect))))
+        steps.append(_Step(n, _Planes(*(x.take(keep, -2) for x in step.plane)), tuple(members),
+                           step.image.take(keep, -2), step.image_side.take(keep, 0),
+                           _Planes(*(x.take(keep, -2) for x in step.after))))
+    return tree._replace(order=tree.order.take(live), steps=tuple(steps))
+
+
 def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
     """Image-tree candidates one trace from tx tests per receiver."""
     _check_order(max_order)
@@ -606,23 +639,25 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
     segments with their ends strictly on opposite sides of a plane reach the
     crossing parameter t = da / (da - db): with both ends on one side,
     rounding is monotone and keeps t outside (0, 1), so this is the same
-    rule as testing t for every segment.
+    rule as testing t for every segment. The surfaces are tested one at a
+    time, so only one surface's crossings are held at once.
     """
-    plane = _Planes(surfaces.plane.normal[..., None, None], surfaces.plane.offset[:, None, None])
-    side = _side(plane, verts.transpose(2, 0, 1)[:, None])  # (surfaces, rows, vertices)
-    above, below = side > _ON_PLANE, side < -_ON_PLANE
-    surf, row, seg = np.nonzero((above[..., :-1] & below[..., 1:])
-                                | (below[..., :-1] & above[..., 1:]))
-    end = seg + 1
-    da, db = side[surf, row, seg], side[surf, row, end]
-    del side, above, below
-    t = da / (da - db)
-    a, b = verts[row, seg].T, verts[row, end].T
-    # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-    hit = _on_rectangle(a + t * (b - a), surfaces.rect.at(surf), -ON_SURFACE_TOL)
-    hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
     blocked = np.zeros(len(verts), bool)
-    blocked[row[hit]] = True
+    p = verts.transpose(2, 0, 1)  # (3, rows, vertices)
+    for i in range(len(surfaces.eps_r)):
+        side = _side(_Planes(surfaces.plane.normal[:, i, None, None], surfaces.plane.offset[i]), p)
+        above, below = side > _ON_PLANE, side < -_ON_PLANE
+        row, seg = np.nonzero((above[:, :-1] & below[:, 1:]) | (below[:, :-1] & above[:, 1:]))
+        del above, below
+        end = seg + 1
+        da, db = side[row, seg], side[row, end]
+        del side
+        t = da / (da - db)
+        a, b = verts[row, seg].T, verts[row, end].T
+        # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
+        hit = _on_rectangle(a + t * (b - a), surfaces.rect.at([i]), -ON_SURFACE_TOL)
+        hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
+        blocked[row[hit]] = True
     return blocked
 
 
@@ -655,11 +690,21 @@ def trace_receivers(env: Environment,
     1..max_order, sorted by (order, delay). Paths crossing a conductor slab
     are removed; dielectric slab crossings are recorded.
     """
+    return _trace(env, tx, receivers, max_order, polarization, None)
+
+
+def _trace(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int,
+           polarization: Polarization, live: Optional[np.ndarray]) -> PathTable:
+    """trace_receivers that back-traces only the stacked candidates live
+    (ascending), or all if None. Rows are ordered by their sort keys, not by
+    candidate, so a subset that holds every path gives the same table."""
     tx = vec3(tx)
     rx = np.array(receivers, float).reshape(-1, 3)
     _check_order(max_order)
     K = int(max_order)
     tree = _image_tree(env, tx, K)
+    if live is not None and len(live) < len(tree.order):
+        tree = _select(tree, live)
     # The first receiver outside, or closer to tx than _MIN_SEPARATION, is named.
     inside = env.contains(rx)
     good = inside & (((rx - tx) ** 2).sum(1) >= _MIN_SEPARATION ** 2)
@@ -750,6 +795,101 @@ def trace_receivers(env: Environment,
         bounce_row=brow, bounce_surface=bsurf, bounce_point=bpoint, bounce_angle=angle,
         crossing_row=crow, crossing_slab=cslab, crossing_angle=cangle,
         slabs=slabs, polarization=polarization)
+
+
+# ---------------------------------------------------------------------------
+# Sweep-line windows
+# ---------------------------------------------------------------------------
+
+# A window's tests are the back-trace's with every bound relaxed by
+# _WINDOW_SLACK metres, far above the rounding of either computation; each
+# window is then widened by as much along the axis.
+_WINDOW_SLACK = 1e-6
+
+
+def _positive_on(f: np.ndarray, length: float) -> Tuple[np.ndarray, np.ndarray]:
+    """[lo, hi] where a linear function of s in [0, length], given by its
+    values f (..., 2) at both ends, is positive; lo > hi if nowhere."""
+    f0, f1 = f[..., 0], f[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = length * (f0 / (f0 - f1))
+    lo = np.where(f0 > 0.0, 0.0, np.where(f1 > 0.0, root, np.inf))
+    hi = np.where(f1 > 0.0, length, np.where(f0 > 0.0, root, -np.inf))
+    return lo, hi
+
+
+def _segment_windows(tree: _Tree, start: np.ndarray, end: np.ndarray,
+                     length: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per stacked candidate, the [lo, hi] of s in [0, length] outside of
+    which no receiver start + (end - start) s / length passes its back-trace.
+
+    A back-trace step is a central projection from the step's image onto its
+    plane, p -> (side(p) image - da p) / (side(p) - da), so in homogeneous
+    coordinates (x w, w) it is linear, and the vertices of a receiver on the
+    segment are linear in s. Each test (the side of the previous vertex, the
+    bounds of a rectangle, the side of the next plane) is then the sign of a
+    linear function of s, taken from its values at both ends. The weight w
+    stays positive on every receiver the back-trace keeps, so there the
+    multiplied test agrees with the test itself. A bounce passes if it is on
+    one of its plane's rectangles: the hull of their intervals is kept.
+    Occlusion and slabs are left out, so the window holds every receiver
+    the back-trace keeps.
+    """
+    E = _WINDOW_SLACK
+    lo, hi = np.zeros(len(tree.order)), np.full(len(tree.order), length)
+
+    def keep(n, interval):
+        np.maximum(lo[:n], interval[0], out=lo[:n])
+        np.minimum(hi[:n], interval[1], out=hi[:n])
+
+    x = np.stack([start, end], axis=-1)[:, None]  # (3, 1, ends)
+    w = np.ones((1, 2))
+    for s, step in enumerate(tree.steps):
+        n = step.count
+        x, w = x[:, :n], w[:n]
+        side = _dot(step.plane.normal, x) - step.plane.offset * w
+        keep(n, _positive_on(side + E * w, length))
+        x = side * step.image - step.image_side * x
+        w = side - step.image_side * w
+        rect_lo, rect_hi = np.full(n, np.inf), np.full(n, -np.inf)
+        for cand, _, rect in step.members:
+            wc = w[cand]
+            r = x[:, cand] - rect.origin * wc
+            # The bounce's coordinates along both edges, times w, and the
+            # relaxed bounds 0 <= a <= 1 on them.
+            inv = np.stack([rect.inv_u2, rect.inv_v2])
+            a = np.stack([_dot(r, rect.edge_u), _dot(r, rect.edge_v)]) * inv
+            slack = (ON_SURFACE_TOL + E * np.sqrt(inv)) * wc
+            a_lo, a_hi = _positive_on(np.concatenate([a + slack, wc + slack - a]), length)
+            rect_lo[cand] = np.minimum(rect_lo[cand], a_lo.max(0))
+            rect_hi[cand] = np.maximum(rect_hi[cand], a_hi.min(0))
+        keep(n, (rect_lo, rect_hi))
+        if s:
+            keep(n, _positive_on(_dot(step.after.normal, x) - (step.after.offset - E) * w, length))
+    return lo, hi
+
+
+@lru_cache(maxsize=64)
+def _sweep_windows(env: Environment, tx: Vec3, max_order: int,
+                   height: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per stacked candidate of tx's image tree, the window [lo, hi] of
+    axis distance outside of which no receiver on the centerline at the
+    given height gives it a path (lo > hi if none does): the hull of its
+    windows on each centerline segment, widened by _WINDOW_SLACK. Like the
+    tree, they are formed once per (transmitter, receiver height)."""
+    tree = _image_tree(env, tx, max_order)
+    lo, hi = np.full(len(tree.order), np.inf), np.full(len(tree.order), -np.inf)
+    offset = 0.0
+    for seg in env.centerline:
+        start = np.add(seg.origin, (0.0, 0.0, height))
+        a, b = _segment_windows(tree, start, start + np.multiply(seg.direction, seg.length),
+                                seg.length)
+        some = a <= b
+        lo[some] = np.minimum(lo[some], offset + a[some] - _WINDOW_SLACK)
+        hi[some] = np.maximum(hi[some], offset + b[some] + _WINDOW_SLACK)
+        offset += seg.length
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def enumerate_paths(env: Environment,

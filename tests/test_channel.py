@@ -22,7 +22,7 @@ from mmray import (
     received_power, rms_delay_spread, run_sweep_grid, system_preset,
     watts_to_dbm,
 )
-from mmray.tracer import candidate_count, trace_receivers
+from mmray.tracer import trace_receivers
 from oracles import friis_dbm, phasor_sum_dbm, power_delay_profile_reference
 
 TX = (0.0, 0.0, 2.0)
@@ -473,34 +473,66 @@ def _assert_budgets_do_not_matter(monkeypatch, name, trace_bytes, cells):
     _assert_grids_equal(together, run_sweep_grid(env, PRESETS, freqs, n_samples=48))
 
 
-def _trace_budget(env, receivers: int) -> int:
-    """The trace budget that gives blocks of the given number of receivers."""
-    return receivers * candidate_count(env, TX, 2) * mmray.channel._SEGMENT_BYTES * 3
+PAIR_BYTES = mmray.channel._SEGMENT_BYTES * 3  # per (candidate, receiver) pair at order 2
+
+
+def _live_on(env, n: int, order: int = 2, height: float = 1.5) -> np.ndarray:
+    """(candidates, n): whether a candidate's sweep window holds a position."""
+    lo, hi = mmray.tracer._sweep_windows(env, TX, order, height)
+    d = np.linspace(1.0, env.axis_length, n)
+    return (d >= lo[:, None]) & (d <= hi[:, None])
+
+
+def _trace_budget(env, receivers: int, n: int = 48) -> int:
+    """The trace budget of blocks of the given number of receivers if every
+    candidate live somewhere on the sweep line were live in each."""
+    return receivers * int(_live_on(env, n).any(1).sum()) * PAIR_BYTES
+
+
+def _expected_blocks(env, n: int, budget: int) -> list:
+    """The block sizes of an n-position sweep, by the rule written out: from
+    each start, the most positions whose candidates with a window on them,
+    times the positions, times PAIR_BYTES fit the budget, at least one."""
+    live, sizes, i = _live_on(env, n), [], 0
+    while i < n:
+        size = 1
+        while i + size < n and live[:, i:i + size + 1].any(1).sum() * (size + 1) * PAIR_BYTES <= budget:
+            size += 1
+        sizes.append(size)
+        i += size
+    return sizes
 
 
 def _spy_on_trace_blocks(monkeypatch) -> list:
     """The receiver count of every block the sweep traces, in call order."""
-    blocks, trace = [], mmray.channel.trace_receivers
+    blocks, trace = [], mmray.channel._trace
 
     def spy(env, tx, rx, *args):
         blocks.append(len(rx))
         return trace(env, tx, rx, *args)
 
-    monkeypatch.setattr(mmray.channel, "trace_receivers", spy)
+    monkeypatch.setattr(mmray.channel, "_trace", spy)
     return blocks
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 @pytest.mark.parametrize("receivers", [1, 7])
 def test_sweep_does_not_depend_on_trace_blocks(monkeypatch, name, receivers):
-    """Blocks of 1 and of 7 receivers, the last one ragged, give the grid
-    of one 48-receiver block; the spy checks the blocks really are that size."""
+    """Blocks sized for 1 and for 7 receivers, the last one ragged, give the
+    grid of one 48-receiver block; the spy checks the blocks really are the
+    sizes the live candidates give. In the obstacle corridor every live
+    candidate is live at every position, so the blocks hold exactly 1 and 7;
+    in the bent duct their sizes vary along the sweep."""
     env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
     blocks = _spy_on_trace_blocks(monkeypatch)
-    _assert_budgets_do_not_matter(monkeypatch, name,
-                                  _trace_budget(env, receivers), 1 << 30)
-    ragged = [48 % receivers] if 48 % receivers else []
-    assert blocks == [48] + [receivers] * (48 // receivers) + ragged
+    budget = _trace_budget(env, receivers)
+    _assert_budgets_do_not_matter(monkeypatch, name, budget, 1 << 30)
+    assert blocks == [48] + _expected_blocks(env, 48, budget)
+    if name.startswith("obstacle"):
+        ragged = [48 % receivers] if 48 % receivers else []
+        assert blocks[1:] == [receivers] * (48 // receivers) + ragged
+    else:
+        assert len(set(blocks[1:])) > 1
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -520,38 +552,48 @@ def test_sweep_does_not_depend_on_receiver_blocks(monkeypatch, name, cells):
 
 
 def test_the_pool_fills_the_grid_in_position_order(monkeypatch):
-    """Five bent-duct blocks of 5 receivers, the last one ragged, some
-    without coverage, give the same grid on one worker, on two and as a
-    single block."""
+    """Bent-duct blocks sized for 5 receivers, of several sizes, some without
+    coverage, give the same grid on one worker, on two and as a single
+    block."""
     env = build_bent_tunnel(45.0)
     together = run_sweep_grid(env, [ISO], [60e9], n_samples=24)
     assert np.isinf(together.power_dbm).any() and np.isfinite(together.power_dbm).any()
-    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", _trace_budget(env, 5))
+    budget = _trace_budget(env, 5, 24)
+    monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", budget)
     blocks = _spy_on_trace_blocks(monkeypatch)
     serial = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=1)
-    assert blocks == [5, 5, 5, 5, 4]
+    assert blocks == _expected_blocks(env, 24, budget)
+    assert len(blocks) >= 3 and len(set(blocks)) > 1
     pooled = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=2)
     _assert_grids_equal(serial, together)
     _assert_grids_equal(pooled, together)
 
 
-@pytest.mark.parametrize("name, carriers", [
-    ("straight_tunnel", 3), ("bent_tunnel", 3), ("obstacle_corridor", 31)])
-def test_every_sweep_block_stays_within_the_trace_budget(name, carriers):
-    """The numpy memory a default-size block allocates at its peak, traced
-    with tracemalloc over every block of a 1024-position sweep, is at most
-    the budget the block was sized by."""
+def _sweep_jobs(env, order: int):
+    """The trace blocks of a default 1024-position sweep: (slices, jobs)."""
+    distances = np.linspace(1.0, env.axis_length, 1024)
+    rx, boresight = mmray.channel._axis_receivers(env, distances, 1.5)
+    return mmray.channel._trace_jobs(env, TX, order, distances, rx, boresight, 1.5)
+
+
+@pytest.mark.parametrize("name, carriers, order", [
+    pytest.param("straight_tunnel", 3, 2, id="straight_tunnel-3"),
+    pytest.param("bent_tunnel", 3, 2, id="bent_tunnel-3"),
+    pytest.param("obstacle_corridor", 31, 2, id="obstacle_corridor-31"),
+    pytest.param("bent_tunnel", 3, 4, id="bent_tunnel-3-order_4")])
+def test_every_sweep_block_stays_within_the_trace_budget(monkeypatch, name, carriers, order):
+    """The numpy memory a block allocates at its peak, traced with
+    tracemalloc over every block a 1024-position sweep forms, is at most the
+    budget the block was sized by."""
+    monkeypatch.setattr(mmray.tracer, "MAX_ORDER", max(order, mmray.tracer.MAX_ORDER))
     env, freqs = DUCTS[name], tuple(60e9 + 1e9 * k for k in range(carriers))
-    size = mmray.channel._block_receivers(candidate_count(env, TX, 2), 2)
-    distances = np.linspace(1.0, env.axis_length, 1024).tolist()
-    rx = np.array([env.axis_point(d, height=1.5) for d in distances])
-    boresight = -np.array([env.axis_direction(d) for d in distances])
-    ctx = (env, TX, tuple(PRESETS), freqs, mmray.Polarization.TE, 2, 0.0)
+    ctx = (env, TX, tuple(PRESETS), freqs, mmray.Polarization.TE, order, 0.0)
+    _, jobs = _sweep_jobs(env, order)
     peak = 0
-    for i in range(0, len(rx), size):
+    for job in jobs:
         tracemalloc.start()
         try:
-            mmray.channel._sweep_block(ctx, (rx[i:i + size], boresight[i:i + size]))
+            mmray.channel._sweep_block(ctx, job)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -606,7 +648,7 @@ def test_a_sweep_block_across_the_elbow_calls_gain_twice_per_system(monkeypatch)
     assert len({tuple(b) for b in boresight.tolist()}) == 2
     calls = _spy_on_gain(monkeypatch, lambda args: args[0])
     ctx = (env, TX, tuple(PRESETS), (60e9,), mmray.Polarization.TE, 2, 0.0)
-    mmray.channel._sweep_block(ctx, (rx, boresight))
+    mmray.channel._sweep_block(ctx, (rx, boresight, None))
     assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
 
 

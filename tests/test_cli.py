@@ -285,6 +285,59 @@ def test_sweep_csv_text_follows_the_per_cell_rule(tmp_path):
     assert files[0].read_text().splitlines()[2] == "1.0001,-0.0000,-12.3458"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_sweep_command_forms_no_moments_and_writes_the_grid_s_bytes(
+        tmp_path, monkeypatch, workers):
+    """`mmray sweep` of each shipped scenario writes the bytes that
+    write_sweep_csvs writes from run_sweep_grid, the bent duct's NOCOV rows
+    included; on one worker a spy sees it take no delay moments, and then
+    sees the grid take them."""
+    calls, moments = [], channel._delay_moments
+    monkeypatch.setattr(channel, "_delay_moments", lambda *args: calls.append(1) or moments(*args))
+    nocov = []
+    for path in SHIPPED:
+        config = parse_scenario(path.read_text())
+        files = run_sweep_command(config, tmp_path / "command" / path.stem, workers)
+        assert not calls
+        grid = run_sweep_grid(build_environment(config.environment), build_systems(config),
+                              config.frequencies, workers=workers, **cli._sweep_settings(config))
+        assert calls or workers > 1
+        expected = write_sweep_csvs(grid, [s.label for s in config.systems],
+                                    tmp_path / "grid" / path.stem)
+        assert [f.name for f in files] == [f.name for f in expected]
+        assert [f.read_bytes() for f in files] == [f.read_bytes() for f in expected]
+        nocov += [path.stem for f in files if b"NOCOV" in f.read_bytes()]
+        calls.clear()
+    assert {"bent_tunnel", "obstacle_corridor"} <= set(nocov)
+
+
+def _cell(value: float) -> str:
+    return "NOCOV" if value == -math.inf or math.isnan(value) else "%.4f" % value
+
+
+TIES = st.integers(-2 ** 40, 2 ** 40).map(lambda k: (2 * k + 1) / 32)  # x * 1e4 a half integer
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, -1e-9, -4.9e-5, 5e-5, -5e-5, 12.34565, -12.34575,
+                     math.nan, -math.nan, math.inf, -math.inf]),
+    TIES,
+    TIES.map(lambda t: float(np.nextafter(t, math.inf))),
+    TIES.map(lambda t: float(np.nextafter(t, -math.inf))),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: k / 1e4 + 5e-5),  # near decimal ties
+    st.floats(1e11, 1e300).flatmap(lambda v: st.sampled_from([v, -v, float(np.nextafter(1e11, 0))])),
+    st.floats(-1e-3, 1e-3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=1, max_size=12)))
+def test_the_vectorized_csv_rows_equal_the_per_cell_rule(rows):
+    values = np.array(rows, float)
+    want = "".join(",".join(map(_cell, row)) + "\n" for row in values.tolist())
+    assert cli._csv_rows(values) == want
+
+
 def test_pdp_command_footers(tmp_path):
     cfg = parse_scenario(SMALL)
     paths = run_pdp_command(cfg, rx_distance=10.0, out_dir=tmp_path)

@@ -571,3 +571,68 @@ def test_an_outside_receiver_behind_the_lift_is_still_named():
     with pytest.raises(ValueError, match=r"receiver \(30.0, 5.0, 1.5\) outside environment "
                                          "'obstacle_corridor'"):
         tracer.trace_receivers(env, TX, rx)
+
+
+# ---------------------------------------------------------------------------
+# Sweep-line windows
+# ---------------------------------------------------------------------------
+
+WINDOW_DUCTS = {
+    "straight_tunnel": build_straight_tunnel(),
+    "bent_tunnel": build_bent_tunnel(45.0),
+    "plain_corridor": build_plain_corridor(),
+    "obstacle_corridor": build_obstacle_corridor(),
+    "bent_tunnel_80": build_bent_tunnel(80.0),
+}
+ISO = mmray.system_preset("system1")
+
+
+def _window_cases(env, order, rng):
+    """(tx, rx height, polarization, positions) of each sweep checked: a
+    transmitter from the benchmark's seeded range per receiver height,
+    0.7 m, 1.5 m and 5 cm below the ceiling; above order 6, where the bent
+    ducts' trees hold 10 000 to 31 000 candidates, one height and few positions."""
+    heights = (0.7, 1.5, env.height - 0.05)
+    if order > 6:
+        heights = heights[order % 3:][:1]
+    n = 48 if order <= 4 else 16 if order <= 6 else 4
+    return [((0.0, float(rng.uniform(-0.4, 0.4)), float(rng.uniform(1.6, 2.1))), h,
+             list(Polarization)[(order + i) % 2], n) for i, h in enumerate(heights)]
+
+
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("name", sorted(WINDOW_DUCTS))
+def test_sweep_windows_drop_no_pair(monkeypatch, name, order):
+    """Each trace block of a sweep back-traces only the candidates whose
+    window meets its positions, and its table has the bits of a trace of
+    the whole tree. The first sweep's grid and table equal those with
+    every candidate in every block."""
+    monkeypatch.setattr(tracer, "MAX_ORDER", 8)
+    env = WINDOW_DUCTS[name]
+    cases = _window_cases(env, order, np.random.default_rng([sorted(WINDOW_DUCTS).index(name),
+                                                             order]))
+    culled = 0
+    for tx, height, pol, n in cases:
+        distances = np.linspace(1.0, env.axis_length, n)
+        rx, boresight = mmray.channel._axis_receivers(env, distances, height)
+        _, jobs = mmray.channel._trace_jobs(env, tx, order, distances, rx, boresight, height)
+        candidates = tracer.candidate_count(env, tx, order)
+        for block, _, live in jobs:
+            culled += len(live) < candidates
+            _assert_tables_identical(tracer._trace(env, tx, block, order, pol, live),
+                                     tracer.trace_receivers(env, tx, block, order, pol))
+    assert culled or order < 2
+    tx, height, pol, n = cases[0]
+    sweep = dict(n_samples=n, tx=tx, rx_height=height, max_order=order, polarization=pol)
+    grid = mmray.run_sweep_grid(env, [ISO], [60e9], **sweep)
+    table = mmray.delay_spread_table([env], [ISO], [60e9], **sweep)
+    everywhere = np.array([-np.inf, np.inf])[:, None]
+    monkeypatch.setattr(mmray.channel, "_sweep_windows",
+                        lambda env, tx, order, height: everywhere.repeat(
+                            tracer.candidate_count(env, tx, order), 1))
+    full = mmray.run_sweep_grid(env, [ISO], [60e9], **sweep)
+    for a, b in ((grid.power_dbm, full.power_dbm), (grid.rms_spread, full.rms_spread),
+                 (grid.mean_excess, full.mean_excess)):
+        assert a.tobytes() == b.tobytes()
+    assert table.values_ns.tobytes() == mmray.delay_spread_table(
+        [env], [ISO], [60e9], **sweep).values_ns.tobytes()
