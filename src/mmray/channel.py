@@ -27,6 +27,7 @@ go through from_paths.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -470,19 +471,6 @@ def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarra
     return slices, jobs
 
 
-def _axis_receivers(env: Environment, distances: np.ndarray, height: float) -> tuple:
-    """env.axis_point(s, height) and neg(env.axis_direction(s)) of each distance
-    s, (N, 3) each, bit for bit: the same operations, a segment at a time."""
-    rx, boresight = np.empty((2, len(distances), 3))
-    remaining, todo = distances, np.ones(len(distances), bool)
-    for seg in env.centerline:
-        here = todo if seg is env.centerline[-1] else todo & (remaining <= seg.length)
-        rx[here] = np.add(seg.origin, np.multiply(seg.direction, remaining[here, None]))
-        boresight[here], todo, remaining = neg(seg.direction), todo & ~here, remaining - seg.length
-    rx[:, 2] += height
-    return rx, boresight
-
-
 def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
            frequencies: Sequence[float], n_samples: int = 1024, rx_start: float = 1.0,
            rx_height: float = 1.5, tx: Vec3 = (0.0, 0.0, 2.0),
@@ -500,11 +488,14 @@ def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
         raise ValueError(f"rx_start must be in (0, {env.axis_length}), got {rx_start}")
     if math.isfinite(env.height) and not 0.0 < rx_height < env.height:
         raise ValueError(f"rx_height must be in (0, {env.height}), got {rx_height}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
     tx, systems = vec3(tx), tuple(systems)
     frequencies = tuple(CarrierConfig(float(f)).frequency for f in frequencies)
     distances = np.linspace(rx_start, env.axis_length, n_samples)
-    rx, rx_boresight = _axis_receivers(env, distances, rx_height)
+    rx, direction = env._axis(distances, rx_height)
+    rx_boresight = -direction
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
     block = partial(block, (env, tx, systems, frequencies, polarization, max_order, atmos))
     _check_order(max_order)
@@ -566,6 +557,8 @@ def delay_spread_table(envs: Sequence[Environment],
     without coverage are excluded; aggregate is "mean" (default) or
     "median" over the per-position spreads.
     """
+    if not envs:
+        raise ValueError("at least one environment is required")
     if aggregate not in ("mean", "median"):
         raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     values = np.full((len(envs), len(systems), len(frequencies)), math.nan)

@@ -147,21 +147,23 @@ class Environment:
 
     def axis_point(self, s: float, height: float = 0.0) -> Vec3:
         """Point at arclength s along the centerline, lifted to the given height."""
-        remaining = s
-        for seg in self.centerline:
-            if remaining <= seg.length or seg is self.centerline[-1]:
-                p = add(seg.origin, scale(seg.direction, remaining))
-                return (p[0], p[1], p[2] + height)
-            remaining -= seg.length
-        raise ValueError(f"arclength {s} beyond centerline")
+        return tuple(self._axis(np.array([s], float), height)[0][0].tolist())
 
     def axis_direction(self, s: float) -> Vec3:
-        remaining = s
+        return tuple(self._axis(np.array([s], float), 0.0)[1][0].tolist())
+
+    def _axis(self, s: np.ndarray, height: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Points at arclengths s (N,) along the centerline, lifted to height,
+        and its directions there, (N, 3) each; s is on the first segment it
+        does not run past, or on the last."""
+        points, directions = np.empty((2, len(s), 3))
+        remaining, todo = s, np.ones(len(s), bool)
         for seg in self.centerline:
-            if remaining <= seg.length or seg is self.centerline[-1]:
-                return seg.direction
-            remaining -= seg.length
-        return self.centerline[-1].direction
+            here = todo if seg is self.centerline[-1] else todo & (remaining <= seg.length)
+            points[here] = np.add(seg.origin, np.multiply(seg.direction, remaining[here, None]))
+            directions[here], todo, remaining = seg.direction, todo & ~here, remaining - seg.length
+        points[:, 2] += height
+        return points, directions
 
     def contains(self, p):
         """True if p lies inside the duct volume; an (N, 3) array of points gives

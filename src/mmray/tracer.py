@@ -3,7 +3,9 @@
 The reflectors are planes: coplanar surfaces that face the same way form
 one. One image tree per transmitter lists every chain of up to MAX_ORDER
 planes with the transmitter mirrored across each in turn (the empty chain
-is the direct ray), and stacks the chains of each order into arrays.
+is the direct ray). It is built an order at a time on arrays and held as
+arrays per candidate (order, plane chain, images); one function, _steps,
+forms the back-trace steps of any set of candidates.
 trace_receivers back-traces every chain from a block of receivers at once,
 as array operations over (candidates x receivers), and writes the
 surviving paths into a PathTable: one row per path, the rows of a receiver
@@ -56,7 +58,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Vec3, distance, dot, mirror_across_plane, vec3
+from .geometry import Vec3, distance, dot, vec3
 from .scene import Environment, Material, ObstacleSlab, Surface
 
 SPEED_OF_LIGHT = 299792458.0
@@ -322,10 +324,6 @@ class _Frame:
         self.normal = surf.normal
         self.offset = surf.plane_offset
 
-    def side(self, p: Vec3) -> float:
-        n = self.normal
-        return n[0] * p[0] + n[1] * p[1] + n[2] * p[2] - self.offset
-
     def coplanar_with(self, other: "_Frame", tol: float = 1e-9) -> bool:
         n1, n2 = self.normal, other.normal
         d = dot(n1, n2)
@@ -362,7 +360,7 @@ class _Planes(NamedTuple):
     offset: np.ndarray   # (...)
 
     def at(self, i) -> "_Planes":
-        return _Planes(*(x[..., i] for x in self))
+        return _Planes(*(x.take(i, -1) for x in self))
 
 
 class _Rects(NamedTuple):
@@ -375,7 +373,7 @@ class _Rects(NamedTuple):
     inv_v2: np.ndarray   # (...) 1 / |edge_v|^2
 
     def at(self, i) -> "_Rects":
-        return _Rects(*(x[..., i] for x in self))
+        return _Rects(*(x.take(i, -1) for x in self))
 
 
 class _Surfaces(NamedTuple):
@@ -447,83 +445,88 @@ def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
 
 
 class _Tree(NamedTuple):
+    """A transmitter's image tree as arrays per candidate, stacked by
+    descending order. Column s of a candidate of order k holds, counted back
+    from the receiver, the plane of its s-th bounce and images[:, s + 1]
+    mirrored across it; images[:, k] is tx and later columns are padding.
+    order and steps are those of the candidates a trace tests: all of them
+    in the cached tree, a sweep block's in _trace."""
+
     surfaces: _Surfaces
     occluders: Optional[_Surfaces]  # the surfaces that can occlude a segment
-    order: np.ndarray               # (C,) order of each candidate, stacked
-    steps: Tuple[_Step, ...]        # one per step 0..max_order - 1
+    members: np.ndarray             # (P, W) surfaces of each plane, padded with -1
+    order: np.ndarray               # (C,) order of each candidate
+    chain: np.ndarray               # (C, K) planes, padded with -1
+    images: np.ndarray              # (C, K + 1, 3)
+    image_side: np.ndarray          # (C, K) side of images[:, s] of chain[:, s], held for _steps
+    steps: Tuple[_Step, ...]        # one per step 0..K - 1
 
 
 @lru_cache(maxsize=64)
 def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
     """The (plane chain, images) candidates of a transmitter, stacked.
 
-    images[k] is tx mirrored across chain[:k]. Candidates are built
-    breadth-first: the direct ray, each plane facing tx, each pair, ... A
-    plane may follow a chain only if the chain's last image lies on its
-    reflecting side (the segment arriving at the plane, extended backwards,
-    ends at that image) and it is not the plane of the previous bounce. The
-    stacked arrays hold them by descending order, so the direct ray, which
-    has no step, comes last. Only the receiver moves in a sweep, so this is
-    built, and tx checked to lie inside env, once per transmitter.
+    A level (an order) at a time: a plane may follow a chain only if the
+    chain's last image lies on its reflecting side (the segment arriving at
+    the plane, extended backwards, ends at that image) and it is not the
+    plane of the previous bounce. A level takes the side of every last
+    image of every plane, keeps the passing (chain, plane) pairs in that
+    order and mirrors each image across its plane, x - 2 side n. The direct
+    ray, with no step, stacks last. Only the receiver moves in a sweep, so
+    this is built, and tx checked to lie inside env, once per transmitter.
     """
     if not env.contains(tx):
         raise ValueError(f"transmitter {tx} outside environment {env.name!r}")
     reflectors = _reflectors(env)
     surfaces = _surfaces(env)
-    level = [((), (tx,))]
-    candidates = list(level)
-    for _ in range(max_order):
-        level = [(chain + (g,),
-                  images + (mirror_across_plane(images[-1], g[0].normal, g[0].offset),))
-                 for chain, images in level for g in reflectors
-                 if g[0].side(images[-1]) > _ON_PLANE
-                 and not (chain and chain[-1][0].coplanar_with(g[0]))]
-        candidates += level
-    stacked = sorted(candidates, key=lambda c: -len(c[0]))
-    order = np.array([len(chain) for chain, _ in stacked], int)
-    # members[c, j] lists the surfaces of the j-th plane of candidate c,
-    # padded with -1 to the widest plane; -1 past the candidate's order.
     width = max(map(len, reflectors), default=1)
-    members = np.array([[[f.index for f in g] + [-1] * (width - len(g)) for g in chain]
-                        + [[-1] * width] * (max_order - len(chain))
-                        for chain, _ in stacked], int).reshape(len(stacked), max_order, width)
+    members = np.array([[f.index for f in g] + [-1] * (width - len(g)) for g in reflectors],
+                       int).reshape(len(reflectors), width)
+    plane = surfaces.plane.at(members[:, 0])
+    first = [g[0] for g in reflectors]
+    coplanar = np.array([[a.coplanar_with(b) for b in first] for a in first], bool)
+    levels = [(np.full((1, max_order), -1), np.array([[tx] + [(0.0, 0.0, 0.0)] * max_order]),
+               np.zeros((1, max_order)))]
+    for k in range(max_order):
+        chain, images, _ = levels[-1]
+        side = _side(plane, images[:, 0].T[..., None])  # (chains, planes)
+        reflects = side > _ON_PLANE
+        if k:
+            reflects &= ~coplanar[chain[:, 0]]
+        c, p = np.nonzero(reflects)
+        mirrored = images[c, 0] - (2.0 * side[c, p])[:, None] * plane.normal.T[p]
+        # Each array gains a first column and drops its last, a padding one.
+        levels.append(tuple(np.concatenate([new[:, None], old[c, :-1]], axis=1) for new, old in
+                            zip((p, mirrored, _side(plane.at(p), mirrored.T)), levels[-1])))
+    order = np.repeat(np.arange(max_order, -1, -1), [len(c) for c, _, _ in levels[::-1]])
+    tree = _Tree(surfaces, _occluders(env, surfaces), members, order,
+                 *(np.concatenate(x[::-1]) for x in zip(*levels)), ())
+    return tree._replace(steps=_steps(tree, np.arange(len(order))))
+
+
+def _steps(tree: _Tree, live: np.ndarray) -> Tuple[_Step, ...]:
+    """The back-trace steps of the stacked candidates live (ascending). Those
+    with a bounce at step s stack first, so they are a prefix of live and of
+    those at step s - 1, whose plane is the one after step s."""
+    surfaces = tree.surfaces
+    order = tree.order.take(live)
+    counts = len(order) - np.searchsorted(order[::-1], np.arange(tree.chain.shape[1]), "right")
     steps = []
-    for s in range(max_order):
-        # The bounce at step s of a chain of order k is on plane k - 1 - s;
-        # its image is images[k - s], and the next bounce is on plane k - s.
-        live = order > s
-        bounce = members[live, order[live] - 1 - s]
-        after = members[live, order[live] - s, :1] if s else bounce[:, :1]
-        plane = surfaces.plane.at(bounce[:, :1])
-        images = [images[len(chain) - s] for chain, images in stacked if len(chain) > s]
-        image = np.array(images, float).reshape(-1, 3).T[..., None]
-        slots = [(np.flatnonzero(m >= 0), m) for m in bounce.T]
-        steps.append(_Step(int(live.sum()), plane,
-                           tuple((c, m[c, None], surfaces.rect.at(m[c, None])) for c, m in slots),
-                           image, _side(plane, image), surfaces.plane.at(after)))
-    return _Tree(surfaces, _occluders(env, surfaces), order, tuple(steps))
-
-
-def _select(tree: _Tree, live: np.ndarray) -> _Tree:
-    """The tree of the stacked candidates live (ascending), stacked as
-    before: each step's arrays gathered along their candidate axis."""
-
-    steps = []
-    for step in tree.steps:
-        n = int(np.searchsorted(live, step.count))
-        keep = live[:n]
-        position = np.full(step.count, -1)
-        position[keep] = np.arange(n)
-        members = []
-        for cand, index, rect in step.members:
-            new = position.take(cand)
-            hit = np.flatnonzero(new >= 0)
-            members.append((new.take(hit), index.take(hit, 0),
-                            _Rects(*(x.take(hit, -2) for x in rect))))
-        steps.append(_Step(n, _Planes(*(x.take(keep, -2) for x in step.plane)), tuple(members),
-                           step.image.take(keep, -2), step.image_side.take(keep, 0),
-                           _Planes(*(x.take(keep, -2) for x in step.after))))
-    return tree._replace(order=tree.order.take(live), steps=tuple(steps))
+    for s, n in enumerate(counts.tolist()):
+        c = live[:n]
+        bounce = tree.members.take(tree.chain[:, s].take(c), 0)  # (n, W) surfaces
+        first = bounce[:, :1]
+        plane = surfaces.plane.at(first)
+        # Per surface slot j: the candidates whose plane has a j-th surface.
+        members = [(np.arange(n), first, surfaces.rect.at(first))]
+        for m in bounce.T[1:]:
+            i = np.flatnonzero(m >= 0)
+            index = m.take(i)[:, None]
+            members.append((i, index, surfaces.rect.at(index)))
+        after = _Planes(*(x[..., :n, :] for x in steps[-1].plane)) if s else plane
+        steps.append(_Step(n, plane, tuple(members), tree.images[:, s].take(c, 0).T[..., None],
+                           tree.image_side[:, s].take(c)[:, None], after))
+    return tuple(steps)
 
 
 def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
@@ -704,7 +707,7 @@ def _trace(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int
     K = int(max_order)
     tree = _image_tree(env, tx, K)
     if live is not None and len(live) < len(tree.order):
-        tree = _select(tree, live)
+        tree = tree._replace(order=tree.order.take(live), steps=_steps(tree, live))
     # The first receiver outside, or closer to tx than _MIN_SEPARATION, is named.
     inside = env.contains(rx)
     good = inside & (((rx - tx) ** 2).sum(1) >= _MIN_SEPARATION ** 2)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from mmray import (
     received_power, rms_delay_spread, run_sweep_grid, system_preset,
     watts_to_dbm,
 )
+from mmray.geometry import add, neg, scale
 from mmray.tracer import trace_receivers
 from oracles import friis_dbm, phasor_sum_dbm, power_delay_profile_reference
 
@@ -64,6 +66,23 @@ def test_carrier_and_sweeps_reject_a_bad_frequency(freq):
         run_sweep_grid(env, [ISO], [60e9, freq], n_samples=4)
     with pytest.raises(ValueError, match=message):
         delay_spread_table([env], [ISO], [freq], n_samples=4)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+def test_sweeps_reject_a_bad_worker_count(workers):
+    """0 and -3 ran serial, and 1.5 raised a TypeError inside the pool."""
+    env = build_straight_tunnel()
+    message = f"workers must be an integer >= 1, got {workers!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_sweep_grid(env, [ISO], [60e9], n_samples=4, workers=workers)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        delay_spread_table([env], [ISO], [60e9], n_samples=4, workers=workers)
+
+
+def test_a_table_of_no_environment_is_rejected():
+    """It returned an empty table, without checking the frequencies."""
+    with pytest.raises(ValueError, match="at least one environment is required"):
+        delay_spread_table([], [ISO], [-1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +390,37 @@ def test_sweep_matches_the_per_path_functions_at_every_position(name):
                         mean_excess_delay(pdp), rel=1e-9, abs=1e-15)
 
 
+def _axis_reference(env, s, height):
+    """The point at arclength s lifted by height and the reversed centerline
+    direction there, a segment at a time in Python floats."""
+    remaining = s
+    for seg in env.centerline:
+        if remaining <= seg.length or seg is env.centerline[-1]:
+            p = add(seg.origin, scale(seg.direction, remaining))
+            return (p[0], p[1], p[2] + height), neg(seg.direction)
+        remaining -= seg.length
+
+
 @pytest.mark.parametrize("name", sorted(DUCTS))
 def test_sweep_receivers_equal_the_per_point_axis_calls(name):
-    """The sweep's receiver positions and boresights, formed a centerline
-    segment at a time, equal env.axis_point and -env.axis_direction bit for
-    bit: at 1024 sweep positions, on and an ulp either side of every
-    segment's end (the bent ducts' elbow and the far end), and at 0."""
+    """The sweep's receiver positions and boresights, Environment._axis,
+    equal a per-point reference bit for bit, and so do env.axis_point and
+    -env.axis_direction: at 1024 sweep positions, on and an ulp either side
+    of every segment's end (the bent ducts' elbow and the far end), and at
+    0."""
     env = DUCTS[name]
     ends = np.cumsum([seg.length for seg in env.centerline])
     distances = np.concatenate([
         np.linspace(1.0, env.axis_length, 1024), [0.0, env.axis_length],
         ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
-    rx, boresight = mmray.channel._axis_receivers(env, distances, 1.5)
-    expected = [env.axis_point(s, height=1.5) for s in distances.tolist()]
-    assert rx.tobytes() == np.array(expected).tobytes()
-    expected = [tuple(-c for c in env.axis_direction(s)) for s in distances.tolist()]
-    assert boresight.tobytes() == np.array(expected).tobytes()
+    rx, direction = env._axis(distances, 1.5)
+    expected = [_axis_reference(env, s, 1.5) for s in distances.tolist()]
+    assert rx.tobytes() == np.array([p for p, _ in expected]).tobytes()
+    assert (-direction).tobytes() == np.array([b for _, b in expected]).tobytes()
+    assert [(env.axis_point(s, height=1.5), neg(env.axis_direction(s)))
+            for s in distances.tolist()] == expected
     if len(env.centerline) > 1:
-        assert len({tuple(b) for b in boresight.tolist()}) == 2
+        assert len({tuple(b) for b in direction.tolist()}) == 2
 
 
 def test_path_factors_carry_each_rows_transmission_product():
@@ -572,8 +604,8 @@ def test_the_pool_fills_the_grid_in_position_order(monkeypatch):
 def _sweep_jobs(env, order: int):
     """The trace blocks of a default 1024-position sweep: (slices, jobs)."""
     distances = np.linspace(1.0, env.axis_length, 1024)
-    rx, boresight = mmray.channel._axis_receivers(env, distances, 1.5)
-    return mmray.channel._trace_jobs(env, TX, order, distances, rx, boresight, 1.5)
+    rx, direction = env._axis(distances, 1.5)
+    return mmray.channel._trace_jobs(env, TX, order, distances, rx, -direction, 1.5)
 
 
 @pytest.mark.parametrize("name, carriers, order", [

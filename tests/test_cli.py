@@ -497,6 +497,22 @@ def test_workers_below_one_rejected(tmp_path, capsys, command, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "table"])
+def test_a_worker_count_that_is_no_integer_is_rejected(tmp_path, capsys, command):
+    scn = _write_scenario(tmp_path, "sweep: {n_samples: 16}\n")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit):
+        main([command, "--scenario", str(scn), "--out", str(out), "--workers", "1.5"])
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+    config = parse_scenario(scn.read_text())
+    run = run_sweep_command if command == "sweep" else run_table_command
+    for workers in (0, -3, 1.5):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run(config, out, workers=workers)
+    assert not out.exists()
+
+
 def test_main_flag_overrides(tmp_path):
     scn = _write_scenario(tmp_path)
     rc = main(["sweep", "--scenario", str(scn), "--env", "free_space",

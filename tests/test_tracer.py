@@ -15,6 +15,7 @@ from mmray import (
     slab_transmission,
 )
 from mmray import tracer
+from mmray.geometry import dot, mirror_across_plane
 from mmray.scene import METAL, CenterlineSegment, Environment, Material, Surface
 
 import oracles
@@ -201,6 +202,70 @@ def test_image_tree_keeps_chains_whose_images_face_the_next_surface():
     # first image lies behind, which no receiver can complete: 1 + 5 + 20.
     assert tracer.candidate_count(build_straight_tunnel(), TX, 2) == 17
     assert tracer.candidate_count(build_bent_tunnel(45.0), TX, 2) == 26
+
+
+# Candidates per order at TX, recorded before the tree was built on arrays.
+# In the straight duct order n adds 2^(n+2) - 4 chains, for the 4n lattice
+# points that give paths.
+TREE_SIZES = {
+    "straight_tunnel": (build_straight_tunnel(), [1, 5, 17, 45, 105, 229, 481, 989, 2009]),
+    "bent_tunnel": (build_bent_tunnel(45.0), [1, 6, 26, 94, 314, 1018, 3226, 10067]),
+    "bent_tunnel_80": (build_bent_tunnel(80.0), [1, 6, 26, 95, 323, 1048, 3309, 10274]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_SIZES))
+def test_image_tree_sizes_per_order(monkeypatch, name):
+    monkeypatch.setattr(tracer, "MAX_ORDER", 8)
+    env, sizes = TREE_SIZES[name]
+    assert [tracer.candidate_count(env, TX, k) for k in range(len(sizes))] == sizes
+    if name == "straight_tunnel":
+        assert np.diff(sizes).tolist() == [2 ** (n + 2) - 4 for n in range(1, len(sizes))]
+
+
+def _scalar_tree(env, tx, max_order):
+    """(plane chain, images) of every candidate, stacked by descending order:
+    the image tree's rule a chain at a time, in Python floats, with
+    geometry.mirror_across_plane."""
+    planes = [g[0] for g in tracer._reflectors(env)]
+    level = [((), (tx,))]
+    levels = [level]
+    for _ in range(max_order):
+        level = [(chain + (j,), images + (mirror_across_plane(images[-1], f.normal, f.offset),))
+                 for chain, images in level for j, f in enumerate(planes)
+                 if dot(f.normal, images[-1]) - f.offset > tracer._ON_PLANE
+                 and not (chain and planes[chain[-1]].coplanar_with(f))]
+        levels.append(level)
+    return [c for level in reversed(levels) for c in level]
+
+
+def _two_sided_duct():
+    """The straight tunnel with a divider of two faces, back to back in the
+    plane y = 0: an image mirrored across one face lies in front of the
+    other, which only the previous-plane rule keeps from following."""
+    env = build_straight_tunnel()
+    concrete = env.surfaces[0].material
+    faces = (Surface("divider_left", (20.0, 0.0, 0.0), (0.0, 0.0, 2.5), (4.0, 0.0, 0.0), concrete),
+             Surface("divider_right", (20.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 0.0, 2.5), concrete))
+    return replace(env, name="two_sided", surfaces=env.surfaces + faces)
+
+
+@pytest.mark.parametrize("name", sorted(TREE_SIZES) + ["two_sided"])
+def test_image_tree_holds_the_scalar_chains_and_images(monkeypatch, name):
+    """Up to order 6, each stacked candidate's plane chain and images, read
+    from the receiver back, are those of the scalar rule, bit for bit."""
+    monkeypatch.setattr(tracer, "MAX_ORDER", 8)
+    env = _two_sided_duct() if name == "two_sided" else TREE_SIZES[name][0]
+    tx = (0.3, -0.4, 1.7)
+    for order in (1, 4, 6):
+        tree = tracer._image_tree(env, tx, order)
+        expected = _scalar_tree(env, tx, order)
+        assert len(tree.order) == len(expected)
+        for k, chain, images, (want_chain, want_images) in zip(
+                tree.order.tolist(), tree.chain, tree.images, expected):
+            assert k == len(want_chain)
+            assert chain.tolist() == list(want_chain[::-1]) + [-1] * (order - k)
+            assert images[:k + 1].tobytes() == np.array(want_images[::-1]).tobytes()
 
 
 def test_enumerate_rejects_invalid_inputs():
@@ -614,7 +679,8 @@ def test_sweep_windows_drop_no_pair(monkeypatch, name, order):
     culled = 0
     for tx, height, pol, n in cases:
         distances = np.linspace(1.0, env.axis_length, n)
-        rx, boresight = mmray.channel._axis_receivers(env, distances, height)
+        rx, direction = env._axis(distances, height)
+        boresight = -direction
         _, jobs = mmray.channel._trace_jobs(env, tx, order, distances, rx, boresight, height)
         candidates = tracer.candidate_count(env, tx, order)
         for block, _, live in jobs:
