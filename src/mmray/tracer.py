@@ -17,6 +17,15 @@ plane and recorded on the first, in surface-index order, that holds it;
 that surface gives its material. enumerate_paths is the one-receiver view
 of the same trace.
 
+The back-trace compacts the pairs that pass its steps once, as flat
+indices into the (candidates x receivers) grid, and writes each step's
+bounce points and surfaces straight into their path-order slot of one
+(slot, component, pair) vertex array: tx, the bounces, rx. Candidates
+stack by descending order, so the pairs of an order are one run, and a
+step writes each run with a slice copy. Segments, lengths, occlusion and
+slab crossings are formed on that array, the pairs are sorted once, and
+every field of the table is a 1-D take from it.
+
 Two rejections are decided before any path is formed. A segment is tested
 for occlusion only against the surfaces whose plane has some corner of the
 environment (of a rectangle or of a centerline segment's box) strictly
@@ -48,13 +57,12 @@ math module in the last bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,7 +241,8 @@ class PathTable:
         return np.bincount(self.receiver, minlength=len(self.rx))
 
     def paths(self, r: int) -> "PathList":
-        """The rows of receiver r as PathContribution objects, in a PathList."""
+        """The rows of receiver r as PathContribution objects, in a PathList
+        that carries receiver r's one-receiver slice of this table."""
         lo, hi = np.searchsorted(self.receiver, [r, r + 1]).tolist()
         rx = tuple(self.rx[r].tolist())
         bounces = [[] for _ in range(lo, hi)]
@@ -249,7 +258,9 @@ class PathTable:
                            self.crossing_slab[c_lo:c_hi].tolist(),
                            self.crossing_angle[c_lo:c_hi].tolist()):
             crossings[i - lo].append(SlabCrossing(s, self.slabs[s], a))
-        return PathList(self if len(self.rx) == 1 else None, [PathContribution(
+        table = self if len(self.rx) == 1 else self._slice(
+            r, slice(lo, hi), slice(b_lo, b_hi), slice(c_lo, c_hi))
+        return PathList(table, [PathContribution(
                     order=k,
                     vertices=(self.tx, *(b.point for b in bs), rx),
                     length=length,
@@ -264,6 +275,17 @@ class PathTable:
                     self.order[lo:hi].tolist(), self.length[lo:hi].tolist(),
                     self.reflection[lo:hi].tolist(), self.departure[lo:hi].tolist(),
                     self.arrival[lo:hi].tolist(), bounces, crossings)])
+
+    def _slice(self, r: int, rows: slice, bounces: slice, crossings: slice) -> "PathTable":
+        """Receiver r's rows, bounces and crossings as a table of its own,
+        with rows counted from 0."""
+        return PathTable(
+            self.tx, self.rx[r:r + 1], self.receiver[rows] - r, self.order[rows],
+            self.length[rows], self.reflection[rows], self.departure[rows], self.arrival[rows],
+            self.bounce_row[bounces] - rows.start, self.bounce_surface[bounces],
+            self.bounce_point[bounces], self.bounce_angle[bounces],
+            self.crossing_row[crossings] - rows.start, self.crossing_slab[crossings],
+            self.crossing_angle[crossings], self.slabs, self.polarization)
 
     @classmethod
     def from_paths(cls, paths: Sequence[PathContribution]) -> "PathTable":
@@ -293,11 +315,11 @@ class PathTable:
 
 
 class PathList(list):
-    """A receiver's paths, which carry the PathTable they were made from if
-    it holds no other receiver, and a memo for the channel's factors of it (a
-    dict per atmospheric loss, one per antenna system and one per carrier).
-    table is None once the list no longer holds the objects it was made
-    with, in their order."""
+    """A receiver's paths, which carry its one-receiver PathTable (the table
+    they were made from, or that table's slice of the receiver), and a memo
+    for the channel's factors of it (a dict per atmospheric loss, one per
+    antenna system and one per carrier). table is None once the list no
+    longer holds the objects it was made with, in their order."""
 
     def __init__(self, table: Optional[PathTable], paths: List[PathContribution]):
         super().__init__(paths)
@@ -412,8 +434,9 @@ class _Step(NamedTuple):
     count: int
     plane: _Planes         # plane of the bounce
     # Per surface slot j of the plane, in surface-index order: (the
-    # candidates whose plane has a j-th surface, its index, its rectangle)
-    members: Tuple[Tuple[np.ndarray, np.ndarray, _Rects], ...]
+    # candidates whose plane has a j-th surface, a slice of all of them at
+    # j = 0 and their indices after; its index; its rectangle)
+    members: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray, _Rects], ...]
     image: np.ndarray      # the image mirrored across that plane last
     image_side: np.ndarray  # the image's side of the plane (negative)
     after: _Planes         # plane of the next bounce (unused at step 0)
@@ -435,9 +458,10 @@ def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
                rect.origin + rect.edge_u + rect.edge_v]
     origin, axes, bound = env._segment_boxes
     # A box is {p : (p - origin) . axes[k] <= bound[k]}; axes k and k + 3 are
-    # opposite, so each corner takes one bound of every pair.
-    corners += [(origin[:, 0] + (bound[:, k, None] * axes[:, k]).sum(1)).T
-                for k in map(list, itertools.product((0, 3), (1, 4), (2, 5)))]
+    # opposite, so each of the 8 corners takes one bound of every pair.
+    pick = np.arange(3) + 3 * (np.arange(8)[:, None] >> np.arange(3) & 1)  # (8, 3)
+    term = bound[:, pick, None] * axes[:, pick]  # (segments, 8, 3 bounds, 3)
+    corners.append((origin + (term[:, :, 0] + term[:, :, 1] + term[:, :, 2])).reshape(-1, 3).T)
     plane = _Planes(surfaces.plane.normal[..., None], surfaces.plane.offset[:, None])
     behind = _side(plane, np.concatenate(corners, axis=1)[:, None]) < -_ON_PLANE
     occluding = np.flatnonzero(behind.any(1))
@@ -517,8 +541,9 @@ def _steps(tree: _Tree, live: np.ndarray) -> Tuple[_Step, ...]:
         bounce = tree.members.take(tree.chain[:, s].take(c), 0)  # (n, W) surfaces
         first = bounce[:, :1]
         plane = surfaces.plane.at(first)
-        # Per surface slot j: the candidates whose plane has a j-th surface.
-        members = [(np.arange(n), first, surfaces.rect.at(first))]
+        # Per surface slot j: the candidates whose plane has a j-th surface;
+        # every plane has a first.
+        members = [(slice(None), first, surfaces.rect.at(first))]
         for m in bounce.T[1:]:
             i = np.flatnonzero(m >= 0)
             index = m.take(i)[:, None]
@@ -565,9 +590,10 @@ def _side(plane: _Planes, p: np.ndarray) -> np.ndarray:
 def _on_rectangle(p: np.ndarray, rect: _Rects, tol: float) -> np.ndarray:
     """Whether points p (3, ...) in a rectangle's plane lie on it, up to tol."""
     r = p - rect.origin
-    ru, rv = r * rect.edge_u, r * rect.edge_v
-    a = (ru[0] + ru[1] + ru[2]) * rect.inv_u2
-    b = (rv[0] + rv[1] + rv[2]) * rect.inv_v2
+    a = _dot(r, rect.edge_u)
+    a *= rect.inv_u2
+    b = _dot(r, rect.edge_v)
+    b *= rect.inv_v2
     return (a >= -tol) & (a <= 1.0 + tol) & (b >= -tol) & (b <= 1.0 + tol)
 
 
@@ -579,12 +605,17 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
     image to the next vertex crosses the plane. It must land on a rectangle
     of the plane with both neighbouring vertices strictly on the reflecting
     side (the side of tx and of each image is checked when the tree is
-    built); it is recorded on the first such rectangle. Returns the
-    receiver, order, bounce surfaces (m, max_order; -1 past the order) and
-    vertices (m, max_order + 2, 3) of the m surviving (candidate, receiver)
-    pairs, by stacked candidate. The vertices are tx, bounces, rx, and rx
-    again past the order. The direct ray has no step, so it survives for
-    every receiver.
+    built); it is recorded on the first such rectangle. The direct ray has
+    no step, so it survives for every receiver.
+
+    The m surviving (candidate, receiver) pairs are compacted once, as flat
+    indices c * R + r of the grid, and stay in stacked-candidate order.
+    Returns their receiver and order, and in path order their bounce
+    surfaces (max_order, m; -1 past the order) and vertices
+    (max_order + 2, 3, m): tx, the bounces, then rx in every later slot.
+    Candidates stack by descending order, so the pairs of order k are one
+    run, and the bounce at step s of each goes to slot k - s: a slice copy
+    per (step, order) from one flat take of the step's points.
     """
     ok = np.ones((len(tree.order), len(rx)), bool)
     p = rx.T[:, None, :]
@@ -617,25 +648,29 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
         ok[:n] &= valid
         points.append(p)
         recorded.append(surface)
-    c, r = np.nonzero(ok)
-    K = len(tree.steps)
-    verts = np.empty((len(c), K + 2, 3))
-    verts[:, 0] = tx
-    verts[:, 1:] = rx[r, None]
-    chain = np.full((len(c), K), -1)
-    k = tree.order[c]
+    pair = ok.reshape(-1).nonzero()[0]
+    c, r = np.divmod(pair, len(rx))
+    K, m = len(tree.steps), len(pair)
+    # Pairs [edge[k + 1], edge[k]) are of order k; those with a bounce at
+    # step s, which stack first, are the prefix [0, edge[s + 1]).
+    edge = [m, *np.searchsorted(c, [step.count for step in tree.steps]).tolist(), 0]
+    verts = np.empty((K + 2, 3, m))
+    verts[0].T[...] = tx
+    verts[1:] = rx.T.take(r, 1)
+    surf = np.full((K, m), -1)
     for s, (p, surface) in enumerate(zip(points, recorded)):
-        # Survivors are sorted by stacked index, so those with a bounce at
-        # step s, which stacks first, are a prefix.
-        m = np.searchsorted(c, tree.steps[s].count)
-        verts[np.arange(m), k[:m] - s] = p[:, c[:m], r[:m]].T
-        chain[np.arange(m), k[:m] - 1 - s] = surface[c[:m], r[:m]]
-    return r, k, chain, verts
+        at = pair[:edge[s + 1]]
+        p, surface = p.reshape(3, -1).take(at, 1), surface.reshape(-1).take(at)
+        for k in range(s + 1, K + 1):
+            run = slice(edge[k + 1], edge[k])
+            verts[k - s, :, run] = p[:, run]
+            surf[k - 1 - s, run] = surface[run]
+    return r, tree.order.take(c), surf, verts
 
 
 def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
-    """Rows with a segment verts[:, i] -> verts[:, i + 1] that properly
-    crosses a surface rectangle.
+    """Rows with a segment verts[j] -> verts[j + 1] of vertices (slots, 3,
+    rows) that properly crosses a surface rectangle.
 
     A crossing within _T_INTERIOR of either end, or with an endpoint on the
     plane (a bounce point, up to rounding), only touches the surface. Only
@@ -643,24 +678,29 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
     crossing parameter t = da / (da - db): with both ends on one side,
     rounding is monotone and keeps t outside (0, 1), so this is the same
     rule as testing t for every segment. The surfaces are tested one at a
-    time, so only one surface's crossings are held at once.
+    time, so only one surface's crossings are held at once; a crossing
+    segment j of row i is the flat index j * rows + i, and its ends are
+    taken from the flat vertices.
     """
-    blocked = np.zeros(len(verts), bool)
-    p = verts.transpose(2, 0, 1)  # (3, rows, vertices)
+    m = verts.shape[-1]
+    blocked = np.zeros(m, bool)
+    p = verts.swapaxes(0, 1)  # (3, slots, rows)
+    normal, xyz = surfaces.plane.normal[:, :, None, None], m * np.arange(3)[:, None]
     for i in range(len(surfaces.eps_r)):
-        side = _side(_Planes(surfaces.plane.normal[:, i, None, None], surfaces.plane.offset[i]), p)
+        side = _side(_Planes(normal[:, i], surfaces.plane.offset[i]), p)
         above, below = side > _ON_PLANE, side < -_ON_PLANE
-        row, seg = np.nonzero((above[:, :-1] & below[:, 1:]) | (below[:, :-1] & above[:, 1:]))
+        seg = np.flatnonzero((above[:-1] & below[1:]) | (below[:-1] & above[1:]))
         del above, below
-        end = seg + 1
-        da, db = side[row, seg], side[row, end]
+        da, db = side.take(seg), side.take(seg + m)
         del side
         t = da / (da - db)
-        a, b = verts[row, seg].T, verts[row, end].T
+        start = seg + 2 * m * (seg // m)  # x of vertex j of row i: 3 m j + i
+        a, b = verts.take(start + xyz), verts.take(start + 3 * m + xyz)
         # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-        hit = _on_rectangle(a + t * (b - a), surfaces.rect.at([i]), -ON_SURFACE_TOL)
+        hit = _on_rectangle(a + t * (b - a), _Rects(*(x[..., i:i + 1] for x in surfaces.rect)),
+                            -ON_SURFACE_TOL)
         hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
-        blocked[row[hit]] = True
+        blocked[seg[hit] % m] = True
     return blocked
 
 
@@ -700,7 +740,16 @@ def _trace(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int
            polarization: Polarization, live: Optional[np.ndarray]) -> PathTable:
     """trace_receivers that back-traces only the stacked candidates live
     (ascending), or all if None. Rows are ordered by their sort keys, not by
-    candidate, so a subset that holds every path gives the same table."""
+    candidate, so a subset that holds every path gives the same table.
+
+    The back-trace's pairs stay in stacked order while the segments, their
+    lengths, the occlusion test and the slab crossings are formed on its
+    path-order vertices (slot, component, pair). One stable sort then orders
+    them, and the occluded rows and those through metal are dropped from
+    that order. Every output is a 1-D take from those arrays: the rows'
+    fields by pair, and each bounce's surface, point, arriving direction and
+    so its angle and coefficient by the flat index slot * m + pair; the
+    reflection product multiplies the coefficients in bounce order."""
     tx = vec3(tx)
     rx = np.array(receivers, float).reshape(-1, 3)
     _check_order(max_order)
@@ -723,74 +772,81 @@ def _trace(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int
     lit = _lit(slabs, tx, rx)
     with np.errstate(divide="ignore", invalid="ignore"):
         recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
-        recv = lit[recv]
+        recv = lit.take(recv)
+        m = len(recv)
 
-        # Segments verts[:, i] -> verts[:, i + 1]; those past a row's order
-        # join rx to itself.
-        keep = np.ones(len(verts), bool)
+        # Segment j of a row joins verts[j] to verts[j + 1]; those past its
+        # order join rx to itself.
+        keep = np.ones(m, bool)
         if tree.occluders is not None:
             keep = ~_blocked(verts, tree.occluders)
         if slabs:
             lo = np.array([s.interval[0] for s in slabs])
             hi = np.array([s.interval[1] for s in slabs])
             # A live segment crosses a slab if their x-intervals overlap.
-            a, b = verts[:, :-1, 0, None], verts[:, 1:, 0, None]
-            crosses = _overlaps(a, b, lo, hi)
-            del a, b  # views that would keep the uncompacted vertices alive
-            crosses &= (np.arange(K + 1) <= order[:, None])[..., None]
+            x = verts[:, 0]
+            crosses = _overlaps(x[:-1], x[1:], lo[:, None, None], hi[:, None, None])
+            del x  # a view that would keep the vertices alive
+            crosses &= np.arange(K + 1)[:, None] <= order  # (slabs, K + 1, m)
             metal = np.array([s.material.is_conductor for s in slabs])
-            keep &= ~crosses[..., metal].any(axis=(1, 2))
+            keep &= ~crosses[metal].any(axis=(0, 1))
 
-        # Each step below drops what the later ones do not need, so that a
-        # row holds little more than its vertices and segments at any time.
+        diff = verts[1:] - verts[:-1]  # (K + 1, 3, m)
+        seg = np.sqrt(_dot(diff.swapaxes(0, 1), diff.swapaxes(0, 1)))
+        del diff  # formed again once the bounce points are taken, to hold less
+        length = seg[0]
+        for j in range(1, K + 1):
+            length = length + seg[j]
+
+        # The one sort, of the pairs in stacked order; paths of equal delay
+        # keep the order of their bounce surfaces. Dropping rows after a
+        # stable sort leaves the others in the order a sort of them gives.
+        # Receiver and order sort as one key.
+        rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
         if not keep.all():
-            recv, order, surf, verts = recv[keep], order[keep], surf[keep], verts[keep]
-            if slabs:
-                crosses = crosses[keep]
-        diff = verts[:, 1:] - verts[:, :-1]
-        seg = np.sqrt(_dot(diff.T, diff.T).T)
-        length = seg[:, 0]
-        for i in range(1, K + 1):
-            length = length + seg[:, i]
+            rows = rows[keep.take(rows)]
+        recv, order, length = recv.take(rows), order.take(rows), length.take(rows)
 
-        # Paths of equal delay keep the order of their bounce surfaces.
-        rows = np.lexsort((*surf.T[::-1], length / SPEED_OF_LIGHT, order, recv))
-        recv, order, length = recv[rows], order[rows], length[rows]
+        # Every bounce, in row then bounce order, as flat indices j * m + i
+        # of the (slot, row) arrays; bounce j is vertex j + 1, reached by
+        # segment j, from which its incidence angle is taken.
+        brow, src = np.arange(len(rows)).repeat(order), rows.repeat(order)
+        slot = np.arange(len(brow)) - (order.cumsum() - order).repeat(order)
+        at, at3 = slot * m + src, slot * (3 * m) + src  # 3 m j + i: x of slot j
+        bsurf = surf.reshape(-1).take(at)
+        del src, surf, at
+        xyz = m * np.arange(3)[:, None]
+        bpoint = verts[1:].reshape(-1).take(at3 + xyz).T.copy()
 
-        # Every bounce, in row then bounce order.
-        bounce = np.arange(K) < order[:, None]
-        brow, slot = np.nonzero(bounce)
-        src = rows[brow]
-        bsurf = surf[src, slot]
-        bpoint = verts[src, slot + 1]
-        del verts, surf
-
-        # Unit directions, in place; the incidence angle of a bounce is
-        # taken from the segment arriving at it.
-        dirs = np.divide(diff, seg[..., None], out=diff)
-        dot = dirs[src, slot].T * surfaces.plane.normal[:, bsurf]
+        # Unit directions.
+        dirs = verts[1:] - verts[:-1]
+        del verts
+        dirs /= seg[:, None]
+        dirs = dirs.reshape(-1)
+        dot = dirs.take(at3 + xyz) * surfaces.plane.normal.take(bsurf, 1)
         cos_inc = np.minimum(np.abs(dot[0] + dot[1] + dot[2]), 1.0)
         del dot
+        angle = np.minimum(np.arccos(cos_inc), math.pi / 2 - 1e-12)
+        coeff = np.ones((K, len(rows)))
+        coeff.reshape(-1)[slot * len(rows) + brow] = np.where(
+            surfaces.conductor.take(bsurf), -1.0 if polarization is Polarization.TE else 1.0,
+            _fresnel(surfaces.eps_r.take(bsurf), angle, polarization))
+        reflection = np.ones(len(rows))
+        for j in range(K):
+            reflection = reflection * coeff[j]
+        departure = dirs.take(rows + xyz).T.copy()
+        arrival = dirs.take(order * (3 * m) + rows + xyz).T.copy()
         if slabs:
+            # In row, then segment, then slab order.
+            crow, cseg, cslab = np.nonzero(crosses.take(rows, 2).transpose(2, 1, 0))
+            at = cseg * m + rows.take(crow)
             # |dx| / seg = |dx / seg|: division rounds the same for either sign.
-            crow, cseg, cslab = np.nonzero(crosses[rows])
-            src = rows[crow]
-            ux = np.where(seg[src, cseg] > 0.0, np.abs(dirs[src, cseg, 0]), 0.0)
+            ux = np.where(seg.reshape(-1).take(at) > 0.0,
+                          np.abs(dirs.take(at + 2 * m * cseg)), 0.0)
             cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
         else:
             crow = cslab = np.zeros(0, int)
             cangle = np.zeros(0)
-        departure, arrival = dirs[rows, 0], dirs[rows, order]
-        del diff, dirs, seg
-
-        angle = np.minimum(np.arccos(cos_inc), math.pi / 2 - 1e-12)
-        coeff = np.ones(bounce.shape)
-        coeff[bounce] = np.where(surfaces.conductor[bsurf],
-                                 -1.0 if polarization is Polarization.TE else 1.0,
-                                 _fresnel(surfaces.eps_r[bsurf], angle, polarization))
-        reflection = np.ones(len(rows))
-        for j in range(K):
-            reflection = reflection * coeff[:, j]
 
     return PathTable(
         tx=tx, rx=rx, receiver=recv, order=order, length=length,

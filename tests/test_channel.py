@@ -725,6 +725,37 @@ def test_per_call_gains_are_evaluated_once_per_system(monkeypatch):
     assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
 
 
+@pytest.mark.parametrize("name", ["bent_tunnel", "obstacle_corridor"])
+def test_a_receiver_s_paths_from_a_batched_trace_carry_its_table(monkeypatch, name):
+    """PathTable.paths(r) of a table of several receivers carries r's slice
+    of it: the table of a trace of r alone, bit for bit, so the per-call
+    results equal those of the enumerate_paths list, and a second call is
+    served from the list's memo. In the obstacle corridor the paths cross the
+    wooden doors, and a receiver past the metal lift has none."""
+    env = DUCTS[name]
+    rx = [(3.0, 0.2, 1.5), (12.0, -0.4, 0.9), (15.0, 0.3, 1.2), (22.0, 0.0, 1.5),
+          env.axis_point(30.0, 1.5)]
+    table = trace_receivers(env, TX, rx)
+    combos = list(itertools.product(PRESETS[::2], CARRIERS[::2], (None, OBLIQUE),
+                                    (0.0, ATMOSPHERIC_LOSS_DB_PER_M)))
+    for r, p in enumerate(rx):
+        paths, alone = table.paths(r), enumerate_paths(env, TX, p)
+        assert paths == alone
+        for f in dataclasses.fields(mmray.tracer.PathTable):
+            x, y = getattr(paths.table, f.name), getattr(alone.table, f.name)
+            if isinstance(x, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+            else:
+                assert x == y, f.name
+        assert [_per_call(paths, *c) for c in combos] == [_per_call(alone, *c) for c in combos]
+    paths = table.paths(2)
+    assert paths and all(path.crossings for path in paths) == (name == "obstacle_corridor")
+    calls = _spy_on_gain(monkeypatch, lambda args: args[0])
+    for _ in range(2):
+        _per_call(paths, ISO, CARRIERS[0], OBLIQUE, 0.0)
+    assert calls == [ISO, ISO]
+
+
 def test_interleaved_path_lists_evaluate_each_gain_once(monkeypatch):
     """Two traced lists used in turn keep their own factors: each evaluates
     the departure and the arrival gain of each system once."""

@@ -1,6 +1,7 @@
 """Image-method enumeration and interface physics."""
 
 import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
@@ -702,3 +703,135 @@ def test_sweep_windows_drop_no_pair(monkeypatch, name, order):
         assert a.tobytes() == b.tobytes()
     assert table.values_ns.tobytes() == mmray.delay_spread_table(
         [env], [ISO], [60e9], **sweep).values_ns.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Exact outputs
+# ---------------------------------------------------------------------------
+
+# The PathTable fields formed with +, -, *, / and sqrt only, whose bits do not
+# depend on which SIMD kernels numpy dispatches to. bounce_angle, reflection
+# and crossing_angle go through arccos, cos and sin, whose last bit does.
+PINNED_FIELDS = ("receiver", "order", "length", "departure", "arrival", "bounce_row",
+                 "bounce_surface", "bounce_point", "crossing_row", "crossing_slab")
+TRANSCENDENTAL_FIELDS = ("bounce_angle", "reflection", "crossing_angle")
+
+
+def _pinned_traces(name):
+    """The traces a duct's pins cover: from TX and a seeded transmitter of
+    the benchmark's range, to seeded receivers on the centerline (at 1.5 m
+    and at random heights) and off it, at orders 0-2, TE and TM."""
+    env = WINDOW_DUCTS[name]
+    rng = np.random.default_rng([sorted(WINDOW_DUCTS).index(name), 24])
+    traces = []
+    for tx in (TX, (0.0, float(rng.uniform(-0.4, 0.4)), float(rng.uniform(1.6, 2.1)))):
+        on_axis = np.concatenate([
+            env._axis(np.sort(rng.uniform(0.5, env.axis_length, 16)), 1.5)[0],
+            env._axis(rng.uniform(0.5, env.axis_length, 16), rng.uniform(0.1, 2.4, 16))[0]])
+        rx = [tuple(p) for p in on_axis.tolist()] + _interior_receivers(env, rng, 40)
+        for order in range(3):
+            for pol in Polarization:
+                traces.append((env, tx, rx, order, pol,
+                               tracer.trace_receivers(env, tx, rx, order, pol)))
+    return traces
+
+
+def _field_digests(tables):
+    """SHA-256 per pinned field over the tables, of each array's dtype,
+    shape and bytes in turn."""
+    digests = {f: hashlib.sha256() for f in PINNED_FIELDS}
+    for table in tables:
+        for f, h in digests.items():
+            x = getattr(table, f)
+            h.update(f"{x.dtype.str}{x.shape}".encode())
+            h.update(x.tobytes())
+    return {f: h.hexdigest() for f, h in digests.items()}
+
+
+def _receiver_rows(table, r):
+    """Slices of the rows, bounces and crossings of receiver r."""
+    lo, hi = np.searchsorted(table.receiver, [r, r + 1]).tolist()
+    return (slice(lo, hi), slice(*np.searchsorted(table.bounce_row, [lo, hi]).tolist()),
+            slice(*np.searchsorted(table.crossing_row, [lo, hi]).tolist()))
+
+
+# Per duct, the digests of _pinned_traces' tables.
+TRACE_PINS = {
+    "bent_tunnel": {
+        "receiver": "281e8d93bdd5733cc3fa3dadee09ddb91a3edd68ea22c65dee25716da694d62c",
+        "order": "4faf6bcc8023af9efdd944172b5351cea75b945335f219b8556ee7f1eb54c66e",
+        "length": "4776ae2002d759f43ba66316f1903c5ac9f948f0a0be0c1eb806be333fff3912",
+        "departure": "e78c0f05a71e138f96dd6cb4418920f3c6bece3716ad5c012262fc0649321d70",
+        "arrival": "5e57a2b96edbf2533cf60f610414221f8c86a069ce5839caf85d05e86931beae",
+        "bounce_row": "b1331f498bc0db63692b5b084f48b2de31de644b7c46a14c2001ab50a60f1bad",
+        "bounce_surface": "a76adab79d3edcf308529ec663ea45e6435ae32f9832bb5ed04ce53aea7230fd",
+        "bounce_point": "19b0a345e4a3949fcf3e0253ad27a26440d46c318c0af69a4d3709dd41e86674",
+        "crossing_row": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+        "crossing_slab": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+    },
+    "bent_tunnel_80": {
+        "receiver": "0dd38063f88aef866a293b7e805027e1c2e78ad1b9bb95607a6db7a183140725",
+        "order": "8d31607a1676cd129404e6af45f79539aae43fd912111ca39228215e19fe0204",
+        "length": "d92c75fd2cd1ad0d3c37d1fd305f2d1e5156a24d731d707f10a140f83ea3030e",
+        "departure": "f88a92d20bf7a361bcf7aebe145411663b085892930bef94ecc73d23fb42b198",
+        "arrival": "306d9eef123a21aa8ced2f05a8c0dbfcbd005fedc539219198ecb44bf11bc1dd",
+        "bounce_row": "c471ea5dcb6dc9e7cfc318d7acbe273b853e87d08781519fc0c88808920241ae",
+        "bounce_surface": "c420e26ba7cfa610330ee129b30d6ba4620b2236807522c859599268173ff264",
+        "bounce_point": "8e6332314ea8f34cd11206ca87ff19a4fe8c650581417e25a078157993ad4fa2",
+        "crossing_row": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+        "crossing_slab": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+    },
+    "obstacle_corridor": {
+        "receiver": "dda79dd12a1ed966a23f93cc119ef917a4da2ef9a2eafd81b07f2a1098832eed",
+        "order": "b052ae6bf87951893f0570eee97ef3c451ecb1382bc441de42f0defd70a0442f",
+        "length": "771bbdb45ebdd014b5acdd4db9fb28d27d60137cb1e0cf8d64fd975846b343b1",
+        "departure": "1b3bf098009790bdec75c50d9b46dd93080319deb58669fa15c1790ff6d96907",
+        "arrival": "168228ca2aacbe4869fd65e89a4e24549249243c2e27acc70522f3c3633dd66d",
+        "bounce_row": "f5f7fdfa9fcfb7081293ca7afceed2f83aa979e877e1262dc277750162b7f789",
+        "bounce_surface": "fa922d25f8eee23a4f5745dd440a50b792ede9286360f9df0875a445eb7ce5ce",
+        "bounce_point": "02e5fd48e26be01088fe3a6c452fe6d7e339c9c37fa14e8169b014b3f02a8984",
+        "crossing_row": "0b74796170f62cb7284dbc8c5d4ed96380c54ec6dad2b27e0c16bdc8f6f6eda5",
+        "crossing_slab": "52f06c3a0b44b42869ac82fee8841567e6a52db332a1f0dc87bb003bde9d75e2",
+    },
+    "plain_corridor": {
+        "receiver": "184411ddd50721ad9f6214ec87d5ace8876ae7ac4946901004420ba737487f7e",
+        "order": "6b4c281f9e92cb9c866add7890e4ca31dd1050cacfcf48e5ea8e7d1de45163c8",
+        "length": "358da4e91e014ef0f5d781d2fca4017bdcff2f6e1af444dd196aa4c1b8c60435",
+        "departure": "5c5e19f88bf4631b42dc4a2dd1b4cbe82189c12e2e3866f53867e2723edbab59",
+        "arrival": "37361f1d3be731a51ed72ca1a51d214891ee2af37ed20ddd55d6db5e97b43804",
+        "bounce_row": "f0f37074b8d17fa2075f3a98817bd9bf2361a068eccee8bb380e8bd6195586a9",
+        "bounce_surface": "012f843398bed2ad46728cc1cc19e5f013ed828df1bfd629efe5282fbcfec6cd",
+        "bounce_point": "7bd345a6f246d2662caebcdd804835b032bb84bba495998dc1d2a057443490ed",
+        "crossing_row": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+        "crossing_slab": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+    },
+    "straight_tunnel": {
+        "receiver": "184411ddd50721ad9f6214ec87d5ace8876ae7ac4946901004420ba737487f7e",
+        "order": "6b4c281f9e92cb9c866add7890e4ca31dd1050cacfcf48e5ea8e7d1de45163c8",
+        "length": "5fd209b8d08be6f54089361b76b2c960ce647d3285fdb0e87875c85acc97e58a",
+        "departure": "2f89ee34105182f2cd8c47f1c4868535854bbc736aecc0eca35bc0ae80901f81",
+        "arrival": "d5f27668672fcb4f078f10e1f0a650ffdfc1d51f7370adaf1f4ebb19db8b87ab",
+        "bounce_row": "f0f37074b8d17fa2075f3a98817bd9bf2361a068eccee8bb380e8bd6195586a9",
+        "bounce_surface": "f9034eecae29b63bdbbb65ca55e3a3e3c353c3b22ed0a99c63b12b01eafa01ff",
+        "bounce_point": "5c6c1b156016bf643d0fcf6cec142dbde70f58c746963cdf5b416e3ab9bb5eb8",
+        "crossing_row": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+        "crossing_slab": "ee021ea976ed753c463b60761294948cd46585cee51772200e83d3f01cb27ec3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_DUCTS))
+def test_the_tracer_s_exact_outputs_are_pinned(name):
+    """Every field of these traces built from +, -, *, / and sqrt hashes to
+    the recorded digest; the fields that go through arccos, cos and sin
+    equal, receiver by receiver, those of a trace of that receiver alone."""
+    traces = _pinned_traces(name)
+    assert _field_digests([t[-1] for t in traces]) == TRACE_PINS[name]
+    for env, tx, rx, order, pol, table in traces:
+        if order < 2:
+            continue
+        for r, p in enumerate(rx):
+            alone = tracer.trace_receivers(env, tx, [p], order, pol)
+            rows, bounces, crossings = _receiver_rows(table, r)
+            for f, part in zip(TRANSCENDENTAL_FIELDS, (bounces, rows, crossings)):
+                assert getattr(table, f)[part].tobytes() == getattr(alone, f).tobytes(), (f, r)
