@@ -232,22 +232,18 @@ def _terms(paths: Sequence[PathContribution], sys: AntennaSystem,
     """The table of paths, and the real gains g = geo * h and the phases
     exp(-j k L) of one system and carrier, (rows,) each.
 
-    A traced list keeps in its memo the path factors per atmospheric loss,
-    g per (system, rx boresight, atmospheric loss) and the phases per
-    carrier.
+    A traced list keeps in its memo, one dict under tagged keys, the path
+    factors per atmospheric loss, g per (system, rx boresight, atmospheric
+    loss) and the phases per carrier.
     """
     table = paths.table if isinstance(paths, PathList) else None
-    if table is None:
-        table, memo = PathTable.from_paths(paths), ({}, {}, {})
-    else:
-        memo = paths.memo
+    table, memo = (PathTable.from_paths(paths), {}) if table is None else (table, paths.memo)
     if rx_boresight is not None and type(rx_boresight) is not tuple:
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
-    factors, gains, phases = memo
     atmos = atmospheric_loss_db_per_m
-    h, optical = _memo(factors, atmos, lambda: _path_factors(table, atmos))
-    g = _memo(gains, (sys, rx_boresight, atmos), lambda: _geo(table, sys, rx_boresight) * h)
-    phase = _memo(phases, frequency, lambda: _phase(np.array([frequency]), optical))
+    h, optical = _memo(memo, ("factors", atmos), lambda: _path_factors(table, atmos))
+    g = _memo(memo, ("gain", sys, rx_boresight, atmos), lambda: _geo(table, sys, rx_boresight) * h)
+    phase = _memo(memo, ("phase", frequency), lambda: _phase(np.array([frequency]), optical))
     return table, g, phase
 
 

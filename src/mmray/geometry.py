@@ -1,12 +1,12 @@
 """Minimal 3D vector algebra on plain float triples.
 
-Scene construction, validation and the tracer's image tree (built once per
-transmitter) use these helpers. The per-receiver back-trace runs on numpy
-arrays over many receivers at once; it evaluates each row elementwise in
-the order of operations used here (dot as a0*b0 + a1*b1 + a2*b2, lerp as
-a + t*(b - a)), so a path's numbers do not depend on how many receivers
-are traced together. It does not reproduce these scalar helpers bit for
-bit.
+Scene construction and validation use these helpers, and so does
+Surface.coplanar_with, by which the tracer groups surfaces into planes. The
+image tree and the back-trace run on numpy arrays; the back-trace evaluates
+each row elementwise in the order of operations used here (dot as
+a0*b0 + a1*b1 + a2*b2, lerp as a + t*(b - a)), so a path's numbers do not
+depend on how many receivers are traced together. It does not reproduce
+these scalar helpers bit for bit.
 """
 
 from __future__ import annotations

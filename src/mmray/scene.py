@@ -97,6 +97,16 @@ class Surface:
         a, b = self.local_coords(p)
         return -tol <= a <= 1.0 + tol and -tol <= b <= 1.0 + tol
 
+    def coplanar_with(self, other: "Surface") -> bool:
+        """Whether other lies in this surface's plane, facing either way."""
+        d = dot(self.normal, other.normal)
+        if abs(abs(d) - 1.0) > 1e-9:
+            return False
+        # Same plane only if the offsets agree once the normals are aligned;
+        # anti-parallel normals flip the sign of the plane constant.
+        sign = 1.0 if d > 0.0 else -1.0
+        return abs(other.plane_offset - sign * self.plane_offset) < 1e-9
+
 
 @dataclass(frozen=True)
 class ObstacleSlab:
@@ -175,29 +185,42 @@ class Environment:
             raise ValueError(f"points must have 3 components, got shape {pts.shape}")
         if not self.surfaces:
             return True if pts.ndim == 1 else np.ones(len(pts), bool)
-        origin, axes, bound = self._segment_boxes
-        # (u, v, z) along each segment's axes and their negatives, (N, S, 6); an
-        # axis's zero components add exact zeros, so sums round as geometry.dot's.
+        origin, axes, lo, hi = self._boxes
+        # (u, v, z) along each segment's axes, (N, S, 3); an axis's zero
+        # components add exact zeros, so sums round as geometry.dot's.
         w = ((pts[..., None, None, :] - origin) * axes).sum(-1)
-        inside = (w <= bound).all(-1).any(-1)
+        inside = ((lo <= w) & (w <= hi)).all(-1).any(-1)
         return bool(inside) if pts.ndim == 1 else inside
 
     @cached_property
-    def _segment_boxes(self) -> Tuple[np.ndarray, ...]:
-        """Per centerline segment: its origin at z = 0, its direction, left =
-        (-dy, dx, 0), up and their negatives, and the bounds on (u, v, z) and
-        their negatives inside its box (hi, -lo); strict bounds sit an ulp in."""
+    def _boxes(self) -> Tuple[np.ndarray, ...]:
+        """Per centerline segment, the box contains accepts: its origin at
+        z = 0 (S, 1, 3), its axes direction, left = (-dy, dx, 0) and up
+        (S, 3, 3), and the closed bounds lo <= (u, v, z) <= hi (S, 3) on the
+        coordinates along them; the strict bounds sit an ulp inside."""
         t = _INSIDE_TOL
         side = math.nextafter(self.width / 2.0 - t, -math.inf)
         floor = math.nextafter(t, math.inf)
         ceiling = math.nextafter(self.height - t, -math.inf)
         c = self.centerline
-        axes = np.array([(s.direction, (-s.direction[1], s.direction[0], 0.0), (0.0, 0.0, 1.0))
-                         for s in c], float)
-        lo = np.array([(-s.ext_before - t, -side, floor) for s in c])
-        hi = np.array([(s.length + s.ext_after + t, side, ceiling) for s in c])
         return (np.array([(s.origin[0], s.origin[1], 0.0) for s in c], float)[:, None],
-                np.concatenate((axes, -axes), axis=1), np.concatenate((hi, -lo), axis=1))
+                np.array([(s.direction, (-s.direction[1], s.direction[0], 0.0), (0.0, 0.0, 1.0))
+                          for s in c], float),
+                np.array([(-s.ext_before - t, -side, floor) for s in c]),
+                np.array([(s.length + s.ext_after + t, side, ceiling) for s in c]))
+
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        """Every corner of the environment, (n, 3): the four of each surface
+        rectangle, then the eight of each centerline segment's box."""
+        o, u, v = (np.array([getattr(f, e) for f in self.surfaces], float).reshape(-1, 3)
+                   for e in ("origin", "edge_u", "edge_v"))
+        origin, axes, lo, hi = self._boxes
+        # Box corner i takes lo on axis k if bit k of i is set, else hi.
+        at = np.where(np.arange(8)[:, None] >> np.arange(3) & 1 == 1, lo[:, None], hi[:, None])
+        term = at[..., None] * axes[:, None]  # (segments, 8, 3 axes, 3)
+        box = origin + (term[:, :, 0] + term[:, :, 1] + term[:, :, 2])
+        return np.concatenate([o, o + u, o + v, o + u + v, box.reshape(-1, 3)])
 
 
 @dataclass
@@ -451,36 +474,43 @@ BUILDERS = {
 # Validation
 # ---------------------------------------------------------------------------
 
-def _nearest_centerline_point(env: Environment, p: Vec3, height: float) -> Vec3:
-    best = None
-    best_d2 = math.inf
+def _nearest_centerline_point(env: Environment, p: Vec3, height: float) -> Optional[Vec3]:
+    points = []
     for seg in env.centerline:
-        rel = sub(p, seg.origin)
-        u = min(max(dot(rel, seg.direction), 0.0), seg.length)
+        u = min(max(dot(sub(p, seg.origin), seg.direction), 0.0), seg.length)
         q = add(seg.origin, scale(seg.direction, u))
-        q = (q[0], q[1], q[2] + height)
-        d2 = sum((p[i] - q[i]) ** 2 for i in range(3))
-        if d2 < best_d2:
-            best_d2 = d2
-            best = q
-    return best
+        points.append((q[0], q[1], q[2] + height))
+    return min(points, key=lambda q: sum((p[i] - q[i]) ** 2 for i in range(3)), default=None)
 
 
-def _ray_hits(env: Environment, start: Vec3, direction: Vec3) -> list:
-    """Sorted distances at which a ray from start hits any surface rectangle."""
-    hits = []
+def _ray_hits(env: Environment, start: Vec3, direction: Vec3) -> bool:
+    """Whether a ray from start hits any surface rectangle."""
     for surf in env.surfaces:
         n = surf.normal
         denom = dot(n, direction)
-        if abs(denom) < 1e-12:
-            continue
-        t = (surf.plane_offset - dot(n, start)) / denom
-        if t <= 1e-9:
-            continue
-        p = add(start, scale(direction, t))
-        if surf.contains(p, tol=1e-9):
-            hits.append(t)
-    return sorted(hits)
+        t = (surf.plane_offset - dot(n, start)) / denom if abs(denom) >= 1e-12 else 0.0
+        if t > 1e-9 and surf.contains(add(start, scale(direction, t)), tol=1e-9):
+            return True
+    return False
+
+
+def _leaves_through_a_side(env: Environment, start: Vec3, direction: Vec3) -> bool:
+    """Whether a ray from start leaves the duct through a side, the floor or
+    the ceiling rather than an open end: the bound it leaves by, of the
+    centerline segments' boxes it starts in, the one it stays in longest.
+    Each leg's box holds the other's end face at a miter, so a ray leaves
+    the duct where it leaves that box."""
+    origin, axes, lo, hi = env._boxes
+    w = (np.subtract(start, origin) * axes).sum(-1)  # (segments, 3 axes)
+    rate = (np.multiply(direction, axes)).sum(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (np.stack([lo, hi]) - w) / rate  # where the ray meets each bound
+    # A coordinate that does not move holds everywhere or nowhere on the ray.
+    held = np.where((lo <= w) & (w <= hi), np.inf, -np.inf)
+    leave = np.where(rate == 0.0, held, t.max(0))
+    enter, out = np.where(rate == 0.0, -held, t.min(0)).max(1), leave.min(1)
+    here = (enter <= 0.0) & (out > 0.0)
+    return not here.any() or leave[np.where(here, out, -np.inf).argmax()].argmin() > 0
 
 
 def validate_environment(env: Environment,
@@ -498,9 +528,8 @@ def validate_environment(env: Environment,
                        add(scale(surf.edge_u, 0.5), scale(surf.edge_v, 0.5)))
         inward_ref = _nearest_centerline_point(env, centroid, env.height / 2.0
                                                if math.isfinite(env.height) else 0.0)
-        if inward_ref is not None:
-            if dot(surf.normal, sub(inward_ref, centroid)) <= 0.0:
-                report.add(f"surface {surf.name!r}: normal does not point into the duct")
+        if inward_ref is not None and dot(surf.normal, sub(inward_ref, centroid)) <= 0.0:
+            report.add(f"surface {surf.name!r}: normal does not point into the duct")
 
     spans = sorted((slab.interval, slab.name) for slab in env.obstacles)
     for (ivl_a, name_a), (ivl_b, name_b) in zip(spans, spans[1:]):
@@ -522,8 +551,9 @@ def validate_environment(env: Environment,
                                      ("down", (0.0, 0.0, -1.0)),
                                      ("left", left),
                                      ("right", (-left[0], -left[1], 0.0))):
-                hits = _ray_hits(env, start, direction)
-                if not hits:
+                # The duct ends are open: a ray out through one shows no gap.
+                if not _ray_hits(env, start, direction) and _leaves_through_a_side(
+                        env, start, direction):
                     report.add(f"open cross-section at s={s:.2f} m looking {label}")
                     break
     return report

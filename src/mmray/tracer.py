@@ -1,11 +1,12 @@
 """Image-method path enumeration with Fresnel reflection and slab transmission.
 
-The reflectors are planes: coplanar surfaces that face the same way form
-one. One image tree per transmitter lists every chain of up to MAX_ORDER
-planes with the transmitter mirrored across each in turn (the empty chain
-is the direct ray). It is built an order at a time on arrays and held as
-arrays per candidate (order, plane chain, images); one function, _steps,
-forms the back-trace steps of any set of candidates.
+The reflectors are planes: coplanar surfaces (Surface.coplanar_with) that
+face the same way form one. One image tree per transmitter lists every
+chain of up to MAX_ORDER planes with the transmitter mirrored across each
+in turn (the empty chain is the direct ray). It is built an order at a
+time on arrays and held as arrays per candidate (order, plane chain,
+images); one function, _steps, forms the back-trace steps of any set of
+candidates.
 trace_receivers back-traces every chain from a block of receivers at once,
 as array operations over (candidates x receivers), and writes the
 surviving paths into a PathTable: one row per path, the rows of a receiver
@@ -27,10 +28,10 @@ slab crossings are formed on that array, the pairs are sorted once, and
 every field of the table is a 1-D take from it.
 
 Two rejections are decided before any path is formed. A segment is tested
-for occlusion only against the surfaces whose plane has some corner of the
-environment (of a rectangle or of a centerline segment's box) strictly
-behind it: every other plane has all points of the environment on or in
-front of it, so none in a convex duct. A bounce may lie up to
+for occlusion only against the surfaces whose plane has one of
+Environment._corners, of a rectangle or of a centerline segment's box,
+strictly behind it: every other plane has all points of the environment on
+or in front of it, so none in a convex duct. A bounce may lie up to
 ON_SURFACE_TOL outside its rectangle's edge; such a point is never tested
 against a face with the whole duct in front of it. And a receiver whose
 direct ray crosses a metal slab is not back-traced: each path is an
@@ -67,7 +68,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .geometry import Vec3, distance, dot, vec3
-from .scene import Environment, Material, ObstacleSlab, Surface
+from .scene import Environment, Material, ObstacleSlab
 
 SPEED_OF_LIGHT = 299792458.0
 # Highest reflection order the tracer enumerates (and scenarios may request).
@@ -316,14 +317,14 @@ class PathTable:
 
 class PathList(list):
     """A receiver's paths, which carry its one-receiver PathTable (the table
-    they were made from, or that table's slice of the receiver), and a memo
-    for the channel's factors of it (a dict per atmospheric loss, one per
-    antenna system and one per carrier). table is None once the list no
-    longer holds the objects it was made with, in their order."""
+    they were made from, or that table's slice of the receiver), and a dict
+    in which the channel memoizes what it forms from that table. table is
+    None once the list no longer holds the objects it was made with, in
+    their order."""
 
     def __init__(self, table: Optional[PathTable], paths: List[PathContribution]):
         super().__init__(paths)
-        self._table, self._made, self.memo = table, tuple(paths), ({}, {}, {})
+        self._table, self._made, self.memo = table, tuple(paths), {}
 
     @property
     def table(self) -> Optional[PathTable]:
@@ -336,42 +337,21 @@ class PathList(list):
 # Image tree
 # ---------------------------------------------------------------------------
 
-class _Frame:
-    """Precomputed per-surface floats used while building the image tree."""
-
-    __slots__ = ("index", "normal", "offset")
-
-    def __init__(self, index: int, surf: Surface):
-        self.index = index
-        self.normal = surf.normal
-        self.offset = surf.plane_offset
-
-    def coplanar_with(self, other: "_Frame", tol: float = 1e-9) -> bool:
-        n1, n2 = self.normal, other.normal
-        d = dot(n1, n2)
-        if abs(abs(d) - 1.0) > tol:
-            return False
-        # Same plane only if the offsets agree once the normals are aligned;
-        # anti-parallel normals flip the sign of the plane constant.
-        sign = 1.0 if d > 0.0 else -1.0
-        return abs(other.offset - sign * self.offset) < 1e-9
+_frames = operator.attrgetter("surfaces")  # bench/spans.py reads coplanar_with off these
 
 
-def _frames(env: Environment) -> Tuple[_Frame, ...]:
-    return tuple(_Frame(i, s) for i, s in enumerate(env.surfaces))
-
-
-def _reflectors(env: Environment) -> Tuple[Tuple[_Frame, ...], ...]:
-    """The surfaces grouped by plane, each group in surface-index order.
+def _reflectors(env: Environment) -> Tuple[Tuple[int, ...], ...]:
+    """The surface indices grouped by plane, each group in index order.
 
     Coplanar surfaces that face the same way reflect alike, so they form one
     reflector; its first surface stands for the plane.
     """
-    groups: Dict[_Frame, List[_Frame]] = {}
-    for f in _frames(env):
+    s = env.surfaces
+    groups: Dict[int, List[int]] = {}
+    for i, f in enumerate(s):
         first = next((g for g in groups
-                      if g.coplanar_with(f) and dot(g.normal, f.normal) > 0.0), f)
-        groups.setdefault(first, []).append(f)
+                      if s[g].coplanar_with(f) and dot(s[g].normal, f.normal) > 0.0), i)
+        groups.setdefault(first, []).append(i)
     return tuple(map(tuple, groups.values()))
 
 
@@ -445,25 +425,16 @@ class _Step(NamedTuple):
 def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
     """The surfaces that can occlude a segment, or None if none can.
 
-    Those are the surfaces whose plane has a corner of some rectangle, or of
-    some centerline segment's box (the volume Environment.contains accepts),
-    strictly behind it. Every other plane has the whole environment on or in
-    front of it, and a segment between two such points never has its ends on
-    opposite sides.
+    Those are the surfaces whose plane has one of Environment._corners, of
+    some rectangle or of some centerline segment's box (the volume
+    Environment.contains accepts), strictly behind it. Every other plane has
+    the whole environment on or in front of it, and a segment between two
+    such points never has its ends on opposite sides.
     """
     if not env.surfaces:
         return None
-    rect = surfaces.rect
-    corners = [rect.origin, rect.origin + rect.edge_u, rect.origin + rect.edge_v,
-               rect.origin + rect.edge_u + rect.edge_v]
-    origin, axes, bound = env._segment_boxes
-    # A box is {p : (p - origin) . axes[k] <= bound[k]}; axes k and k + 3 are
-    # opposite, so each of the 8 corners takes one bound of every pair.
-    pick = np.arange(3) + 3 * (np.arange(8)[:, None] >> np.arange(3) & 1)  # (8, 3)
-    term = bound[:, pick, None] * axes[:, pick]  # (segments, 8, 3 bounds, 3)
-    corners.append((origin + (term[:, :, 0] + term[:, :, 1] + term[:, :, 2])).reshape(-1, 3).T)
     plane = _Planes(surfaces.plane.normal[..., None], surfaces.plane.offset[:, None])
-    behind = _side(plane, np.concatenate(corners, axis=1)[:, None]) < -_ON_PLANE
+    behind = _side(plane, env._corners.T[:, None]) < -_ON_PLANE
     occluding = np.flatnonzero(behind.any(1))
     return surfaces.at(occluding) if len(occluding) else None
 
@@ -504,10 +475,10 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
     reflectors = _reflectors(env)
     surfaces = _surfaces(env)
     width = max(map(len, reflectors), default=1)
-    members = np.array([[f.index for f in g] + [-1] * (width - len(g)) for g in reflectors],
+    members = np.array([[*g] + [-1] * (width - len(g)) for g in reflectors],
                        int).reshape(len(reflectors), width)
     plane = surfaces.plane.at(members[:, 0])
-    first = [g[0] for g in reflectors]
+    first = [env.surfaces[g[0]] for g in reflectors]
     coplanar = np.array([[a.coplanar_with(b) for b in first] for a in first], bool)
     levels = [(np.full((1, max_order), -1), np.array([[tx] + [(0.0, 0.0, 0.0)] * max_order]),
                np.zeros((1, max_order)))]

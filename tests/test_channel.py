@@ -159,6 +159,19 @@ def test_isotropic_power_reciprocity():
     assert fwd == pytest.approx(rev, abs=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6, fault B: the optical thickness of a "
+                                        "slab is added to a length that already runs through it")
+@pytest.mark.parametrize("rx", [(12.0, 0.3, 1.2), (25.0, 0.3, 1.2)])
+def test_a_slab_of_air_changes_no_power(rx):
+    """A 0.1 m dielectric slab of eps_r = 1 at 10 m is nothing: the power
+    past it equals the plain corridor's. Today it moves by 13.3 and 14.8 dB."""
+    air = build_obstacle_corridor(obstacles=(ObstacleSlab("air", 10.0, 0.1, Material("air", 1.0)),))
+    sys, carrier = system_preset("system1"), CarrierConfig(60e9)
+    with_slab = received_power(enumerate_paths(air, TX, rx), sys, carrier)
+    plain = received_power(enumerate_paths(build_plain_corridor(), TX, rx), sys, carrier)
+    assert with_slab == pytest.approx(plain, abs=1e-9)
+
+
 def test_atmospheric_loss_scales_with_distance():
     env = free_space()
     carrier = CarrierConfig(60e9)

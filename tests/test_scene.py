@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -53,6 +54,30 @@ def test_surface_local_coords_roundtrip():
     a, b = s.local_coords((1.0, 4.0, 1.5))
     assert a == pytest.approx(0.5)
     assert b == pytest.approx(0.5)
+
+
+CONCRETE = Material("concrete", 5.0)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    # Two floors on one plane z = 0, facing up.
+    (Surface("f1", (0.0, -1.0, 0.0), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE),
+     Surface("f2", (10.0, -1.0, 0.0), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE), True),
+    # Back-to-back faces on y = 1: the normals and the sign of the offset flip.
+    (Surface("up", (0.0, 1.0, 0.0), (0.0, 0.0, 2.0), (4.0, 0.0, 0.0), CONCRETE),
+     Surface("down", (0.0, 1.0, 0.0), (4.0, 0.0, 0.0), (0.0, 0.0, 2.0), CONCRETE), True),
+    # Parallel floors 1e-8 m apart are two planes; 1e-10 m apart, one.
+    (Surface("f1", (0.0, -1.0, 0.0), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE),
+     Surface("f2", (0.0, -1.0, 1e-8), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE), False),
+    (Surface("f1", (0.0, -1.0, 0.0), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE),
+     Surface("f2", (0.0, -1.0, 1e-10), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE), True),
+    # Normals 1e-4 rad apart, through one point: past the 1e-9 tolerance.
+    (Surface("f1", (0.0, -1.0, 0.0), (10.0, 0.0, 0.0), (0.0, 2.0, 0.0), CONCRETE),
+     Surface("tilted", (0.0, -1.0, 0.0), (10.0, 0.0, 1e-3), (0.0, 2.0, 0.0), CONCRETE), False),
+])
+def test_surface_coplanarity(a, b, expected):
+    assert a.coplanar_with(b) is expected
+    assert b.coplanar_with(a) is expected
 
 
 def test_obstacle_interval_and_validation():
@@ -252,6 +277,26 @@ def test_contains_of_an_array_follows_the_scalar_rule_in_the_bent_duct():
         env.contains(pts[:, :2])
 
 
+CORNER_DUCTS = {name: BUILDERS[name]() for name in sorted(BUILDERS) if name != "free_space"}
+CORNER_DUCTS.update({f"bent_{a}": build_bent_tunnel(a) for a in (10.0, 30.0, 45.0, 80.0, 89.0)})
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_DUCTS))
+def test_every_box_corner_is_inside_its_duct(name):
+    """The two readers of the box format agree: each corner of every
+    centerline segment's box in _corners, moved 1e-12 of the way to the
+    box's centre, is inside by contains. Unmoved, a corner of the second
+    leg of a bent duct may round a few ulps outside."""
+    env = CORNER_DUCTS[name]
+    corners = env._corners
+    assert corners.shape == (4 * len(env.surfaces) + 8 * len(env.centerline), 3)
+    boxes = corners[4 * len(env.surfaces):].reshape(len(env.centerline), 8, 3)
+    moved = boxes + 1e-12 * (boxes.mean(1, keepdims=True) - boxes)
+    assert env.contains(moved.reshape(-1, 3)).all()
+    # The rectangle corners lie on the walls, floor and ceiling: outside.
+    assert not env.contains(corners[:4 * len(env.surfaces)]).any()
+
+
 @pytest.mark.parametrize("builder, kwargs, message", [
     (build_straight_tunnel, {"width": -1.0}, "width must be > 0, got -1.0"),
     (build_straight_tunnel, {"length": -5.0}, "length must be > 0, got -5.0"),
@@ -317,3 +362,20 @@ def test_cross_section_closure_probe():
     env = build_straight_tunnel()
     report = validate_environment(env)
     assert report.ok
+
+
+@pytest.mark.parametrize("angle", [10.0, 30.0, 45.0, 60.0, 80.0, 88.0, 89.0, 89.9])
+def test_bent_ducts_validate_clean(angle):
+    """From a station inside the miter, a transverse ray may run down the
+    other leg and out by its open end; that is no gap in the walls."""
+    report = validate_environment(build_bent_tunnel(angle))
+    assert report.ok, report.violations
+
+
+def test_validation_flags_a_missing_wall():
+    env = build_straight_tunnel()
+    open_left = dataclasses.replace(
+        env, surfaces=tuple(s for s in env.surfaces if s.name != "left_wall"))
+    violations = validate_environment(open_left).violations
+    assert violations and all(re.fullmatch(r"open cross-section at s=\d+\.\d\d m looking left", v)
+                              for v in violations)

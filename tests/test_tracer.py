@@ -228,13 +228,14 @@ def _scalar_tree(env, tx, max_order):
     """(plane chain, images) of every candidate, stacked by descending order:
     the image tree's rule a chain at a time, in Python floats, with
     geometry.mirror_across_plane."""
-    planes = [g[0] for g in tracer._reflectors(env)]
+    planes = [env.surfaces[g[0]] for g in tracer._reflectors(env)]
     level = [((), (tx,))]
     levels = [level]
     for _ in range(max_order):
-        level = [(chain + (j,), images + (mirror_across_plane(images[-1], f.normal, f.offset),))
+        level = [(chain + (j,), images + (mirror_across_plane(images[-1], f.normal,
+                                                              f.plane_offset),))
                  for chain, images in level for j, f in enumerate(planes)
-                 if dot(f.normal, images[-1]) - f.offset > tracer._ON_PLANE
+                 if dot(f.normal, images[-1]) - f.plane_offset > tracer._ON_PLANE
                  and not (chain and planes[chain[-1]].coplanar_with(f))]
         levels.append(level)
     return [c for level in reversed(levels) for c in level]
@@ -480,6 +481,21 @@ def test_two_dielectric_crossings_compound():
                                    if direct.bounces else 0.0, 60e9,
                                    Polarization.TE))
     assert t_both < t_wood < 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6, fault A: a slab is counted on both "
+                                        "segments that overlap its x-interval")
+def test_a_path_lists_each_slab_once():
+    """With the wooden and glass doors and no lift, no path of 40
+    centerline receivers crosses one slab twice. A bounce inside a slab's
+    x-interval gives two segments that overlap it, each listed today."""
+    doors = tuple(s for s in mmray.default_corridor_obstacles() if not s.material.is_conductor)
+    env = build_obstacle_corridor(obstacles=doors)
+    table = tracer.trace_receivers(env, TX, [env.axis_point(d, 1.5)
+                                             for d in np.linspace(1.0, 43.0, 40).tolist()])
+    assert len(table.order) == 520
+    pairs = np.stack([table.crossing_row, table.crossing_slab], axis=1)
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
 
 
 def test_blocked_receiver_in_plain_corridor_does_not_happen():
