@@ -12,8 +12,10 @@ profile up to (lambda/4pi)^2, so delay moments are taken once per system.
 A sweep traces receivers along the duct centerline in blocks of
 consecutive positions. Each block back-traces only the image-tree
 candidates whose sweep window (tracer._sweep_windows) meets its positions,
-and takes as many positions as keep those (candidate, receiver) pairs
-under a byte budget. A block, a pure function of its receivers, its
+from the receivers whose direct ray crosses no metal slab, and takes as
+many positions as keep the bytes of those (candidate, receiver) pairs, of
+its receivers and of its results under a budget. Its trace forms no
+bounce records. A block, a pure function of its receivers, its
 candidates and the settings, forms its gains once, then what its output
 needs: a grid's block the coherent powers and the delay moments, a
 delay-spread table's the moments only, and `mmray sweep`'s the powers
@@ -45,9 +47,12 @@ from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
     PathTable,
     Polarization,
     _check_order,
+    _image_tree,
+    _lit,
+    _slab_arrays,
     _slab_factors,
     _sweep_windows,
-    _trace,
+    _trace_rows,
     enumerate_paths,
 )
 
@@ -59,16 +64,11 @@ ATMOSPHERIC_LOSS_DB_PER_M = 0.00116
 NO_COVERAGE = float("-inf")
 
 # A sweep works under two budgets. Receivers are traced in blocks that hold
-# at most _TRACE_BYTES (1.75 MiB) of arrays. A block of R receivers whose
-# positions meet the windows of C image-tree candidates of up to max_order
-# reflections is counted as C * R (candidate, receiver) pairs. Each pair is
-# counted as _SEGMENT_BYTES per path segment (max_order + 1 of them) for the
-# tracer's arrays at their peak; the kernel's carrier-free (system, row)
-# factors fit within that, and what it holds per carrier is bounded by
-# _BLOCK_CELLS. Larger blocks cut the fixed cost per trace but raise the
-# peak memory of a sweep.
+# at most _TRACE_BYTES (1.75 MiB) of arrays, counted by _block_bytes from
+# the arrays a block holds: per block, per (candidate, lit receiver) pair
+# and per receiver, results included. Larger blocks cut the fixed cost per
+# trace but raise the peak memory of a sweep.
 _TRACE_BYTES = 7 << 18
-_SEGMENT_BYTES = 144
 # Within a block, phases and amplitudes are formed for at most _BLOCK_CELLS
 # complex (system, carrier, path) cells at a time (128 KB).
 _BLOCK_CELLS = 1 << 13
@@ -78,10 +78,17 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
+def _dbm(milliwatts: np.ndarray) -> np.ndarray:
+    """10 log10 of an array of milliwatts, in place."""
+    np.log10(milliwatts, out=milliwatts)
+    milliwatts *= 10.0
+    return milliwatts
+
+
 def watts_to_dbm(watts: float) -> float:
     """dBm of watts, NO_COVERAGE if <= 0; an array of powers > 0 gives an array."""
     if isinstance(watts, np.ndarray):
-        return 10.0 * np.log10(watts * 1000.0)
+        return _dbm(watts * 1000.0)
     if watts <= 0.0:
         return NO_COVERAGE
     return float(10.0 * np.log10(watts * 1000.0))
@@ -172,12 +179,16 @@ class DelaySpreadTable:
 # Tap construction
 # ---------------------------------------------------------------------------
 
-def _geo(table: PathTable, sys: AntennaSystem, rx_boresight) -> np.ndarray:
+def _geo(table: PathTable, sys: AntennaSystem, away) -> np.ndarray:
     """The antenna and reflection factor of one system's gains, (rows,):
-    geo_i = sqrt(T_R a_t a_r) * refl_i. rx_boresight is one direction, one
-    per row (rows, 3), or None for the system's own reversed boresight."""
-    b = neg(sys.boresight) if rx_boresight is None else rx_boresight
-    return (np.sqrt(gain(sys, table.departure) * gain(sys, -table.arrival, b))
+    geo_i = sqrt(T_R a_t a_r) * refl_i. away is the reversed rx boresight
+    -b, one direction or one per row (rows, 3), or None for the system's
+    own boresight (b its reverse). The receiving gain, of -arrival about b,
+    is taken as that of arrival about -b: each term of the pattern's dot
+    product only changes sign, so the bits are the same, and no arrival
+    is negated."""
+    return (np.sqrt(gain(sys, table.departure)
+                    * gain(sys, table.arrival, sys.boresight if away is None else away))
             * table.reflection * math.sqrt(sys.tx_power_watts))
 
 
@@ -190,9 +201,8 @@ def _path_factors(table: PathTable,
     amp = np.ones_like(d)
     rows = table.crossing_row
     if len(rows):
-        slabs = [table.slabs[i] for i in table.crossing_slab.tolist()]
-        t, extra = _slab_factors(np.array([s.material.eps_r for s in slabs]),
-                                 np.array([s.thickness for s in slabs]),
+        slabs, crossed = _slab_arrays(table.slabs), table.crossing_slab
+        t, extra = _slab_factors(slabs.eps_r.take(crossed), slabs.thickness.take(crossed),
                                  table.crossing_angle, table.polarization)
         # Each row's crossings are contiguous and in path order.
         first = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -242,7 +252,8 @@ def _terms(paths: Sequence[PathContribution], sys: AntennaSystem,
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
     atmos = atmospheric_loss_db_per_m
     h, optical = _memo(memo, ("factors", atmos), lambda: _path_factors(table, atmos))
-    g = _memo(memo, ("gain", sys, rx_boresight, atmos), lambda: _geo(table, sys, rx_boresight) * h)
+    away = None if rx_boresight is None else neg(rx_boresight)
+    g = _memo(memo, ("gain", sys, rx_boresight, atmos), lambda: _geo(table, sys, away) * h)
     phase = _memo(memo, ("phase", frequency), lambda: _phase(np.array([frequency]), optical))
     return table, g, phase
 
@@ -387,10 +398,13 @@ def _trace_block(ctx: tuple, job: tuple) -> tuple:
     count."""
     env, tx, systems, _, pol, max_order, atmos = ctx
     rx, rx_boresight, live = job
-    table = _trace(env, tx, rx, max_order, pol, live)
+    table = _trace_rows(env, tx, rx, max_order, pol, live)
     h, optical = _path_factors(table, atmos)
-    b = rx_boresight[table.receiver]
-    g = np.array([_geo(table, sys, b) for sys in systems]) * h  # (S, rows)
+    away = rx_boresight.take(table.receiver, 0)
+    np.negative(away, out=away)
+    g = np.empty((len(systems), len(h)))
+    for s, sys in enumerate(systems):
+        np.multiply(_geo(table, sys, away), h, out=g[s])
     return table, g, optical, list(_receiver_rows(table.counts()))
 
 
@@ -417,8 +431,9 @@ def _powers(g: np.ndarray, optical: np.ndarray, groups: list, freqs: np.ndarray,
             # C order, so each receiver's rows are summed as a dense last axis.
             a = np.multiply(g[:, None, r], _phase(freqs[:, None, None], optical[r]), order="C")
             coherent[..., chunk] = _coherent(a, freqs[:, None])  # a is (S, F, receivers, n)
+    coherent *= 1000.0
     with np.errstate(divide="ignore"):  # no rows (no coverage): zero power, NO_COVERAGE
-        return watts_to_dbm(coherent)
+        return _dbm(coherent)
 
 
 def _spread_block(ctx: tuple, job: tuple) -> tuple:
@@ -443,22 +458,61 @@ def _sweep_block(ctx: tuple, job: tuple) -> tuple:
     return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
 
 
+def _block_bytes(env: Environment, tx: Vec3, max_order: int, systems: int,
+                 results: int) -> Tuple[int, int, int]:
+    """The bytes a sweep block holds at its peak, as (per block, per pair,
+    per receiver), from the 8-byte words of the arrays it holds; K is
+    max_order. A (candidate, lit receiver) pair is counted as if it were
+    traced into a row, at the most of what three stages hold for it:
+    - the trace: its vertices (3 K + 6 words), a point and a surface per
+      back-trace step (4 K), its bounce surfaces (K), its receiver, order
+      and flat index (3), a gather's buffer (3), and a byte per (slab,
+      segment) for the slab test; the tail holds less;
+    - the channel kernel: the row's table fields (10), its path factors
+      (2) and rx boresight (3), a gain per system, the gains' temporaries
+      (12), and with slabs a crossing (3) and the optical length (1);
+    - where some surface can occlude, the occlusion test: the vertices,
+      bounce surfaces, receiver and order (4 K + 8) and the work on one
+      crossing segment (17).
+    A receiver holds its position twice, its index, its row count and
+    first row (9) and the block's results, `results` floats; a block holds
+    numpy's iteration buffers for strided operands (64 KiB)."""
+    K, flags = max_order, len(env.obstacles) * (max_order + 1)
+    words = max(8 * K + 12 + -(-flags // 8), 27 + systems + (4 if flags else 0))
+    if _image_tree(env, tx, K).occluders is not None:
+        words = max(words, 4 * K + 25)
+    return 1 << 16, 8 * words, 8 * (9 + results)
+
+
+# Floats a block's results hold per receiver, as (per system, per system
+# and carrier): the delay moments are 2 per system, the powers 1 per cell.
+_RESULT_FLOATS = {_spread_block: (2, 0), _power_block: (0, 1), _sweep_block: (2, 1)}
+
+
 def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarray,
-                rx: np.ndarray, rx_boresight: np.ndarray, height: float) -> tuple:
+                rx: np.ndarray, rx_boresight: np.ndarray, height: float,
+                block_bytes: Tuple[int, int, int]) -> tuple:
     """The trace blocks of a sweep: (slices, jobs). A block holds consecutive
     positions and back-traces only the candidates whose sweep window holds
-    one of them. From its first position it takes the most positions whose
-    (candidate, receiver) pairs fit _TRACE_BYTES, at least one."""
+    one of them, from the receivers whose direct ray crosses no metal slab.
+    From its first position it takes the most positions that fit
+    _TRACE_BYTES, at least one, counting block_bytes (per block, per pair,
+    per receiver): its pairs are those candidates times those lit
+    receivers."""
     lo, hi = _sweep_windows(env, tx, max_order, height)
     first = np.searchsorted(distances, lo)            # first position in a window
     stop = np.searchsorted(distances, hi, "right")    # one past its last
     stop[first >= stop] = 0                           # no position in it
-    pair = _SEGMENT_BYTES * (max_order + 1)
+    lit = np.zeros(len(distances) + 1, int)           # lit positions before each
+    lit[1 + _lit(_slab_arrays(env.obstacles), tx, rx)] = 1
+    lit = lit.cumsum()
+    fixed, pair, receiver = block_bytes
     slices, jobs, i = [], [], 0
     while i < len(distances):
         # Bytes of the blocks [i, end) for every end: live candidates grow with end.
         ends = np.arange(i + 1, len(distances) + 1)
-        held = np.searchsorted(np.sort(first[stop > i]), ends) * (ends - i) * pair
+        live = np.searchsorted(np.sort(first[stop > i]), ends)
+        held = fixed + live * (lit[ends] - lit[i]) * pair + (ends - i) * receiver
         end = i + max(1, int(np.count_nonzero(held <= _TRACE_BYTES)))
         live = np.flatnonzero((stop > i) & (first < end))
         slices.append(slice(i, end))
@@ -467,13 +521,13 @@ def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarra
     return slices, jobs
 
 
-def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
-           frequencies: Sequence[float], n_samples: int = 1024, rx_start: float = 1.0,
-           rx_height: float = 1.5, tx: Vec3 = (0.0, 0.0, 2.0),
-           polarization: Polarization = Polarization.TE, max_order: int = 2,
-           workers: int = 1, atmospheric: bool = False) -> tuple:
-    """run_sweep_grid, and delay_spread_table's sweep, with block as the
-    kernel: returns (distances, systems, frequencies, block's results)."""
+def _sweep_plan(block, env: Environment, systems: Sequence[AntennaSystem],
+                frequencies: Sequence[float], n_samples: int = 1024, rx_start: float = 1.0,
+                rx_height: float = 1.5, tx: Vec3 = (0.0, 0.0, 2.0),
+                polarization: Polarization = Polarization.TE, max_order: int = 2,
+                workers: int = 1, atmospheric: bool = False) -> tuple:
+    """_sweep's checks and its trace blocks: (distances, systems,
+    frequencies, block bound to the sweep's settings, slices, jobs)."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if not systems:
@@ -491,19 +545,29 @@ def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
     frequencies = tuple(CarrierConfig(float(f)).frequency for f in frequencies)
     distances = np.linspace(rx_start, env.axis_length, n_samples)
     rx, direction = env._axis(distances, rx_height)
-    rx_boresight = -direction
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
-    block = partial(block, (env, tx, systems, frequencies, polarization, max_order, atmos))
+    per_system, per_cell = _RESULT_FLOATS[block]
+    results = len(systems) * (per_system + per_cell * len(frequencies))
     _check_order(max_order)
-    slices, jobs = _trace_jobs(env, tx, int(max_order), distances, rx, rx_boresight, rx_height)
+    slices, jobs = _trace_jobs(env, tx, int(max_order), distances, rx, -direction, rx_height,
+                               _block_bytes(env, tx, int(max_order), len(systems), results))
+    block = partial(block, (env, tx, systems, frequencies, polarization, max_order, atmos))
+    return distances, systems, frequencies, block, slices, jobs
 
+
+def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
+           frequencies: Sequence[float], workers: int = 1, **sweep) -> tuple:
+    """run_sweep_grid, and delay_spread_table's sweep, with block as the
+    kernel: returns (distances, systems, frequencies, block's results)."""
+    distances, systems, frequencies, block, slices, jobs = _sweep_plan(
+        block, env, systems, frequencies, workers=workers, **sweep)
     # Each block's results go into their slice of arrays shaped as the first's.
     arrays = ()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for part, results in zip(slices, (pool.map if pool else map)(block, jobs)):
-            arrays = arrays or tuple(np.empty((n_samples,) + x.shape[1:]) for x in results)
+            arrays = arrays or tuple(np.empty((len(distances),) + x.shape[1:]) for x in results)
             for out, x in zip(arrays, results):
                 out[part] = x
     return distances, systems, frequencies, arrays

@@ -23,9 +23,14 @@ indices into the (candidates x receivers) grid, and writes each step's
 bounce points and surfaces straight into their path-order slot of one
 (slot, component, pair) vertex array: tx, the bounces, rx. Candidates
 stack by descending order, so the pairs of an order are one run, and a
-step writes each run with a slice copy. Segments, lengths, occlusion and
-slab crossings are formed on that array, the pairs are sorted once, and
-every field of the table is a 1-D take from it.
+step writes each run with one take. A trace is then three stages, each
+dropping an array once it has read it: _sorted_paths forms the segment
+lengths, the occlusion and slab tests and the one sort on that array;
+_bounce_records the bounce rows, surfaces and points; _row_fields the
+rows' fields and slab crossings, turning the vertices into segment
+directions in place. trace_receivers and enumerate_paths run all three.
+A sweep block (_trace_rows) skips the second, so its table has no
+bounce records: only PathTable.paths reads them.
 
 Two rejections are decided before any path is formed. A segment is tested
 for occlusion only against the surfaces whose plane has one of
@@ -46,8 +51,8 @@ back-trace is one linear inequality in it. _sweep_windows solves them once
 per sweep, with every bound relaxed and the result widened, into a window
 of axial distance per candidate that holds every position where it passes
 the back-trace (occlusion and slabs are left out). A sweep block then
-back-traces, through _trace, only the candidates whose window meets its
-positions; trace_receivers and enumerate_paths keep the whole tree.
+back-traces, through _trace_rows, only the candidates whose window meets
+its positions; trace_receivers and enumerate_paths keep the whole tree.
 
 Every formula is an elementwise numpy expression with one order of
 operations for all rows (n0*x0 + n1*x1 + n2*x2, a + t*(b - a)), so a path's
@@ -212,7 +217,8 @@ class PathTable:
     enumerate_paths sorts them: by reflection order, delay, then surface
     chain; a receiver without coverage has no rows. Bounces and slab
     crossings are records of their own, in row order and, within a row, in
-    path order.
+    path order. A sweep block's table (_trace_rows) has no bounce records:
+    its bounce arrays are empty.
     """
 
     tx: Vec3
@@ -244,23 +250,26 @@ class PathTable:
     def paths(self, r: int) -> "PathList":
         """The rows of receiver r as PathContribution objects, in a PathList
         that carries receiver r's one-receiver slice of this table."""
-        lo, hi = np.searchsorted(self.receiver, [r, r + 1]).tolist()
         rx = tuple(self.rx[r].tolist())
+        if len(self.rx) == 1:  # the table is receiver r's own
+            table, lo, hi, b_lo, b_hi = self, 0, len(self.receiver), 0, len(self.bounce_row)
+            c_lo, c_hi = 0, len(self.crossing_row)
+        else:
+            lo, hi = np.searchsorted(self.receiver, [r, r + 1]).tolist()
+            b_lo, b_hi = np.searchsorted(self.bounce_row, [lo, hi]).tolist()
+            c_lo, c_hi = np.searchsorted(self.crossing_row, [lo, hi]).tolist()
+            table = self._slice(r, slice(lo, hi), slice(b_lo, b_hi), slice(c_lo, c_hi))
         bounces = [[] for _ in range(lo, hi)]
-        b_lo, b_hi = np.searchsorted(self.bounce_row, [lo, hi]).tolist()
         for i, s, p, a in zip(self.bounce_row[b_lo:b_hi].tolist(),
                               self.bounce_surface[b_lo:b_hi].tolist(),
                               self.bounce_point[b_lo:b_hi].tolist(),
                               self.bounce_angle[b_lo:b_hi].tolist()):
             bounces[i - lo].append(Bounce(s, tuple(p), a))
         crossings = [[] for _ in range(lo, hi)]
-        c_lo, c_hi = np.searchsorted(self.crossing_row, [lo, hi]).tolist()
         for i, s, a in zip(self.crossing_row[c_lo:c_hi].tolist(),
                            self.crossing_slab[c_lo:c_hi].tolist(),
                            self.crossing_angle[c_lo:c_hi].tolist()):
             crossings[i - lo].append(SlabCrossing(s, self.slabs[s], a))
-        table = self if len(self.rx) == 1 else self._slice(
-            r, slice(lo, hi), slice(b_lo, b_hi), slice(c_lo, c_hi))
         return PathList(table, [PathContribution(
                     order=k,
                     vertices=(self.tx, *(b.point for b in bs), rx),
@@ -445,10 +454,11 @@ class _Tree(NamedTuple):
     from the receiver, the plane of its s-th bounce and images[:, s + 1]
     mirrored across it; images[:, k] is tx and later columns are padding.
     order and steps are those of the candidates a trace tests: all of them
-    in the cached tree, a sweep block's in _trace."""
+    in the cached tree, a sweep block's in _trace_rows."""
 
     surfaces: _Surfaces
     occluders: Optional[_Surfaces]  # the surfaces that can occlude a segment
+    slabs: "_Slabs"                 # the environment's obstacle slabs
     members: np.ndarray             # (P, W) surfaces of each plane, padded with -1
     order: np.ndarray               # (C,) order of each candidate
     chain: np.ndarray               # (C, K) planes, padded with -1
@@ -494,8 +504,8 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
         levels.append(tuple(np.concatenate([new[:, None], old[c, :-1]], axis=1) for new, old in
                             zip((p, mirrored, _side(plane.at(p), mirrored.T)), levels[-1])))
     order = np.repeat(np.arange(max_order, -1, -1), [len(c) for c, _, _ in levels[::-1]])
-    tree = _Tree(surfaces, _occluders(env, surfaces), members, order,
-                 *(np.concatenate(x[::-1]) for x in zip(*levels)), ())
+    tree = _Tree(surfaces, _occluders(env, surfaces), _slab_arrays(env.obstacles), members,
+                 order, *(np.concatenate(x[::-1]) for x in zip(*levels)), ())
     return tree._replace(steps=_steps(tree, np.arange(len(order))))
 
 
@@ -620,23 +630,31 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
         points.append(p)
         recorded.append(surface)
     pair = ok.reshape(-1).nonzero()[0]
+    del ok
     c, r = np.divmod(pair, len(rx))
     K, m = len(tree.steps), len(pair)
     # Pairs [edge[k + 1], edge[k]) are of order k; those with a bounce at
     # step s, which stack first, are the prefix [0, edge[s + 1]).
     edge = [m, *np.searchsorted(c, [step.count for step in tree.steps]).tolist(), 0]
+    order = tree.order.take(c)
+    del c
     verts = np.empty((K + 2, 3, m))
     verts[0].T[...] = tx
-    verts[1:] = rx.T.take(r, 1)
+    rx.T.take(r, 1, out=verts[1], mode="clip")
+    verts[2:] = verts[1]
     surf = np.full((K, m), -1)
+    # Each take writes into its slice, through a buffer of the run's size
+    # at most; the indices are in range, so mode="clip" spares the buffer
+    # mode="raise" takes through.
     for s, (p, surface) in enumerate(zip(points, recorded)):
-        at = pair[:edge[s + 1]]
-        p, surface = p.reshape(3, -1).take(at, 1), surface.reshape(-1).take(at)
+        p, surface = p.reshape(3, -1), surface.reshape(-1)
+        points[s] = recorded[s] = None
         for k in range(s + 1, K + 1):
-            run = slice(edge[k + 1], edge[k])
-            verts[k - s, :, run] = p[:, run]
-            surf[k - 1 - s, run] = surface[run]
-    return r, tree.order.take(c), surf, verts
+            run = pair[edge[k + 1]:edge[k]]
+            p.take(run, 1, out=verts[k - s, :, edge[k + 1]:edge[k]], mode="clip")
+            surface.take(run, out=surf[k - 1 - s, edge[k + 1]:edge[k]], mode="clip")
+        del p, surface
+    return r, order, surf, verts
 
 
 def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
@@ -664,11 +682,20 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
         del above, below
         da, db = side.take(seg), side.take(seg + m)
         del side
-        t = da / (da - db)
+        t = np.divide(da, np.subtract(da, db, out=db), out=db)  # da / (da - db)
+        del da
         start = seg + 2 * m * (seg // m)  # x of vertex j of row i: 3 m j + i
-        a, b = verts.take(start + xyz), verts.take(start + 3 * m + xyz)
+        # The crossing a + t (b - a), formed in place.
+        a = verts.take(start + xyz)
+        start += 3 * m
+        b = verts.take(start + xyz)
+        del start
+        b -= a
+        b *= t
+        a += b
+        del b
         # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-        hit = _on_rectangle(a + t * (b - a), _Rects(*(x[..., i:i + 1] for x in surfaces.rect)),
+        hit = _on_rectangle(a, _Rects(*(x[..., i:i + 1] for x in surfaces.rect)),
                             -ON_SURFACE_TOL)
         hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
         blocked[seg[hit] % m] = True
@@ -680,15 +707,39 @@ def _overlaps(a, b, lo, hi):
     return ~((np.maximum(a, b) <= lo) | (np.minimum(a, b) >= hi))
 
 
-def _lit(slabs: Sequence[ObstacleSlab], tx: Vec3, rx: np.ndarray) -> np.ndarray:
+class _Slabs(NamedTuple):
+    """Obstacle slabs as arrays, one entry per slab."""
+
+    lo: np.ndarray         # (Q,) x-interval [lo, hi]
+    hi: np.ndarray         # (Q,)
+    eps_r: np.ndarray      # (Q,)
+    thickness: np.ndarray  # (Q,)
+    metal: np.ndarray      # indices of the conductor slabs
+
+
+@lru_cache(maxsize=64)
+def _slab_arrays(slabs: Tuple[Optional[ObstacleSlab], ...]) -> _Slabs:
+    """The slabs as arrays, formed once per tuple: an environment's
+    obstacles, or a table's slabs, where from_paths leaves None for a slab
+    no path crosses (NaN here). Crossings gather from them by slab index."""
+    nan = math.nan
+    columns = np.array([(*s.interval, s.material.is_conductor, s.material.eps_r, s.thickness)
+                        if s else (nan, nan, False, nan, nan) for s in slabs], float)
+    lo, hi, metal, eps_r, thickness = columns.reshape(-1, 5).T.copy()
+    arrays = _Slabs(lo, hi, eps_r, thickness, np.flatnonzero(metal))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _lit(slabs: _Slabs, tx: Vec3, rx: np.ndarray) -> np.ndarray:
     """The indices of the receivers whose direct ray crosses no metal slab.
     Every path runs from tx to rx without a break, so its x-range holds the
     direct ray's: a receiver whose direct ray crosses a metal slab has no
     path."""
-    metal = [s.interval for s in slabs if s.material.is_conductor]
-    if not metal:
+    if not len(slabs.metal):
         return np.arange(len(rx))
-    lo, hi = np.array(metal).T
+    lo, hi = slabs.lo.take(slabs.metal), slabs.hi.take(slabs.metal)
     return np.flatnonzero(~_overlaps(rx[:, :1], tx[0], lo, hi).any(1))
 
 
@@ -704,23 +755,44 @@ def trace_receivers(env: Environment,
     1..max_order, sorted by (order, delay). Paths crossing a conductor slab
     are removed; dielectric slab crossings are recorded.
     """
-    return _trace(env, tx, receivers, max_order, polarization, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        paths = _sorted_paths(env, tx, receivers, max_order, None)
+        brow, bsurf, bpoint, at = _bounce_records(paths)
+        fields, angle = _row_fields(paths, polarization)
+    return PathTable(**fields, bounce_row=brow, bounce_surface=bsurf, bounce_point=bpoint,
+                     bounce_angle=angle.reshape(-1).take(at), polarization=polarization)
 
 
-def _trace(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int,
-           polarization: Polarization, live: Optional[np.ndarray]) -> PathTable:
-    """trace_receivers that back-traces only the stacked candidates live
-    (ascending), or all if None. Rows are ordered by their sort keys, not by
-    candidate, so a subset that holds every path gives the same table.
+def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int,
+                polarization: Polarization, live: np.ndarray) -> PathTable:
+    """A sweep block's trace: the rows and slab crossings of trace_receivers,
+    with empty bounce records, back-tracing only the stacked candidates live
+    (ascending). Rows are ordered by their sort keys, not by candidate, so a
+    subset that holds every path gives the same rows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fields, _ = _row_fields(_sorted_paths(env, tx, receivers, max_order, live), polarization)
+    return PathTable(**fields, **_NO_BOUNCES, polarization=polarization)
 
-    The back-trace's pairs stay in stacked order while the segments, their
+
+_NO_BOUNCES = dict(bounce_row=np.zeros(0, int), bounce_surface=np.zeros(0, int),
+                   bounce_point=np.zeros((0, 3)), bounce_angle=np.zeros(0))
+
+
+def _sorted_paths(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int,
+                  live: Optional[np.ndarray]) -> dict:
+    """A trace's first stage: the back-trace of the stacked candidates live
+    (all if None), the occlusion and slab tests, and the one sort.
+
+    The back-trace's m pairs stay in stacked order while their segment
     lengths, the occlusion test and the slab crossings are formed on its
-    path-order vertices (slot, component, pair). One stable sort then orders
-    them, and the occluded rows and those through metal are dropped from
-    that order. Every output is a 1-D take from those arrays: the rows'
-    fields by pair, and each bounce's surface, point, arriving direction and
-    so its angle and coefficient by the flat index slot * m + pair; the
-    reflection product multiplies the coefficients in bounce order."""
+    path-order vertices. One stable sort then orders them, and the occluded
+    pairs and those through metal are dropped from that order. Returns the
+    arrays the later stages read, each of which drops what it has read:
+    tx, rx, the tree's surfaces, the slabs; rows, the pair of each row;
+    the rows' receiver, order and length; by pair, the vertices (slot,
+    component, pair), bounce surfaces (slot, pair), segment lengths (slot,
+    pair) and slab crossings (slab, segment, pair; None without slabs);
+    and bounces, the most bounces of any pair."""
     tx = vec3(tx)
     rx = np.array(receivers, float).reshape(-1, 3)
     _check_order(max_order)
@@ -738,93 +810,126 @@ def _trace(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int
             raise ValueError(f"receiver {p} outside environment {env.name!r}")
         raise ValueError(f"transmitter and receiver coincide at {p} "
                          f"(closer than {_MIN_SEPARATION:g} m)")
-    surfaces = tree.surfaces
-    slabs = env.obstacles
+    slabs = tree.slabs
     lit = _lit(slabs, tx, rx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
-        recv = lit.take(recv)
-        m = len(recv)
+    recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
+    recv = lit.take(recv)
+    m = len(recv)
 
-        # Segment j of a row joins verts[j] to verts[j + 1]; those past its
-        # order join rx to itself.
-        keep = np.ones(m, bool)
-        if tree.occluders is not None:
-            keep = ~_blocked(verts, tree.occluders)
-        if slabs:
-            lo = np.array([s.interval[0] for s in slabs])
-            hi = np.array([s.interval[1] for s in slabs])
-            # A live segment crosses a slab if their x-intervals overlap.
-            x = verts[:, 0]
-            crosses = _overlaps(x[:-1], x[1:], lo[:, None, None], hi[:, None, None])
-            del x  # a view that would keep the vertices alive
-            crosses &= np.arange(K + 1)[:, None] <= order  # (slabs, K + 1, m)
-            metal = np.array([s.material.is_conductor for s in slabs])
-            keep &= ~crosses[metal].any(axis=(0, 1))
+    # Segment j of a pair joins verts[j] to verts[j + 1]; those past its
+    # order join rx to itself.
+    keep = np.ones(m, bool)
+    if tree.occluders is not None:
+        keep = ~_blocked(verts, tree.occluders)
+    crosses = None
+    if len(slabs.lo):
+        # A live segment crosses a slab if their x-intervals overlap.
+        x = verts[:, 0]
+        crosses = _overlaps(x[:-1], x[1:], slabs.lo[:, None, None], slabs.hi[:, None, None])
+        del x  # a view that would keep the vertices alive
+        crosses &= np.arange(K + 1)[:, None] <= order  # (slabs, K + 1, m)
+        keep &= ~crosses.take(slabs.metal, 0).any(axis=(0, 1))
 
-        diff = verts[1:] - verts[:-1]  # (K + 1, 3, m)
-        seg = np.sqrt(_dot(diff.swapaxes(0, 1), diff.swapaxes(0, 1)))
-        del diff  # formed again once the bounce points are taken, to hold less
-        length = seg[0]
-        for j in range(1, K + 1):
-            length = length + seg[j]
+    # Segment lengths, with the components summed in order, as _dot does.
+    seg = verts[1:, 0] - verts[:-1, 0]
+    seg *= seg
+    for i in (1, 2):
+        d = verts[1:, i] - verts[:-1, i]
+        d *= d
+        seg += d
+    del d
+    np.sqrt(seg, out=seg)
+    length = seg[0]
+    for j in range(1, K + 1):
+        length = length + seg[j]
 
-        # The one sort, of the pairs in stacked order; paths of equal delay
-        # keep the order of their bounce surfaces. Dropping rows after a
-        # stable sort leaves the others in the order a sort of them gives.
-        # Receiver and order sort as one key.
-        rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
-        if not keep.all():
-            rows = rows[keep.take(rows)]
-        recv, order, length = recv.take(rows), order.take(rows), length.take(rows)
+    # The one sort, of the pairs in stacked order; paths of equal delay
+    # keep the order of their bounce surfaces. Dropping rows after a
+    # stable sort leaves the others in the order a sort of them gives.
+    # Receiver and order sort as one key.
+    rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
+    if not keep.all():
+        rows = rows[keep.take(rows)]
+    # Pairs stack by descending order, so the first has the most bounces.
+    return dict(tx=tx, rx=rx, surfaces=tree.surfaces, slabs=env.obstacles, rows=rows,
+                receiver=recv.take(rows), order=order.take(rows), length=length.take(rows),
+                verts=verts, surf=surf, seg=seg, crosses=crosses,
+                bounces=int(order[0]) if m else 0)
 
-        # Every bounce, in row then bounce order, as flat indices j * m + i
-        # of the (slot, row) arrays; bounce j is vertex j + 1, reached by
-        # segment j, from which its incidence angle is taken.
-        brow, src = np.arange(len(rows)).repeat(order), rows.repeat(order)
-        slot = np.arange(len(brow)) - (order.cumsum() - order).repeat(order)
-        at, at3 = slot * m + src, slot * (3 * m) + src  # 3 m j + i: x of slot j
-        bsurf = surf.reshape(-1).take(at)
-        del src, surf, at
-        xyz = m * np.arange(3)[:, None]
-        bpoint = verts[1:].reshape(-1).take(at3 + xyz).T.copy()
 
-        # Unit directions.
-        dirs = verts[1:] - verts[:-1]
-        del verts
-        dirs /= seg[:, None]
-        dirs = dirs.reshape(-1)
-        dot = dirs.take(at3 + xyz) * surfaces.plane.normal.take(bsurf, 1)
-        cos_inc = np.minimum(np.abs(dot[0] + dot[1] + dot[2]), 1.0)
-        del dot
-        angle = np.minimum(np.arccos(cos_inc), math.pi / 2 - 1e-12)
-        coeff = np.ones((K, len(rows)))
-        coeff.reshape(-1)[slot * len(rows) + brow] = np.where(
-            surfaces.conductor.take(bsurf), -1.0 if polarization is Polarization.TE else 1.0,
-            _fresnel(surfaces.eps_r.take(bsurf), angle, polarization))
-        reflection = np.ones(len(rows))
-        for j in range(K):
-            reflection = reflection * coeff[j]
-        departure = dirs.take(rows + xyz).T.copy()
-        arrival = dirs.take(order * (3 * m) + rows + xyz).T.copy()
-        if slabs:
-            # In row, then segment, then slab order.
-            crow, cseg, cslab = np.nonzero(crosses.take(rows, 2).transpose(2, 1, 0))
-            at = cseg * m + rows.take(crow)
-            # |dx| / seg = |dx / seg|: division rounds the same for either sign.
-            ux = np.where(seg.reshape(-1).take(at) > 0.0,
-                          np.abs(dirs.take(at + 2 * m * cseg)), 0.0)
-            cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
-        else:
-            crow = cslab = np.zeros(0, int)
-            cangle = np.zeros(0)
+def _bounce_records(paths: dict) -> Tuple[np.ndarray, ...]:
+    """A trace's second stage, which only trace_receivers runs: every bounce
+    in row, then bounce order, as its row, surface and point, and the flat
+    index slot * m + pair of its incidence angle in _row_fields' (slot,
+    pair) angles. Bounce j of a row is its vertex j + 1."""
+    rows, order, verts = paths["rows"], paths["order"], paths["verts"]
+    m = verts.shape[-1]
+    brow, src = np.arange(len(rows)).repeat(order), rows.repeat(order)
+    slot = np.arange(len(brow)) - (order.cumsum() - order).repeat(order)
+    at, at3 = slot * m + src, slot * (3 * m) + src  # 3 m j + i: x of slot j
+    bpoint = verts[1:].reshape(-1).take(at3 + m * np.arange(3)[:, None]).T.copy()
+    return brow, paths["surf"].reshape(-1).take(at), bpoint, at
 
-    return PathTable(
-        tx=tx, rx=rx, receiver=recv, order=order, length=length,
-        reflection=reflection, departure=departure, arrival=arrival,
-        bounce_row=brow, bounce_surface=bsurf, bounce_point=bpoint, bounce_angle=angle,
-        crossing_row=crow, crossing_slab=cslab, crossing_angle=cangle,
-        slabs=slabs, polarization=polarization)
+
+def _row_fields(paths: dict, polarization: Polarization) -> Tuple[dict, np.ndarray]:
+    """A trace's last stage: the PathTable fields of its rows and slab
+    crossings, and the incidence angles (slot, pair) of the slots some row
+    has a bounce in (meaningless past a pair's order). It drops the arrays
+    of the first stage once it has read them.
+
+    The vertices become the unit directions of the segments in place:
+    segment j, from verts[j] to verts[j + 1], is (verts[j + 1] - verts[j]) /
+    seg[j], and bounce j is reached by segment j. Every field is then a
+    gather from those arrays by (slot, pair); the reflection product
+    multiplies the coefficients in bounce order."""
+    rows, order, surfaces = paths["rows"], paths["order"], paths["surfaces"]
+    dirs, surf, seg, crosses = (paths.pop(k) for k in ("verts", "surf", "seg", "crosses"))
+    k = paths["bounces"]
+    for j in range(len(seg)):
+        np.subtract(dirs[j + 1], dirs[j], out=dirs[j])
+    dirs[:-1] /= seg[:, None]
+
+    if crosses is not None:
+        # In row, then segment, then slab order.
+        crow, cseg, cslab = np.nonzero(crosses.take(rows, 2).transpose(2, 1, 0))
+        pair = rows.take(crow)
+        # |dx| / seg = |dx / seg|: division rounds the same for either sign.
+        ux = np.where(seg[cseg, pair] > 0.0, np.abs(dirs[cseg, 0, pair]), 0.0)
+        cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
+    else:
+        crow = cslab = np.zeros(0, int)
+        cangle = np.zeros(0)
+    del seg, crosses
+
+    # The incidence angle of bounce j, whose surface is surf[j], from the
+    # direction of segment j; its dot with the normal sums the components
+    # in order, as _dot does.
+    surf, normal = surf[:k], surfaces.plane.normal
+    angle = dirs[:k, 0] * normal[0].take(surf)
+    for i in (1, 2):
+        angle += dirs[:k, i] * normal[i].take(surf)
+    np.minimum(np.abs(angle, out=angle), 1.0, out=angle)
+    np.minimum(np.arccos(angle, out=angle), math.pi / 2 - 1e-12, out=angle)
+    eps_r, metal, past = surfaces.eps_r.take(surf), surfaces.conductor.take(surf), surf < 0
+    del surf
+
+    # Arrival along segment `order`, departure along segment 0.
+    arrival = dirs[order, :, rows]
+    departure = dirs[0, :, rows]
+    del dirs
+
+    # Coefficients of 1 past each pair's order; the product over slots
+    # multiplies them in bounce order.
+    coeff = _fresnel(eps_r, angle, polarization)
+    np.copyto(coeff, -1.0 if polarization is Polarization.TE else 1.0, where=metal)
+    np.copyto(coeff, 1.0, where=past)
+    del eps_r, metal, past
+    reflection = coeff.take(rows, 1).prod(0)
+    fields = dict(tx=paths["tx"], rx=paths["rx"], receiver=paths["receiver"], order=order,
+                  length=paths["length"], reflection=reflection, departure=departure,
+                  arrival=arrival, crossing_row=crow, crossing_slab=cslab,
+                  crossing_angle=cangle, slabs=paths["slabs"])
+    return fields, angle
 
 
 # ---------------------------------------------------------------------------

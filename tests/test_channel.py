@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import pathlib
 import random
 import re
 import tracemalloc
@@ -518,7 +519,11 @@ def _assert_budgets_do_not_matter(monkeypatch, name, trace_bytes, cells):
     _assert_grids_equal(together, run_sweep_grid(env, PRESETS, freqs, n_samples=48))
 
 
-PAIR_BYTES = mmray.channel._SEGMENT_BYTES * 3  # per (candidate, receiver) pair at order 2
+def _grid_bytes(env, systems, freqs, order: int = 2):
+    """(per block, per pair, per receiver) bytes of run_sweep_grid's blocks."""
+    per_system, per_cell = mmray.channel._RESULT_FLOATS[mmray.channel._sweep_block]
+    results = len(systems) * (per_system + per_cell * len(freqs))
+    return mmray.channel._block_bytes(env, TX, order, len(systems), results)
 
 
 def _live_on(env, n: int, order: int = 2, height: float = 1.5) -> np.ndarray:
@@ -528,20 +533,42 @@ def _live_on(env, n: int, order: int = 2, height: float = 1.5) -> np.ndarray:
     return (d >= lo[:, None]) & (d <= hi[:, None])
 
 
-def _trace_budget(env, receivers: int, n: int = 48) -> int:
-    """The trace budget of blocks of the given number of receivers if every
-    candidate live somewhere on the sweep line were live in each."""
-    return receivers * int(_live_on(env, n).any(1).sum()) * PAIR_BYTES
+def _lit_on(env, n: int, height: float = 1.5) -> np.ndarray:
+    """(n,): whether a position's direct ray crosses no metal slab, that is
+    whether the x-interval between TX and it overlaps none."""
+    x = env._axis(np.linspace(1.0, env.axis_length, n), height)[0][:, 0]
+    lit = np.ones(n, bool)
+    for slab in env.obstacles:
+        if slab.material.is_conductor:
+            lo, hi = slab.interval
+            lit &= (np.maximum(x, TX[0]) <= lo) | (np.minimum(x, TX[0]) >= hi)
+    return lit
 
 
-def _expected_blocks(env, n: int, budget: int) -> list:
-    """The block sizes of an n-position sweep, by the rule written out: from
-    each start, the most positions whose candidates with a window on them,
-    times the positions, times PAIR_BYTES fit the budget, at least one."""
-    live, sizes, i = _live_on(env, n), [], 0
+def _trace_budget(env, receivers: int, n: int = 48, systems=PRESETS, freqs=(60e9,)) -> int:
+    """The trace budget of grid blocks of the given number of receivers if
+    every candidate live somewhere on the sweep line were live in each and
+    every receiver lit."""
+    fixed, pair, receiver = _grid_bytes(env, systems, freqs)
+    return fixed + receivers * (int(_live_on(env, n).any(1).sum()) * pair + receiver)
+
+
+def _expected_blocks(env, n: int, budget: int, systems=PRESETS, freqs=(60e9,)) -> list:
+    """The block sizes of an n-position grid sweep, by the rule written out:
+    from each start, the most positions such that the per-block bytes, the
+    per-pair bytes times the candidates with a window on them times the lit
+    positions, and the per-receiver bytes times the positions fit the
+    budget, at least one."""
+    fixed, pair, receiver = _grid_bytes(env, systems, freqs)
+    live, lit, sizes, i = _live_on(env, n), _lit_on(env, n), [], 0
+
+    def held(size):
+        block = slice(i, i + size)
+        return fixed + live[:, block].any(1).sum() * lit[block].sum() * pair + size * receiver
+
     while i < n:
         size = 1
-        while i + size < n and live[:, i:i + size + 1].any(1).sum() * (size + 1) * PAIR_BYTES <= budget:
+        while i + size < n and held(size + 1) <= budget:
             size += 1
         sizes.append(size)
         i += size
@@ -550,13 +577,13 @@ def _expected_blocks(env, n: int, budget: int) -> list:
 
 def _spy_on_trace_blocks(monkeypatch) -> list:
     """The receiver count of every block the sweep traces, in call order."""
-    blocks, trace = [], mmray.channel._trace
+    blocks, trace = [], mmray.channel._trace_rows
 
     def spy(env, tx, rx, *args):
         blocks.append(len(rx))
         return trace(env, tx, rx, *args)
 
-    monkeypatch.setattr(mmray.channel, "_trace", spy)
+    monkeypatch.setattr(mmray.channel, "_trace_rows", spy)
     return blocks
 
 
@@ -565,17 +592,21 @@ def _spy_on_trace_blocks(monkeypatch) -> list:
 def test_sweep_does_not_depend_on_trace_blocks(monkeypatch, name, receivers):
     """Blocks sized for 1 and for 7 receivers, the last one ragged, give the
     grid of one 48-receiver block; the spy checks the blocks really are the
-    sizes the live candidates give. In the obstacle corridor every live
-    candidate is live at every position, so the blocks hold exactly 1 and 7;
-    in the bent duct their sizes vary along the sweep."""
+    sizes the live candidates and lit receivers give. In the obstacle
+    corridor every live candidate is live at every position, so the blocks
+    of the positions before the metal lift hold exactly 1 and 7; the
+    positions behind it hold no pair, so they take fewer, larger blocks. In
+    the bent duct the sizes vary along the sweep."""
     env, freqs = DUCTS[BLOCK_CASES[name][0]], BLOCK_CASES[name][1]
     blocks = _spy_on_trace_blocks(monkeypatch)
-    budget = _trace_budget(env, receivers)
+    budget = _trace_budget(env, receivers, freqs=freqs)
     _assert_budgets_do_not_matter(monkeypatch, name, budget, 1 << 30)
-    assert blocks == [48] + _expected_blocks(env, 48, budget)
+    assert blocks == [48] + _expected_blocks(env, 48, budget, freqs=freqs)
     if name.startswith("obstacle"):
-        ragged = [48 % receivers] if 48 % receivers else []
-        assert blocks[1:] == [receivers] * (48 // receivers) + ragged
+        lit = int(_lit_on(env, 48).sum())
+        assert 0 < lit < 48 and _lit_on(env, 48)[:lit].all()
+        assert blocks[1:1 + lit // receivers] == [receivers] * (lit // receivers)
+        assert len(blocks) - 1 < -(-48 // receivers)
     else:
         assert len(set(blocks[1:])) > 1
 
@@ -603,46 +634,81 @@ def test_the_pool_fills_the_grid_in_position_order(monkeypatch):
     env = build_bent_tunnel(45.0)
     together = run_sweep_grid(env, [ISO], [60e9], n_samples=24)
     assert np.isinf(together.power_dbm).any() and np.isfinite(together.power_dbm).any()
-    budget = _trace_budget(env, 5, 24)
+    budget = _trace_budget(env, 5, 24, systems=[ISO])
     monkeypatch.setattr(mmray.channel, "_TRACE_BYTES", budget)
     blocks = _spy_on_trace_blocks(monkeypatch)
     serial = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=1)
-    assert blocks == _expected_blocks(env, 24, budget)
+    assert blocks == _expected_blocks(env, 24, budget, systems=[ISO])
     assert len(blocks) >= 3 and len(set(blocks)) > 1
     pooled = run_sweep_grid(env, [ISO], [60e9], n_samples=24, workers=2)
     _assert_grids_equal(serial, together)
     _assert_grids_equal(pooled, together)
 
 
-def _sweep_jobs(env, order: int):
-    """The trace blocks of a default 1024-position sweep: (slices, jobs)."""
-    distances = np.linspace(1.0, env.axis_length, 1024)
-    rx, direction = env._axis(distances, 1.5)
-    return mmray.channel._trace_jobs(env, TX, order, distances, rx, -direction, 1.5)
+BLOCKS = {"grid": mmray.channel._sweep_block, "sweep": mmray.channel._power_block,
+          "table": mmray.channel._spread_block}
 
 
-@pytest.mark.parametrize("name, carriers, order", [
-    pytest.param("straight_tunnel", 3, 2, id="straight_tunnel-3"),
-    pytest.param("bent_tunnel", 3, 2, id="bent_tunnel-3"),
-    pytest.param("obstacle_corridor", 31, 2, id="obstacle_corridor-31"),
-    pytest.param("bent_tunnel", 3, 4, id="bent_tunnel-3-order_4")])
-def test_every_sweep_block_stays_within_the_trace_budget(monkeypatch, name, carriers, order):
+@pytest.mark.parametrize("name, carriers, order, pol, kind", [
+    pytest.param("straight_tunnel", 3, 2, "te", "grid", id="straight_tunnel-3"),
+    pytest.param("straight_tunnel", 3, 2, "te", "sweep", id="straight_tunnel-3-sweep"),
+    pytest.param("plain_corridor", 31, 2, "te", "table", id="plain_corridor-31-table"),
+    pytest.param("obstacle_corridor", 31, 2, "te", "grid", id="obstacle_corridor-31"),
+    pytest.param("obstacle_corridor", 31, 2, "te", "table", id="obstacle_corridor-31-table"),
+    pytest.param("bent_tunnel", 3, 2, "te", "grid", id="bent_tunnel-3"),
+    pytest.param("bent_tunnel_80", 3, 2, "tm", "grid", id="bent_tunnel_80-3-tm"),
+    pytest.param("bent_tunnel", 3, 4, "te", "grid", id="bent_tunnel-3-order_4"),
+    pytest.param("bent_tunnel_80", 3, 6, "tm", "grid", id="bent_tunnel_80-3-tm-order_6"),
+    pytest.param("straight_tunnel", 3, 6, "tm", "grid", id="straight_tunnel-3-tm-order_6"),
+    pytest.param("straight_tunnel", 3, 8, "te", "grid", id="straight_tunnel-3-order_8"),
+    pytest.param("obstacle_corridor", 3, 8, "te", "sweep", id="obstacle_corridor-3-sweep-order_8"),
+])
+def test_every_sweep_block_stays_within_the_trace_budget(monkeypatch, name, carriers, order,
+                                                         pol, kind):
     """The numpy memory a block allocates at its peak, traced with
     tracemalloc over every block a 1024-position sweep forms, is at most the
-    budget the block was sized by."""
+    budget the block was sized by, for every kind of block: a grid's, `mmray
+    sweep`'s and a delay-spread table's. The obstacle corridor's receivers
+    behind the metal lift hold no pairs, so its blocks take more of them."""
     monkeypatch.setattr(mmray.tracer, "MAX_ORDER", max(order, mmray.tracer.MAX_ORDER))
-    env, freqs = DUCTS[name], tuple(60e9 + 1e9 * k for k in range(carriers))
-    ctx = (env, TX, tuple(PRESETS), freqs, mmray.Polarization.TE, order, 0.0)
-    _, jobs = _sweep_jobs(env, order)
+    env, freqs = DUCTS[name], [60e9 + 1e9 * k for k in range(carriers)]
+    *_, block, _, jobs = mmray.channel._sweep_plan(BLOCKS[kind], env, PRESETS, freqs,
+                                                   polarization=Polarization(pol),
+                                                   max_order=order)
     peak = 0
     for job in jobs:
         tracemalloc.start()
         try:
-            mmray.channel._sweep_block(ctx, job)
+            block(job)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert 0 < peak <= mmray.channel._TRACE_BYTES
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name, most", [
+    ("straight_tunnel", 2), ("plain_corridor", 2), ("obstacle_corridor", 1), ("bent_tunnel", 3)])
+def test_the_shipped_scenarios_sweep_in_few_trace_blocks(monkeypatch, name, most):
+    """Each shipped scenario's 1024-position order-2 sweep, as `mmray sweep`
+    forms it, and its delay-spread table at 31 carriers take 2 trace blocks
+    in the straight ducts, 1 in the obstacle corridor, whose receivers
+    behind the metal lift hold no pairs, and at most 3 in the bent duct."""
+    config = mmray.cli.parse_scenario((SCENARIOS / f"{name}.yaml").read_text())
+    env, systems = mmray.cli.build_environment(config.environment), mmray.cli.build_systems(config)
+    sweep = mmray.cli._sweep_settings(config)
+    assert (sweep["n_samples"], sweep["max_order"]) == (1024, 2)
+    blocks = _spy_on_trace_blocks(monkeypatch)
+    mmray.channel._power_grid(env, systems, config.frequencies, **sweep)
+    counts = [len(blocks)]
+    delay_spread_table([env], systems, [60e9 + 1e9 * k for k in range(31)], **sweep)
+    counts.append(len(blocks) - counts[0])
+    if name.startswith("bent"):
+        assert max(counts) <= most
+    else:
+        assert counts == [most, most]
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +841,12 @@ def test_interleaved_path_lists_evaluate_each_gain_once(monkeypatch):
     env = DUCTS["straight_tunnel"]
     lists = [enumerate_paths(env, TX, rx) for rx in ((10.0, 0.3, 1.5), (14.0, -0.2, 1.1))]
     # The departure gain gets the departure directions, the arrival gain the
-    # reversed arrival directions, so each call's directions name its list.
+    # arrival directions (about the reversed rx boresight), so each call's
+    # directions name its list.
     owner = {}
     for i, paths in enumerate(lists):
         owner[tuple(p.departure_dir for p in paths)] = i
-        owner[tuple(tuple(-c for c in p.arrival_dir) for p in paths)] = i
+        owner[tuple(p.arrival_dir for p in paths)] = i
     calls = _spy_on_gain(monkeypatch,
                          lambda args: (args[0], owner[tuple(map(tuple, args[1].tolist()))]))
     for system, carrier in itertools.product(PRESETS, CARRIERS):

@@ -526,13 +526,18 @@ def _without_culls(monkeypatch):
     monkeypatch.setattr(tracer, "_lit", lambda slabs, tx, rx: np.arange(len(rx)))
 
 
-def _assert_tables_identical(a, b):
-    for f in dataclasses.fields(tracer.PathTable):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+# The bounce records, which a sweep block's trace leaves empty, and every other field.
+BOUNCE_FIELDS = ("bounce_row", "bounce_surface", "bounce_point", "bounce_angle")
+ROW_FIELDS = [f.name for f in dataclasses.fields(tracer.PathTable) if f.name not in BOUNCE_FIELDS]
+
+
+def _assert_tables_identical(a, b, fields=None):
+    for f in fields or [f.name for f in dataclasses.fields(tracer.PathTable)]:
+        x, y = getattr(a, f), getattr(b, f)
         if isinstance(x, np.ndarray):
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f
         else:
-            assert x == y, f.name
+            assert x == y, f
 
 
 def _interior_receivers(env, rng, n):
@@ -686,9 +691,10 @@ def _window_cases(env, order, rng):
 @pytest.mark.parametrize("name", sorted(WINDOW_DUCTS))
 def test_sweep_windows_drop_no_pair(monkeypatch, name, order):
     """Each trace block of a sweep back-traces only the candidates whose
-    window meets its positions, and its table has the bits of a trace of
-    the whole tree. The first sweep's grid and table equal those with
-    every candidate in every block."""
+    window meets its positions, and its rows and slab crossings have the
+    bits of a trace of the whole tree; it forms no bounce records. The
+    first sweep's grid and table equal those with every candidate in every
+    block."""
     monkeypatch.setattr(tracer, "MAX_ORDER", 8)
     env = WINDOW_DUCTS[name]
     cases = _window_cases(env, order, np.random.default_rng([sorted(WINDOW_DUCTS).index(name),
@@ -698,12 +704,17 @@ def test_sweep_windows_drop_no_pair(monkeypatch, name, order):
         distances = np.linspace(1.0, env.axis_length, n)
         rx, direction = env._axis(distances, height)
         boresight = -direction
-        _, jobs = mmray.channel._trace_jobs(env, tx, order, distances, rx, boresight, height)
+        # The blocks of the grid below: one system, one carrier.
+        block_bytes = mmray.channel._block_bytes(env, tx, order, 1, 3)
+        _, jobs = mmray.channel._trace_jobs(env, tx, order, distances, rx, boresight, height,
+                                            block_bytes)
         candidates = tracer.candidate_count(env, tx, order)
         for block, _, live in jobs:
             culled += len(live) < candidates
-            _assert_tables_identical(tracer._trace(env, tx, block, order, pol, live),
-                                     tracer.trace_receivers(env, tx, block, order, pol))
+            rows = tracer._trace_rows(env, tx, block, order, pol, live)
+            assert all(len(getattr(rows, f)) == 0 for f in BOUNCE_FIELDS)
+            _assert_tables_identical(rows, tracer.trace_receivers(env, tx, block, order, pol),
+                                     ROW_FIELDS)
     assert culled or order < 2
     tx, height, pol, n = cases[0]
     sweep = dict(n_samples=n, tx=tx, rx_height=height, max_order=order, polarization=pol)
