@@ -15,7 +15,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .geometry import Vec3, norm
+from .geometry import Vec3, cached_hash, norm
 
 # Gain used behind the horn aperture (and wherever the pattern would
 # otherwise underflow it): -40 dB, avoids exact zeros in coherent sums.
@@ -24,6 +24,7 @@ BACK_LOBE_GAIN = 1e-4
 KINDS = ("isotropic", "omni", "horn")
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AntennaSystem:
     """One end-to-end antenna configuration (same pattern at Tx and Rx).
@@ -150,6 +151,28 @@ def system_preset(name: str) -> AntennaSystem:
     return make_system(*preset_parameters(name))
 
 
+def _unit_columns(boresight) -> np.ndarray:
+    """Boresight(s), one (3,) or (N, 3), scaled to unit length, as columns
+    (3,) or (3, N)."""
+    b = np.asarray(boresight, float).T
+    # Elementwise, so a direction's gain does not depend on its batch.
+    n = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+    bad = ~((n > 1e-12) & (n < math.inf))
+    if bad.any():
+        raise ValueError("boresight must be a non-zero finite vector, "
+                         f"got {tuple(b.T[bad][0].tolist())}")
+    return b / n
+
+
+@lru_cache(maxsize=64)
+def _unit_boresight(boresight: tuple) -> np.ndarray:
+    """_unit_columns of a boresight tuple (a system's own, a receiver's),
+    formed once and shared, so read-only."""
+    b = _unit_columns(boresight)
+    b.flags.writeable = False
+    return b
+
+
 def gain(sys: AntennaSystem,
          direction: Union[Vec3, np.ndarray],
          boresight: Optional[Vec3] = None) -> Union[float, np.ndarray]:
@@ -174,14 +197,8 @@ def gain(sys: AntennaSystem,
         cos_el = np.sqrt(np.clip(1.0 - pts[:, 2] ** 2, 0.0, 1.0))
         out = sys.peak_gain_linear * cos_el ** sys.pattern_exponent
     else:
-        b = np.asarray(sys.boresight if boresight is None else boresight, float).T
-        # Elementwise, so a direction's gain does not depend on its batch.
-        n = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
-        bad = ~((n > 1e-12) & (n < math.inf))
-        if bad.any():
-            raise ValueError("boresight must be a non-zero finite vector, "
-                             f"got {tuple(b.T[bad][0].tolist())}")
-        b = b / n
+        b = sys.boresight if boresight is None else boresight
+        b = _unit_boresight(b) if type(b) is tuple else _unit_columns(b)
         cos_psi = pts[:, 0] * b[0] + pts[:, 1] * b[1] + pts[:, 2] * b[2]
         front = np.maximum(
             sys.peak_gain_linear * np.clip(cos_psi, 0.0, 1.0) ** sys.pattern_exponent,

@@ -22,8 +22,11 @@ delay-spread table's the moments only, and `mmray sweep`'s the powers
 only. One loop maps a block over the blocks for any worker count. The
 per-path functions take a list of PathContribution; the list
 enumerate_paths returns carries its table and a memo, so each system's
-gains and each carrier's phases are formed once per list; other sequences
-go through from_paths.
+gains, each carrier's phases and the delay order are formed once per
+list, and a call finds its (system, carrier) cell with one lookup; other
+sequences go through from_paths. impulse_response's taps carry the
+sorted delay and power arrays they were made from, which
+power_delay_profile reads in place of the tap objects.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
     PathList,
     PathTable,
     Polarization,
+    _Carrier,
     _check_order,
     _image_tree,
     _lit,
@@ -119,6 +123,14 @@ class ChannelTap(NamedTuple):
     delay: float        # seconds
     amplitude: complex  # sqrt-watt units, carries the propagation phase
     power: float        # |amplitude|^2, watts
+
+
+class TapList(_Carrier):
+    """impulse_response's taps, which carry the arrays they were made from:
+    the delays (sorted) and the tap powers. arrays is None once the list no
+    longer holds the taps it was made with, in their order."""
+
+    arrays = property(_Carrier.carried)
 
 
 @dataclass(frozen=True)
@@ -222,11 +234,16 @@ def _phase(frequencies: np.ndarray, optical: np.ndarray) -> np.ndarray:
     return np.exp(x, out=x)
 
 
-def _coherent(amps: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
+def _wavelength_factor(frequencies: np.ndarray) -> np.ndarray:
+    """(lambda/4pi)^2 of an array of carriers."""
+    return (SPEED_OF_LIGHT / (4.0 * math.pi) / frequencies) ** 2
+
+
+def _coherent(amps: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Coherent power in watts, (lambda/4pi)^2 |sum a|^2, of amplitudes
-    a = g exp(-j k L) summed over the last axis; frequencies broadcast
-    against the sums."""
-    return np.abs(amps.sum(axis=-1)) ** 2 * (SPEED_OF_LIGHT / (4.0 * math.pi) / frequencies) ** 2
+    a = g exp(-j k L) summed over the last axis; factor, the carriers'
+    _wavelength_factor, broadcasts against the sums."""
+    return np.abs(amps.sum(axis=-1)) ** 2 * factor
 
 
 def _memo(cache: dict, key, make):
@@ -236,26 +253,44 @@ def _memo(cache: dict, key, make):
     return value
 
 
-def _terms(paths: Sequence[PathContribution], sys: AntennaSystem,
-           frequency: float, rx_boresight,
-           atmospheric_loss_db_per_m: float) -> Tuple[PathTable, np.ndarray, np.ndarray]:
-    """The table of paths, and the real gains g = geo * h and the phases
-    exp(-j k L) of one system and carrier, (rows,) each.
+def _cell(paths: Sequence[PathContribution], sys: AntennaSystem, frequency: float,
+          rx_boresight, atmospheric_loss_db_per_m: float) -> Tuple[PathTable, dict, tuple]:
+    """The table of paths, its memo, and the cell of one system and carrier:
+    the real gains g = geo * h and the phases exp(-j k L), (rows,) each, and
+    the carrier's _wavelength_factor, (1,).
 
-    A traced list keeps in its memo, one dict under tagged keys, the path
-    factors per atmospheric loss, g per (system, rx boresight, atmospheric
-    loss) and the phases per carrier.
+    A traced list keeps its memo, one dict under tagged keys: the cells
+    per (system, rx boresight, atmospheric loss, carrier), and what they
+    are formed from, the path factors per atmospheric loss, g per (system,
+    rx boresight, atmospheric loss) and the phases and factor per carrier.
+    Any other sequence is made a table, with a memo of its own.
     """
     table = paths.table if isinstance(paths, PathList) else None
     table, memo = (PathTable.from_paths(paths), {}) if table is None else (table, paths.memo)
     if rx_boresight is not None and type(rx_boresight) is not tuple:
         rx_boresight = tuple(np.ravel(rx_boresight).tolist())
     atmos = atmospheric_loss_db_per_m
-    h, optical = _memo(memo, ("factors", atmos), lambda: _path_factors(table, atmos))
-    away = None if rx_boresight is None else neg(rx_boresight)
-    g = _memo(memo, ("gain", sys, rx_boresight, atmos), lambda: _geo(table, sys, away) * h)
-    phase = _memo(memo, ("phase", frequency), lambda: _phase(np.array([frequency]), optical))
-    return table, g, phase
+    key = ("cell", sys, rx_boresight, atmos, frequency)
+    cell = memo.get(key)
+    if cell is None:
+        h, optical = _memo(memo, ("factors", atmos), lambda: _path_factors(table, atmos))
+        away = None if rx_boresight is None else neg(rx_boresight)
+        g = _memo(memo, ("gain", sys, rx_boresight, atmos), lambda: _geo(table, sys, away) * h)
+        carrier = np.array([frequency])
+        phase, factor = _memo(memo, ("carrier", frequency),
+                              lambda: (_phase(carrier, optical), _wavelength_factor(carrier)))
+        cell = memo[key] = (g, phase, factor)
+    return table, memo, cell
+
+
+def _delay_order(table: PathTable) -> tuple:
+    """The rows' stable delay order, the sorted delays, and these as floats.
+    Every tap list of the table carries the one read-only array."""
+    delays = table.delay
+    order = delays.argsort(kind="stable")
+    delays = delays[order]
+    delays.flags.writeable = False
+    return order, delays, delays.tolist()
 
 
 def received_power(paths: Sequence[PathContribution],
@@ -273,10 +308,10 @@ def received_power(paths: Sequence[PathContribution],
     """
     if not paths:
         return NO_COVERAGE
-    _, g, phase = _terms(paths, sys, carrier.frequency, rx_boresight,
-                         atmospheric_loss_db_per_m)
+    _, _, (g, phase, factor) = _cell(paths, sys, carrier.frequency, rx_boresight,
+                                     atmospheric_loss_db_per_m)
     # A batch of one receiver, so the sum takes the sweep's array path.
-    watts = _coherent((g * phase)[None], np.array([carrier.frequency]))
+    watts = _coherent((g * phase)[None], factor)
     return watts_to_dbm(float(watts[0]))
 
 
@@ -288,18 +323,20 @@ def impulse_response(paths: Sequence[PathContribution],
     """One complex tap per traced path, sorted by delay: amplitude
     (lambda/4pi) g_i exp(-j k L_i) and power ((lambda/4pi) g_i)^2.
 
-    Summing the tap amplitudes coherently reproduces received_power.
+    Summing the tap amplitudes coherently reproduces received_power. The
+    taps are a TapList, which carries their delays and powers as arrays
+    for power_delay_profile.
     """
     if not paths:
         return []
-    table, g, phase = _terms(paths, sys, carrier.frequency, rx_boresight,
-                             atmospheric_loss_db_per_m)
-    delays = table.delay
-    order = delays.argsort(kind="stable")
+    table, memo, (g, phase, _) = _cell(paths, sys, carrier.frequency, rx_boresight,
+                                       atmospheric_loss_db_per_m)
+    order, delays, delay_list = _memo(memo, ("delays",), lambda: _delay_order(table))
     amps = SPEED_OF_LIGHT / (4.0 * math.pi) / carrier.frequency * g[order]
+    powers = amps * amps
     # tuple.__new__ makes each tap without the Python-level ChannelTap.__new__.
-    return list(map(partial(tuple.__new__, ChannelTap), zip(
-        delays[order].tolist(), (amps * phase[order]).tolist(), (amps * amps).tolist())))
+    return TapList((delays, powers), map(partial(tuple.__new__, ChannelTap), zip(
+        delay_list, (amps * phase[order]).tolist(), powers.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +355,13 @@ def power_delay_profile(taps: Sequence[ChannelTap],
         raise ValueError("cannot build a power delay profile from zero taps")
     if not bin_width >= 0.0:
         raise ValueError(f"bin_width must be >= 0, got {bin_width}")
-    delays, powers = np.array([(t.delay, t.power) for t in taps], float).T
-    order = delays.argsort(kind="stable")
-    delays, powers = delays[order], powers[order]
+    arrays = taps.arrays if isinstance(taps, TapList) else None
+    if arrays is None:
+        delays, powers = np.array([(t.delay, t.power) for t in taps], float).T
+        order = delays.argsort(kind="stable")
+        delays, powers = delays[order], powers[order]
+    else:  # already in delay order: a stable argsort would keep it
+        delays, powers = arrays
     first = delays[0]
 
     if bin_width > 0.0:
@@ -357,7 +398,8 @@ def _delay_moments(delays: np.ndarray, powers: np.ndarray,
     """
     excess = delays - first_arrival
     total = powers.sum(axis=-1)
-    total = np.where(total > 0.0, total, np.nan)
+    # [()] keeps a single profile's moments numpy scalars, not 0-d arrays.
+    total = np.where(total > 0.0, total, np.nan)[()]
     mean = (powers * excess).sum(axis=-1) / total
     second = (powers * excess ** 2).sum(axis=-1) / total
     rms = np.sqrt(np.maximum(second - mean * mean, 0.0))
@@ -424,13 +466,14 @@ def _powers(g: np.ndarray, optical: np.ndarray, groups: list, freqs: np.ndarray,
     """Coherent powers (dBm), (systems, frequencies, receivers), NO_COVERAGE
     without rows; phases formed in chunks of at most _BLOCK_CELLS cells."""
     coherent = np.zeros((len(g), len(freqs), receivers))
+    factor = _wavelength_factor(freqs[:, None])
     for group, rows in groups:
         step = max(1, _BLOCK_CELLS // (len(g) * len(freqs) * rows.shape[1]))
         for i in range(0, len(group), step):
             chunk, r = group[i:i + step], rows[i:i + step]
             # C order, so each receiver's rows are summed as a dense last axis.
             a = np.multiply(g[:, None, r], _phase(freqs[:, None, None], optical[r]), order="C")
-            coherent[..., chunk] = _coherent(a, freqs[:, None])  # a is (S, F, receivers, n)
+            coherent[..., chunk] = _coherent(a, factor)  # a is (S, F, receivers, n)
     coherent *= 1000.0
     with np.errstate(divide="ignore"):  # no rows (no coverage): zero power, NO_COVERAGE
         return _dbm(coherent)

@@ -6,7 +6,8 @@ image tree and the back-trace run on numpy arrays; the back-trace evaluates
 each row elementwise in the order of operations used here (dot as
 a0*b0 + a1*b1 + a2*b2, lerp as a + t*(b - a)), so a path's numbers do not
 depend on how many receivers are traced together. It does not reproduce
-these scalar helpers bit for bit.
+these scalar helpers bit for bit. cached_hash lets a frozen scene or
+antenna dataclass, used as a cache key on every call, hash its fields once.
 """
 
 from __future__ import annotations
@@ -74,6 +75,28 @@ def lerp(a: Vec3, b: Vec3, t: float) -> Vec3:
         a[1] + t * (b[1] - a[1]),
         a[2] + t * (b[2] - a[2]),
     )
+
+
+def cached_hash(cls):
+    """Class decorator for a frozen dataclass: its field hash is taken once
+    per instance and kept in the instance dict. Pickles leave it out, since
+    a string's hash differs between interpreters; dataclasses.replace makes
+    a new instance with none."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
 
 
 def mirror_across_plane(p: Vec3, normal: Vec3, offset: float) -> Vec3:

@@ -22,6 +22,7 @@ import numpy as np
 from .geometry import (
     Vec3,
     add,
+    cached_hash,
     cross,
     dot,
     norm,
@@ -143,6 +144,7 @@ class CenterlineSegment:
     ext_after: float = 0.0
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Environment:
     """Immutable scene: reflecting surfaces, obstacle slabs, centerline."""

@@ -259,18 +259,23 @@ class PathTable:
             b_lo, b_hi = np.searchsorted(self.bounce_row, [lo, hi]).tolist()
             c_lo, c_hi = np.searchsorted(self.crossing_row, [lo, hi]).tolist()
             table = self._slice(r, slice(lo, hi), slice(b_lo, b_hi), slice(c_lo, c_hi))
+        # The records are built without their dataclass __init__, which sets
+        # each field through object.__setattr__; there is nothing to check.
         bounces = [[] for _ in range(lo, hi)]
         for i, s, p, a in zip(self.bounce_row[b_lo:b_hi].tolist(),
                               self.bounce_surface[b_lo:b_hi].tolist(),
                               self.bounce_point[b_lo:b_hi].tolist(),
                               self.bounce_angle[b_lo:b_hi].tolist()):
-            bounces[i - lo].append(Bounce(s, tuple(p), a))
+            bounces[i - lo].append(_record(Bounce, surface_index=s, point=tuple(p),
+                                           incidence_angle=a))
         crossings = [[] for _ in range(lo, hi)]
         for i, s, a in zip(self.crossing_row[c_lo:c_hi].tolist(),
                            self.crossing_slab[c_lo:c_hi].tolist(),
                            self.crossing_angle[c_lo:c_hi].tolist()):
-            crossings[i - lo].append(SlabCrossing(s, self.slabs[s], a))
-        return PathList(table, [PathContribution(
+            crossings[i - lo].append(_record(SlabCrossing, obstacle_index=s, slab=self.slabs[s],
+                                             incidence_angle=a))
+        return PathList(table, [_record(
+                    PathContribution,
                     order=k,
                     vertices=(self.tx, *(b.point for b in bs), rx),
                     length=length,
@@ -324,7 +329,31 @@ class PathTable:
         )
 
 
-class PathList(list):
+def _record(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, made
+    without cls.__init__: it compares, hashes, prints and refuses
+    assignment as one made with it."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
+class _Carrier(list):
+    """A list that carries what was formed with its items. carried() gives
+    it only while the list holds the objects it was made with, in their
+    order, and None once it does not."""
+
+    def __init__(self, carried, items: list):
+        super().__init__(items)
+        self._carried, self._made = carried, tuple(self)
+
+    def carried(self):
+        made = self._made
+        intact = len(made) == len(self) and all(map(operator.is_, made, self))
+        return self._carried if intact else None
+
+
+class PathList(_Carrier):
     """A receiver's paths, which carry its one-receiver PathTable (the table
     they were made from, or that table's slice of the receiver), and a dict
     in which the channel memoizes what it forms from that table. table is
@@ -332,14 +361,10 @@ class PathList(list):
     their order."""
 
     def __init__(self, table: Optional[PathTable], paths: List[PathContribution]):
-        super().__init__(paths)
-        self._table, self._made, self.memo = table, tuple(paths), {}
+        super().__init__(table, paths)
+        self.memo = {}
 
-    @property
-    def table(self) -> Optional[PathTable]:
-        made = self._made
-        intact = len(made) == len(self) and all(map(operator.is_, made, self))
-        return self._table if intact else None
+    table = property(_Carrier.carried)
 
 
 # ---------------------------------------------------------------------------

@@ -885,6 +885,57 @@ def test_alternating_path_lists_keep_their_own_values():
     assert [_per_call(p, *args) for p in (a, b, a)] == [cold_a, cold_b, cold_a]
 
 
+def _route_inputs():
+    """(env, tx, rx, rx boresight, carriers, polarization) at each shipped
+    scenario's PDP positions, then at seeded receivers off the axis."""
+    rng = random.Random(28)
+    for name in ("straight_tunnel", "bent_tunnel", "plain_corridor", "obstacle_corridor"):
+        config = mmray.cli.parse_scenario((SCENARIOS / f"{name}.yaml").read_text())
+        env = mmray.cli.build_environment(config.environment)
+        carriers = [CarrierConfig(f) for f in config.frequencies]
+        points = [(d, config.sweep.rx_height, 0.0) for d in config.output.pdp_positions]
+        # Up to 19.5 m every duct has a line-of-sight path.
+        points += [(rng.uniform(1.0, 19.5), rng.uniform(0.6, 2.0), rng.uniform(-0.6, 0.6))
+                   for _ in range(3)]
+        for d, height, lateral in points:
+            axis, p = env.axis_direction(d), env.axis_point(d, height=height)
+            rx = (p[0] - lateral * axis[1], p[1] + lateral * axis[0], p[2])
+            yield (env, config.sweep.tx_position, rx, neg(axis), carriers,
+                   Polarization(config.physics.polarization))
+
+
+def _profile(taps, bin_width):
+    pdp = power_delay_profile(taps, bin_width)
+    return repr((pdp.taps, pdp.first_arrival, rms_delay_spread(pdp), mean_excess_delay(pdp)))
+
+
+def test_every_route_into_the_per_call_functions_gives_the_same_bits():
+    """A traced list, and each tap list made from it, carry arrays that the
+    per-call functions read in place of the objects; any other sequence is
+    read from its objects. Both routes give the same bits: for the taps and
+    the power, a traced list and list(paths); for the profile and its
+    moments, at bin_width 0 and 1 ns, the intact tap list, list(taps), the
+    taps reversed and a tap list changed after it was made (a tap replaced
+    by an equal copy)."""
+    cells = 0
+    for env, tx, rx, boresight, carriers, pol in _route_inputs():
+        paths = enumerate_paths(env, tx, rx, polarization=pol)
+        assert paths.table is not None
+        for system, carrier in itertools.product(PRESETS, carriers):
+            assert (_per_call(paths, system, carrier, boresight, 0.0)
+                    == _per_call(list(paths), system, carrier, boresight, 0.0))
+            taps, changed = (impulse_response(paths, system, carrier, rx_boresight=boresight)
+                             for _ in range(2))
+            changed[-1] = ChannelTap(*changed[-1])
+            assert taps.arrays is not None and changed.arrays is None
+            for bin_width in (0.0, 1e-9):
+                want = _profile(taps, bin_width)
+                for other in (list(taps), taps[::-1], changed):
+                    assert _profile(other, bin_width) == want
+            cells += 1
+    assert cells == 3 * 3 * (5 + 4 * 3)
+
+
 @pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
 def test_a_bad_rx_boresight_is_rejected(bad):
     """The horn at (10, 0, 1.5) read -94.11 dBm, its back-lobe floor, for

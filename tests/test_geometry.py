@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
+import mmray
 from mmray.geometry import (
     add, cross, distance, dot, lerp, mirror_across_plane, neg, norm,
     scale, sub, unit, vec3,
@@ -66,3 +70,34 @@ def test_mirror_preserves_distance_to_plane_points():
     assert abs(distance(p, anchor) - distance(q, anchor)) < 1e-12
     # signed distances are opposite
     assert abs((dot(p, n) - offset) + (dot(q, n) - offset)) < 1e-12
+
+
+# Frozen scene and antenna dataclasses that cache their hash: each is
+# built twice, equal but not the same object.
+CACHED = {
+    "environment": lambda: mmray.build_bent_tunnel(45.0),
+    "antenna system": lambda: mmray.make_system("horn", 10.0, 20.8, (0.6, 0.8, 0.0)),
+}
+
+
+def _field_hash(x) -> int:
+    """The hash a frozen dataclass takes of its fields."""
+    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_a_cached_hash_is_the_field_hash_and_stays_out_of_pickles(name):
+    a, b = CACHED[name](), CACHED[name]()
+    fresh = pickle.dumps(a)
+    assert a == b and a is not b and "_hash" not in a.__dict__
+    assert hash(a) == hash(b) == _field_hash(a) == a.__dict__["_hash"]
+    # A pickle or a copy carries no cached hash, so a fresh interpreter,
+    # whose string hashes differ, takes its own.
+    assert pickle.dumps(a) == fresh
+    for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert "_hash" not in c.__dict__ and c == a and hash(c) == hash(a)
+    # dataclasses.replace builds a new instance, with no cached hash.
+    changed = dataclasses.replace(a, **({"name": "renamed"} if name == "environment"
+                                        else {"kind": "omni"}))
+    assert "_hash" not in changed.__dict__ and changed != a
+    assert hash(changed) == _field_hash(changed)

@@ -439,6 +439,36 @@ def test_paths_match_stationary_search_beyond_the_straight_duct(env, tx, rx, cou
     assert all([c.slab.name for c in p.crossings] == passed for p in paths)
 
 
+def _rebuilt(record):
+    """record made again through its class's __init__, nested records too."""
+    def value(x):
+        return tuple(map(_rebuilt, x)) if type(x) is tuple and x and dataclasses.is_dataclass(
+            x[0]) else x
+    return type(record)(**{f.name: value(getattr(record, f.name))
+                           for f in dataclasses.fields(record)})
+
+
+def test_records_built_without_init_behave_as_built_with_it():
+    """PathTable.paths builds its PathContribution, Bounce and SlabCrossing
+    records without their __init__. Each equals, hashes and prints as the
+    same record built with it, and refuses assignment as frozen."""
+    paths = enumerate_paths(_CORRIDOR, TX, (15.0, 0.3, 1.2))
+    bounces = [b for p in paths for b in p.bounces]
+    crossings = [c for p in paths for c in p.crossings]
+    assert len(paths) == 13 and bounces and crossings
+    for record in paths + bounces + crossings:
+        built = _rebuilt(record)
+        assert built is not record and built == record
+        assert (hash(built), repr(built)) == (hash(record), repr(record))
+        first = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, first)
+    assert {type(r).__name__ for r in paths + bounces + crossings} == {
+        "PathContribution", "Bounce", "SlabCrossing"}
+
+
 # ---------------------------------------------------------------------------
 # Obstacle crossings
 # ---------------------------------------------------------------------------
