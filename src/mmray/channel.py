@@ -347,9 +347,12 @@ def power_delay_profile(taps: Sequence[ChannelTap],
                         bin_width: float = 0.0) -> PowerDelayProfile:
     """Normalized power versus delay; bin_width 0 keeps exact tap delays.
 
-    With a positive bin_width, tap powers are summed within consecutive
-    bins starting at the first arrival and each bin is placed at the
-    power-weighted centroid of its taps.
+    Taps are taken in delay order, ties in their given order. An intact
+    TapList is read from the arrays it carries, already in that order; any
+    other sequence of taps is read tap by tap and sorted. With a positive
+    bin_width, tap powers are summed within consecutive bins starting at
+    the first arrival and each bin is placed at the power-weighted
+    centroid of its taps.
     """
     if not taps:
         raise ValueError("cannot build a power delay profile from zero taps")
