@@ -14,19 +14,19 @@ consecutive positions. Each block back-traces only the image-tree
 candidates whose sweep window (tracer._sweep_windows) meets its positions,
 from the receivers whose direct ray crosses no metal slab, and takes as
 many positions as keep the bytes of those (candidate, receiver) pairs, of
-its receivers and of its results under a budget. Its trace forms no
-bounce records. A block, a pure function of its receivers, its
-candidates and the settings, forms its gains once, then what its output
-needs: a grid's block the coherent powers and the delay moments, a
-delay-spread table's the moments only, and `mmray sweep`'s the powers
-only. One loop maps a block over the blocks for any worker count. The
-per-path functions take a list of PathContribution; the list
-enumerate_paths returns carries its table and a memo, so each system's
-gains, each carrier's phases and the delay order are formed once per
-list, and a call finds its (system, carrier) cell with one lookup; other
-sequences go through from_paths. impulse_response's taps carry the
-sorted delay and power arrays they were made from, which
-power_delay_profile reads in place of the tap objects.
+its receivers and of its results under a budget; the tracer counts a
+pair's trace words (tracer._pair_words), _block_bytes the kernel's. Its
+trace forms no bounce records. One block function, a pure function of its
+receivers, its candidates and the settings, forms the gains once, then
+the outputs its sweep names: "power" and "moments" for a grid, "moments"
+for a delay-spread table and "power" for `mmray sweep`. One loop maps it
+over the blocks for any worker count. The per-path functions take a list
+of PathContribution; the list enumerate_paths returns carries its table
+and a memo, so each system's gains, each carrier's phases and the delay
+order are formed once per list, and a call finds its (system, carrier)
+cell with one lookup; other sequences go through from_paths.
+impulse_response's taps carry the sorted delay and power arrays they were
+made from, which power_delay_profile reads in place of the tap objects.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .tracer import (  # noqa: F401  enumerate_paths stays importable from here
     Polarization,
     _Carrier,
     _check_order,
-    _image_tree,
     _lit,
+    _pair_words,
     _slab_arrays,
     _slab_factors,
     _sweep_windows,
@@ -90,9 +90,7 @@ def _dbm(milliwatts: np.ndarray) -> np.ndarray:
 
 
 def watts_to_dbm(watts: float) -> float:
-    """dBm of watts, NO_COVERAGE if <= 0; an array of powers > 0 gives an array."""
-    if isinstance(watts, np.ndarray):
-        return _dbm(watts * 1000.0)
+    """dBm of watts, NO_COVERAGE if <= 0."""
     if watts <= 0.0:
         return NO_COVERAGE
     return float(10.0 * np.log10(watts * 1000.0))
@@ -433,15 +431,17 @@ def _receiver_rows(counts: np.ndarray):
         yield receivers, starts[receivers, None] + np.arange(n)
 
 
-def _trace_block(ctx: tuple, job: tuple) -> tuple:
-    """What every sweep block forms: the receivers' PathTable, the real gains
-    g (systems, rows), the optical lengths (rows,) and the row-count groups.
-    ctx is (env, tx, systems, frequencies, polarization, max_order,
-    atmospheric loss in dB/m), job the block's (receivers, rx boresights,
-    stacked candidates to back-trace). A receiver's values depend only on
-    its own rows, so results merge identically for any block and worker
-    count."""
-    env, tx, systems, _, pol, max_order, atmos = ctx
+def _sweep_block(ctx: tuple, job: tuple) -> tuple:
+    """A sweep's block: the receivers' results that ctx's outputs name, in
+    this order: "power", the coherent powers (dBm) [receiver, system,
+    frequency]; "moments", the RMS delay spread and mean excess delay (s)
+    [receiver, system]. ctx is (outputs, env, tx, systems, frequencies,
+    polarization, max_order, atmospheric loss in dB/m), job the block's
+    (receivers, rx boresights, stacked candidates to back-trace). The block
+    traces once and forms the path factors and each system's gains g once.
+    A receiver's values depend only on its own rows, so results merge
+    identically for any block and worker count."""
+    outputs, env, tx, systems, frequencies, pol, max_order, atmos = ctx
     rx, rx_boresight, live = job
     table = _trace_rows(env, tx, rx, max_order, pol, live)
     h, optical = _path_factors(table, atmos)
@@ -450,7 +450,14 @@ def _trace_block(ctx: tuple, job: tuple) -> tuple:
     g = np.empty((len(systems), len(h)))
     for s, sys in enumerate(systems):
         np.multiply(_geo(table, sys, away), h, out=g[s])
-    return table, g, optical, list(_receiver_rows(table.counts()))
+    groups = list(_receiver_rows(table.counts()))
+    results = ()
+    if "power" in outputs:
+        power = _powers(g, optical, groups, np.array(frequencies), len(rx))
+        results += (np.moveaxis(power, -1, 0),)
+    if "moments" in outputs:
+        results += tuple(x.T for x in _moments(table, g, groups))
+    return results
 
 
 def _moments(table: PathTable, g: np.ndarray, groups: list) -> np.ndarray:
@@ -482,57 +489,23 @@ def _powers(g: np.ndarray, optical: np.ndarray, groups: list, freqs: np.ndarray,
         return _dbm(coherent)
 
 
-def _spread_block(ctx: tuple, job: tuple) -> tuple:
-    """A table's block: RMS delay spreads (s) [receiver, system], no phases."""
-    table, g, _, groups = _trace_block(ctx, job)
-    return (_moments(table, g, groups)[0].T,)
-
-
-def _power_block(ctx: tuple, job: tuple) -> tuple:
-    """`mmray sweep`'s block: powers (dBm) [receiver, system, frequency], no
-    delay moments."""
-    _, g, optical, groups = _trace_block(ctx, job)
-    return (np.moveaxis(_powers(g, optical, groups, np.array(ctx[3]), len(job[0])), -1, 0),)
-
-
-def _sweep_block(ctx: tuple, job: tuple) -> tuple:
-    """A grid's block: powers (dBm) and delay moments (s) [receiver, system,
-    frequency]."""
-    table, g, optical, groups = _trace_block(ctx, job)
-    power = _powers(g, optical, groups, np.array(ctx[3]), len(job[0]))
-    rms, excess = (np.broadcast_to(x[:, None], power.shape) for x in _moments(table, g, groups))
-    return tuple(np.moveaxis(x, -1, 0) for x in (power, rms, excess))
-
-
 def _block_bytes(env: Environment, tx: Vec3, max_order: int, systems: int,
                  results: int) -> Tuple[int, int, int]:
     """The bytes a sweep block holds at its peak, as (per block, per pair,
-    per receiver), from the 8-byte words of the arrays it holds; K is
-    max_order. A (candidate, lit receiver) pair is counted as if it were
-    traced into a row, at the most of what three stages hold for it:
-    - the trace: its vertices (3 K + 6 words), a point and a surface per
-      back-trace step (4 K), its bounce surfaces (K), its receiver, order
-      and flat index (3), a gather's buffer (3), and a byte per (slab,
-      segment) for the slab test; the tail holds less;
-    - the channel kernel: the row's table fields (10), its path factors
-      (2) and rx boresight (3), a gain per system, the gains' temporaries
-      (12), and with slabs a crossing (3) and the optical length (1);
-    - where some surface can occlude, the occlusion test: the vertices,
-      bounce surfaces, receiver and order (4 K + 8) and the work on one
-      crossing segment (17).
-    A receiver holds its position twice, its index, its row count and
+    per receiver), from the 8-byte words of the arrays it holds. A
+    (candidate, lit receiver) pair is counted as if it were traced into a
+    row, at the most of what the trace holds for it (tracer._pair_words)
+    and what the channel kernel holds: the row's table fields (10), its
+    path factors (2) and rx boresight (3), a gain per system, the gains'
+    temporaries (12), and with slabs a crossing (3) and the optical length
+    (1). A receiver holds its position twice, its index, its row count and
     first row (9) and the block's results, `results` floats; a block holds
-    numpy's iteration buffers for strided operands (64 KiB)."""
-    K, flags = max_order, len(env.obstacles) * (max_order + 1)
-    words = max(8 * K + 12 + -(-flags // 8), 27 + systems + (4 if flags else 0))
-    if _image_tree(env, tx, K).occluders is not None:
-        words = max(words, 4 * K + 25)
+    numpy's iteration buffers for strided operands (64 KiB). The kernel's
+    chunk arrays, at most 2 x 16 B x _BLOCK_CELLS = 256 KiB of amplitudes
+    and phases, are not counted, so a block with few rows can hold more
+    than its count."""
+    words = max(_pair_words(env, tx, max_order), 27 + systems + (4 if env.obstacles else 0))
     return 1 << 16, 8 * words, 8 * (9 + results)
-
-
-# Floats a block's results hold per receiver, as (per system, per system
-# and carrier): the delay moments are 2 per system, the powers 1 per cell.
-_RESULT_FLOATS = {_spread_block: (2, 0), _power_block: (0, 1), _sweep_block: (2, 1)}
 
 
 def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarray,
@@ -567,13 +540,14 @@ def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarra
     return slices, jobs
 
 
-def _sweep_plan(block, env: Environment, systems: Sequence[AntennaSystem],
+def _sweep_plan(outputs: Tuple[str, ...], env: Environment, systems: Sequence[AntennaSystem],
                 frequencies: Sequence[float], n_samples: int = 1024, rx_start: float = 1.0,
                 rx_height: float = 1.5, tx: Vec3 = (0.0, 0.0, 2.0),
                 polarization: Polarization = Polarization.TE, max_order: int = 2,
                 workers: int = 1, atmospheric: bool = False) -> tuple:
     """_sweep's checks and its trace blocks: (distances, systems,
-    frequencies, block bound to the sweep's settings, slices, jobs)."""
+    frequencies, _sweep_block bound to the sweep's outputs and settings,
+    slices, jobs)."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if not systems:
@@ -584,7 +558,7 @@ def _sweep_plan(block, env: Environment, systems: Sequence[AntennaSystem],
         raise ValueError(f"rx_start must be in (0, {env.axis_length}), got {rx_start}")
     if math.isfinite(env.height) and not 0.0 < rx_height < env.height:
         raise ValueError(f"rx_height must be in (0, {env.height}), got {rx_height}")
-    if not isinstance(workers, numbers.Integral) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
     tx, systems = vec3(tx), tuple(systems)
@@ -592,21 +566,24 @@ def _sweep_plan(block, env: Environment, systems: Sequence[AntennaSystem],
     distances = np.linspace(rx_start, env.axis_length, n_samples)
     rx, direction = env._axis(distances, rx_height)
     atmos = ATMOSPHERIC_LOSS_DB_PER_M if atmospheric else 0.0
-    per_system, per_cell = _RESULT_FLOATS[block]
-    results = len(systems) * (per_system + per_cell * len(frequencies))
+    # Floats per receiver: the delay moments 2 per system, the powers 1 per cell.
+    results = len(systems) * (2 * ("moments" in outputs)
+                              + len(frequencies) * ("power" in outputs))
     _check_order(max_order)
     slices, jobs = _trace_jobs(env, tx, int(max_order), distances, rx, -direction, rx_height,
                                _block_bytes(env, tx, int(max_order), len(systems), results))
-    block = partial(block, (env, tx, systems, frequencies, polarization, max_order, atmos))
+    block = partial(_sweep_block, (outputs, env, tx, systems, frequencies, polarization,
+                                   max_order, atmos))
     return distances, systems, frequencies, block, slices, jobs
 
 
-def _sweep(block, env: Environment, systems: Sequence[AntennaSystem],
+def _sweep(outputs: Tuple[str, ...], env: Environment, systems: Sequence[AntennaSystem],
            frequencies: Sequence[float], workers: int = 1, **sweep) -> tuple:
-    """run_sweep_grid, and delay_spread_table's sweep, with block as the
-    kernel: returns (distances, systems, frequencies, block's results)."""
+    """The sweep front end of run_sweep_grid, delay_spread_table and `mmray
+    sweep`, forming the outputs _sweep_block names: returns (distances,
+    systems, frequencies, the blocks' results merged in position order)."""
     distances, systems, frequencies, block, slices, jobs = _sweep_plan(
-        block, env, systems, frequencies, workers=workers, **sweep)
+        outputs, env, systems, frequencies, workers=workers, **sweep)
     # Each block's results go into their slice of arrays shaped as the first's.
     arrays = ()
     if workers > 1:
@@ -630,22 +607,15 @@ def run_sweep_grid(env: Environment, systems: Sequence[AntennaSystem],
     Positions are traced in blocks of receivers, and each block's paths
     serve all systems and frequencies. With workers > 1 blocks are evaluated
     in a process pool; results are merged in position order, so the output
-    is identical for any worker count.
+    is identical for any worker count. The delay moments do not depend on
+    the carrier, so they are repeated across the frequency axis.
     """
-    distances, systems, frequencies, arrays = _sweep(
-        _sweep_block, env, systems, frequencies, n_samples=n_samples, rx_start=rx_start,
-        rx_height=rx_height, tx=tx, polarization=polarization, max_order=max_order,
-        workers=workers, atmospheric=atmospheric)
-    return SweepGrid(env.name, distances, systems, frequencies, *arrays)
-
-
-def _power_grid(env: Environment, systems: Sequence[AntennaSystem],
-                frequencies: Sequence[float], **sweep) -> SweepGrid:
-    """run_sweep_grid, with its keywords, checks and defaults, without the
-    delay moments, which it leaves None: the powers `mmray sweep` writes."""
-    distances, systems, frequencies, (power,) = _sweep(_power_block, env, systems,
-                                                       frequencies, **sweep)
-    return SweepGrid(env.name, distances, systems, frequencies, power, None, None)
+    distances, systems, frequencies, (power, *moments) = _sweep(
+        ("power", "moments"), env, systems, frequencies, n_samples=n_samples,
+        rx_start=rx_start, rx_height=rx_height, tx=tx, polarization=polarization,
+        max_order=max_order, workers=workers, atmospheric=atmospheric)
+    rms, excess = (np.repeat(x[..., None], len(frequencies), -1) for x in moments)
+    return SweepGrid(env.name, distances, systems, frequencies, power, rms, excess)
 
 
 def delay_spread_table(envs: Sequence[Environment],
@@ -669,7 +639,7 @@ def delay_spread_table(envs: Sequence[Environment],
         raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     values = np.full((len(envs), len(systems), len(frequencies)), math.nan)
     for i, env in enumerate(envs):
-        (rms,) = _sweep(_spread_block, env, systems, frequencies, **sweep)[3]
+        rms, _ = _sweep(("moments",), env, systems, frequencies, **sweep)[3]
         for s, col in enumerate(rms.T):
             col = col[np.isfinite(col)]
             if col.size:

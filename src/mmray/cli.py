@@ -31,13 +31,13 @@ from typing import (Any, Callable, Dict, Iterable, List, Literal, Optional, Sequ
 import numpy as np
 import yaml
 
+from . import channel
 from .antenna import KINDS, AntennaSystem, make_system, preset_parameters
 from .channel import (
     ATMOSPHERIC_LOSS_DB_PER_M,
     CarrierConfig,
     DelaySpreadTable,
     SweepGrid,
-    _power_grid,
     delay_spread_table,
     impulse_response,
     mean_excess_delay,
@@ -496,11 +496,13 @@ def run_sweep_command(config: ScenarioConfig,
                       out_dir: Optional[Path] = None,
                       workers: int = 1) -> List[Path]:
     """Full receiver sweep; writes one CSV per configured frequency. It forms
-    the powers alone: the CSVs hold no delay statistics."""
+    the powers alone, as run_sweep_grid with its checks and defaults: the
+    CSVs hold no delay statistics."""
     env = build_environment(config.environment)
-    systems = build_systems(config)
-    grid = _power_grid(env, systems, config.frequencies, workers=workers,
-                       **_sweep_settings(config))
+    distances, systems, frequencies, (power,) = channel._sweep(
+        ("power",), env, build_systems(config), config.frequencies, workers=workers,
+        **_sweep_settings(config))
+    grid = SweepGrid(env.name, distances, systems, frequencies, power, None, None)
     out = Path(out_dir) if out_dir is not None else Path(config.output.csv_dir)
     files = write_sweep_csvs(grid, [s.label for s in config.systems], out)
     if config.output.plot:

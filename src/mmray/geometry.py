@@ -3,8 +3,8 @@
 Scene construction and validation use these helpers, and so does
 Surface.coplanar_with, by which the tracer groups surfaces into planes. The
 image tree and the back-trace run on numpy arrays; the back-trace evaluates
-each row elementwise in the order of operations used here (dot as
-a0*b0 + a1*b1 + a2*b2, lerp as a + t*(b - a)), so a path's numbers do not
+each row elementwise in one order of operations (dot as a0*b0 + a1*b1 +
+a2*b2, a point between a and b as a + t*(b - a)), so a path's numbers do not
 depend on how many receivers are traced together. It does not reproduce
 these scalar helpers bit for bit. cached_hash lets a frozen scene or
 antenna dataclass, used as a cache key on every call, hash its fields once.
@@ -67,14 +67,6 @@ def distance(a: Vec3, b: Vec3) -> float:
     dy = a[1] - b[1]
     dz = a[2] - b[2]
     return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def lerp(a: Vec3, b: Vec3, t: float) -> Vec3:
-    return (
-        a[0] + t * (b[0] - a[0]),
-        a[1] + t * (b[1] - a[1]),
-        a[2] + t * (b[2] - a[2]),
-    )
 
 
 def cached_hash(cls):

@@ -64,6 +64,7 @@ math module in the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -567,7 +568,8 @@ def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
 
 
 def _check_order(max_order) -> None:
-    if max_order not in range(MAX_ORDER + 1):
+    if (isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral)
+            or max_order not in range(MAX_ORDER + 1)):
         raise ValueError(f"max_order must be an integer in 0..{MAX_ORDER}, got {max_order!r}")
 
 
@@ -725,6 +727,23 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
         hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
         blocked[seg[hit] % m] = True
     return blocked
+
+
+def _pair_words(env: Environment, tx: Vec3, max_order: int) -> int:
+    """The 8-byte words a trace holds per (candidate, receiver) pair at its
+    peak, counted as if the pair were traced into a row; K is max_order:
+    - the back-trace and sort: its vertices (3 K + 6 words), a point and a
+      surface per back-trace step (4 K), its bounce surfaces (K), its
+      receiver, order and flat index (3), a gather's buffer (3), and a byte
+      per (slab, segment) for the slab test; the later stages hold less;
+    - where some surface can occlude, the occlusion test: the vertices,
+      bounce surfaces, receiver and order (4 K + 8) and the work on one
+      crossing segment (17)."""
+    K = max_order
+    words = 8 * K + 12 + -(-len(env.obstacles) * (K + 1) // 8)
+    if _image_tree(env, tx, K).occluders is not None:
+        words = max(words, 4 * K + 25)
+    return words
 
 
 def _overlaps(a, b, lo, hi):

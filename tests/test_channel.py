@@ -69,9 +69,10 @@ def test_carrier_and_sweeps_reject_a_bad_frequency(freq):
         delay_spread_table([env], [ISO], [freq], n_samples=4)
 
 
-@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True, False, 2.0])
 def test_sweeps_reject_a_bad_worker_count(workers):
-    """0 and -3 ran serial, and 1.5 raised a TypeError inside the pool."""
+    """0 and -3 ran serial, 1.5 raised a TypeError inside the pool, and True
+    ran on one worker."""
     env = build_straight_tunnel()
     message = f"workers must be an integer >= 1, got {workers!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -520,9 +521,9 @@ def _assert_budgets_do_not_matter(monkeypatch, name, trace_bytes, cells):
 
 
 def _grid_bytes(env, systems, freqs, order: int = 2):
-    """(per block, per pair, per receiver) bytes of run_sweep_grid's blocks."""
-    per_system, per_cell = mmray.channel._RESULT_FLOATS[mmray.channel._sweep_block]
-    results = len(systems) * (per_system + per_cell * len(freqs))
+    """(per block, per pair, per receiver) bytes of run_sweep_grid's blocks,
+    whose receivers hold 2 delay moments per system and a power per cell."""
+    results = len(systems) * (2 + len(freqs))
     return mmray.channel._block_bytes(env, TX, order, len(systems), results)
 
 
@@ -645,8 +646,7 @@ def test_the_pool_fills_the_grid_in_position_order(monkeypatch):
     _assert_grids_equal(pooled, together)
 
 
-BLOCKS = {"grid": mmray.channel._sweep_block, "sweep": mmray.channel._power_block,
-          "table": mmray.channel._spread_block}
+OUTPUTS = {"grid": ("power", "moments"), "sweep": ("power",), "table": ("moments",)}
 
 
 @pytest.mark.parametrize("name, carriers, order, pol, kind", [
@@ -672,7 +672,7 @@ def test_every_sweep_block_stays_within_the_trace_budget(monkeypatch, name, carr
     behind the metal lift hold no pairs, so its blocks take more of them."""
     monkeypatch.setattr(mmray.tracer, "MAX_ORDER", max(order, mmray.tracer.MAX_ORDER))
     env, freqs = DUCTS[name], [60e9 + 1e9 * k for k in range(carriers)]
-    *_, block, _, jobs = mmray.channel._sweep_plan(BLOCKS[kind], env, PRESETS, freqs,
+    *_, block, _, jobs = mmray.channel._sweep_plan(OUTPUTS[kind], env, PRESETS, freqs,
                                                    polarization=Polarization(pol),
                                                    max_order=order)
     peak = 0
@@ -701,7 +701,7 @@ def test_the_shipped_scenarios_sweep_in_few_trace_blocks(monkeypatch, name, most
     sweep = mmray.cli._sweep_settings(config)
     assert (sweep["n_samples"], sweep["max_order"]) == (1024, 2)
     blocks = _spy_on_trace_blocks(monkeypatch)
-    mmray.channel._power_grid(env, systems, config.frequencies, **sweep)
+    mmray.channel._sweep(("power",), env, systems, config.frequencies, **sweep)
     counts = [len(blocks)]
     delay_spread_table([env], systems, [60e9 + 1e9 * k for k in range(31)], **sweep)
     counts.append(len(blocks) - counts[0])
@@ -758,7 +758,8 @@ def test_a_sweep_block_across_the_elbow_calls_gain_twice_per_system(monkeypatch)
     boresight = -np.array([env.axis_direction(d) for d in distances])
     assert len({tuple(b) for b in boresight.tolist()}) == 2
     calls = _spy_on_gain(monkeypatch, lambda args: args[0])
-    ctx = (env, TX, tuple(PRESETS), (60e9,), mmray.Polarization.TE, 2, 0.0)
+    ctx = (("power", "moments"), env, TX, tuple(PRESETS), (60e9,), mmray.Polarization.TE, 2,
+           0.0)
     mmray.channel._sweep_block(ctx, (rx, boresight, None))
     assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
 

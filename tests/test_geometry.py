@@ -7,7 +7,7 @@ import pytest
 
 import mmray
 from mmray.geometry import (
-    add, cross, distance, dot, lerp, mirror_across_plane, neg, norm,
+    add, cross, distance, dot, mirror_across_plane, neg, norm,
     scale, sub, unit, vec3,
 )
 
@@ -33,7 +33,6 @@ def test_norm_and_unit():
 
 def test_distance_and_lerp():
     assert distance((0, 0, 0), (1, 2, 2)) == 3.0
-    assert lerp((0.0, 0.0, 0.0), (2.0, 4.0, 6.0), 0.5) == (1.0, 2.0, 3.0)
 
 
 def test_vec3_coerces_to_floats():

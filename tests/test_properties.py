@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from mmray import (
     CarrierConfig, Polarization, build_bent_tunnel, build_obstacle_corridor,
-    build_plain_corridor, build_straight_tunnel, enumerate_paths, impulse_response,
-    mean_excess_delay, power_delay_profile, received_power, rms_delay_spread,
-    system_preset,
+    build_plain_corridor, build_straight_tunnel, channel, delay_spread_table, enumerate_paths,
+    impulse_response, mean_excess_delay, power_delay_profile, received_power,
+    rms_delay_spread, run_sweep_grid, system_preset,
 )
 from mmray.geometry import distance
-from mmray.tracer import _MIN_SEPARATION
+from mmray.tracer import _MIN_SEPARATION, candidate_count
 
 ENVIRONMENTS = {
     "straight_tunnel": build_straight_tunnel(),
@@ -169,3 +170,45 @@ def test_the_channel_is_reciprocal(name, polarization, data, tx_boresight, rx_bo
 ], ids=["corner", "bounce inside a slab"])
 def test_reciprocity_fails_where_the_trace_does(name, tx, rx, polarization, boresights):
     _assert_reciprocal(DUCTS[name], tx, rx, polarization, *boresights, 60e9)
+
+
+SWEEP_CARRIERS = [60e9, 80e9]
+TX = (0.0, 0.0, 2.0)  # the sweep's default transmitter
+
+
+def _sweep_outputs(env, n_samples, workers):
+    """The grid, `mmray sweep`'s powers and a delay-spread table of one
+    n-position order-2 sweep, as float arrays."""
+    sweep = dict(n_samples=n_samples, workers=workers)
+    grid = run_sweep_grid(env, PRESETS, SWEEP_CARRIERS, **sweep)
+    (powers,) = channel._sweep(("power",), env, PRESETS, SWEEP_CARRIERS, **sweep)[3]
+    table = delay_spread_table([env], PRESETS, SWEEP_CARRIERS, **sweep)
+    return grid.power_dbm, grid.rms_spread, grid.mean_excess, powers, table.values_ns
+
+
+@settings(PROPERTY, max_examples=40)
+@given(name=st.sampled_from(sorted(DUCTS)), n_samples=st.integers(2, 48),
+       receivers=st.integers(1, 7), workers=st.just(1))
+@example(name="bent_tunnel", n_samples=40, receivers=3, workers=2)
+@example(name="obstacle_corridor", n_samples=33, receivers=2, workers=2)
+def test_sweeps_do_not_depend_on_blocks_or_workers(name, n_samples, receivers, workers):
+    """Blocks and workers (ROADMAP item 7): with the trace budget cut to
+    the bytes of 1 to 7 receivers, so that blocks are ragged, every sweep
+    output is bit-equal to that of one unbounded block on one worker. The
+    budget counts every candidate of the tree live and every receiver lit,
+    so a block holds at least that many receivers, and more where fewer
+    candidates are live or fewer receivers lit."""
+    env = DUCTS[name]
+    with mock.patch.object(channel, "_TRACE_BYTES", 1 << 60):
+        together = _sweep_outputs(env, n_samples, 1)
+    fixed, pair, receiver = channel._block_bytes(env, TX, 2, len(PRESETS),
+                                                 len(PRESETS) * (2 + len(SWEEP_CARRIERS)))
+    budget = fixed + receivers * (candidate_count(env, TX) * pair + receiver)
+    with mock.patch.object(channel, "_TRACE_BYTES", budget):
+        slices = channel._sweep_plan(("power", "moments"), env, PRESETS, SWEEP_CARRIERS,
+                                     n_samples=n_samples)[4]
+        blocked = _sweep_outputs(env, n_samples, workers)
+    sizes = [s.stop - s.start for s in slices]
+    assert sum(sizes) == n_samples and min(sizes[:-1], default=receivers) >= receivers
+    for a, b in zip(together, blocked):
+        assert a.tobytes() == b.tobytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -274,6 +275,12 @@ def test_enumerate_rejects_invalid_inputs():
     env = build_straight_tunnel()
     with pytest.raises(ValueError):
         enumerate_paths(env, TX, (10.0, 0.0, 1.5), max_order=tracer.MAX_ORDER + 1)
+    # True traced order 1, False order 0 and 2.0 order 2; numpy integers pass.
+    rx = (10.0, 0.0, 1.5)
+    for order in (True, False, 2.0, 1.5):
+        with pytest.raises(ValueError, match=re.escape(f"got {order!r}")):
+            enumerate_paths(env, TX, rx, max_order=order)
+    assert enumerate_paths(env, TX, rx, max_order=np.int64(1)) == enumerate_paths(env, TX, rx, 1)
     with pytest.raises(ValueError):
         enumerate_paths(env, (0.0, 5.0, 1.0), (10.0, 0.0, 1.5))
     with pytest.raises(ValueError):
