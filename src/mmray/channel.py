@@ -437,16 +437,16 @@ def _sweep_block(ctx: tuple, job: tuple) -> tuple:
     frequency]; "moments", the RMS delay spread and mean excess delay (s)
     [receiver, system]. ctx is (outputs, env, tx, systems, frequencies,
     polarization, max_order, atmospheric loss in dB/m), job the block's
-    (receivers, rx boresights, stacked candidates to back-trace). The block
-    traces once and forms the path factors and each system's gains g once.
-    A receiver's values depend only on its own rows, so results merge
+    (receivers, the centerline direction at each, which is their reversed
+    boresight, stacked candidates to back-trace). The block traces once
+    and forms the path factors and each system's gains g once. A
+    receiver's values depend only on its own rows, so results merge
     identically for any block and worker count."""
     outputs, env, tx, systems, frequencies, pol, max_order, atmos = ctx
-    rx, rx_boresight, live = job
+    rx, direction, live = job
     table = _trace_rows(env, tx, rx, max_order, pol, live)
     h, optical = _path_factors(table, atmos)
-    away = rx_boresight.take(table.receiver, 0)
-    np.negative(away, out=away)
+    away = direction.take(table.receiver, 0)
     g = np.empty((len(systems), len(h)))
     for s, sys in enumerate(systems):
         np.multiply(_geo(table, sys, away), h, out=g[s])
@@ -509,7 +509,7 @@ def _block_bytes(env: Environment, tx: Vec3, max_order: int, systems: int,
 
 
 def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarray,
-                rx: np.ndarray, rx_boresight: np.ndarray, height: float,
+                rx: np.ndarray, direction: np.ndarray, height: float,
                 block_bytes: Tuple[int, int, int]) -> tuple:
     """The trace blocks of a sweep: (slices, jobs). A block holds consecutive
     positions and back-traces only the candidates whose sweep window holds
@@ -535,7 +535,7 @@ def _trace_jobs(env: Environment, tx: Vec3, max_order: int, distances: np.ndarra
         end = i + max(1, int(np.count_nonzero(held <= _TRACE_BYTES)))
         live = np.flatnonzero((stop > i) & (first < end))
         slices.append(slice(i, end))
-        jobs.append((rx[i:end], rx_boresight[i:end], live))
+        jobs.append((rx[i:end], direction[i:end], live))
         i = end
     return slices, jobs
 
@@ -548,8 +548,8 @@ def _sweep_plan(outputs: Tuple[str, ...], env: Environment, systems: Sequence[An
     """_sweep's checks and its trace blocks: (distances, systems,
     frequencies, _sweep_block bound to the sweep's outputs and settings,
     slices, jobs)."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
     if not systems:
         raise ValueError("at least one antenna system is required")
     if not frequencies:
@@ -570,7 +570,7 @@ def _sweep_plan(outputs: Tuple[str, ...], env: Environment, systems: Sequence[An
     results = len(systems) * (2 * ("moments" in outputs)
                               + len(frequencies) * ("power" in outputs))
     _check_order(max_order)
-    slices, jobs = _trace_jobs(env, tx, int(max_order), distances, rx, -direction, rx_height,
+    slices, jobs = _trace_jobs(env, tx, int(max_order), distances, rx, direction, rx_height,
                                _block_bytes(env, tx, int(max_order), len(systems), results))
     block = partial(_sweep_block, (outputs, env, tx, systems, frequencies, polarization,
                                    max_order, atmos))

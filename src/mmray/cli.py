@@ -275,7 +275,7 @@ def _parse_environment(node, path: str) -> EnvironmentConfig:
         fval = _as_float(value, kpath)
         if "eps_r" in key and fval < 1.0:
             raise ScenarioError(f"{kpath}: relative permittivity must be >= 1")
-        if key in ("length", "width", "height", "thickness") and fval <= 0.0:
+        if key in ("length", "width", "height") and fval <= 0.0:
             raise ScenarioError(f"{kpath}: must be > 0")
         overrides.append((key, fval))
 

@@ -138,8 +138,10 @@ class CenterlineSegment:
     origin: Vec3
     direction: Vec3  # unit, horizontal
     length: float
-    # Longitudinal overhang of the cross-section box at each end, used by
-    # point-containment tests around mitered joints.
+    # Longitudinal overhang at each end, at a mitered joint: the leg's floor,
+    # ceiling and right (outer) wall run this far past the end, its left
+    # (inner) wall stops this far short, and Environment.contains accepts
+    # points this far past it.
     ext_before: float = 0.0
     ext_after: float = 0.0
 
@@ -243,80 +245,60 @@ class ValidationReport:
 # Duct assembly
 # ---------------------------------------------------------------------------
 
-def _duct_segment_surfaces(prefix: str,
-                           origin: Vec3,
-                           direction: Vec3,
-                           width: float,
-                           height: float,
-                           span: Tuple[float, float],
-                           floor_mat: Material,
-                           ceiling_mat: Material,
-                           left_mat: Material,
-                           right_mat: Material,
-                           left_span: Optional[Tuple[float, float]] = None,
-                           right_span: Optional[Tuple[float, float]] = None) -> list:
-    """Four rectangles of one straight duct piece, inward normals.
-
-    span is the longitudinal interval (local u) covered by floor and
-    ceiling; the side walls may use different intervals (mitered joints).
-    """
-    d = unit(direction)
-    left = (-d[1], d[0], 0.0)
-    up = (0.0, 0.0, 1.0)
-    half_w = width / 2.0
-    left_span = left_span or span
-    right_span = right_span or span
-
-    def at(u: float, v: float, z: float) -> Vec3:
-        return (
-            origin[0] + u * d[0] + v * left[0],
-            origin[1] + u * d[1] + v * left[1],
-            origin[2] + z,
-        )
-
-    u0, u1 = span
-    lu0, lu1 = left_span
-    ru0, ru1 = right_span
-    return [
-        # floor: normal +z
-        Surface(f"{prefix}floor", at(u0, -half_w, 0.0),
-                scale(d, u1 - u0), scale(left, width), floor_mat),
-        # ceiling: normal -z
-        Surface(f"{prefix}ceiling", at(u0, -half_w, height),
-                scale(left, width), scale(d, u1 - u0), ceiling_mat),
-        # left wall (v = +w/2): normal points right, into the duct
-        Surface(f"{prefix}left_wall", at(lu0, half_w, 0.0),
-                scale(d, lu1 - lu0), scale(up, height), left_mat),
-        # right wall (v = -w/2): normal points left
-        Surface(f"{prefix}right_wall", at(ru0, -half_w, 0.0),
-                scale(up, height), scale(d, ru1 - ru0), right_mat),
-    ]
-
-
 def _check_sizes(**sizes: float) -> None:
     for name, value in sizes.items():
         if not value > 0.0:
             raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def _straight_env(name: str, length: float, width: float, height: float,
-                  floor_mat: Material, ceiling_mat: Material,
-                  left_mat: Material, right_mat: Material,
-                  obstacles: Sequence[ObstacleSlab] = ()) -> Environment:
-    _check_sizes(length=length, width=width, height=height)
-    origin = (0.0, 0.0, 0.0)
-    axis = (1.0, 0.0, 0.0)
-    surfaces = _duct_segment_surfaces("", origin, axis, width, height,
-                                      (0.0, length), floor_mat, ceiling_mat,
-                                      left_mat, right_mat)
+def _duct(name: str, centerline: Tuple[CenterlineSegment, ...], width: float, height: float,
+          floor: Material, ceiling: Material, left: Material, right: Material) -> Environment:
+    """Duct of straight legs, four rectangles each with inward normals, named
+    with a prefix "a_", "b_", ... per leg if there is more than one.
+
+    A leg's floor, ceiling and right (outer) wall run ext_before before its
+    start and ext_after past its end; its left (inner) wall starts and ends
+    that far inside them (mitered joints). The axis is as long as the legs.
+    """
+    up = (0.0, 0.0, 1.0)
+    half_w = width / 2.0
+    surfaces = []
+    for i, seg in enumerate(centerline):
+        prefix = f"{chr(ord('a') + i)}_" if len(centerline) > 1 else ""
+        d = unit(seg.direction)  # a bent leg's (cos, sin, 0) may be an ulp off unit
+        across = (-d[1], d[0], 0.0)
+
+        def at(u: float, v: float, z: float) -> Vec3:
+            return (
+                seg.origin[0] + u * d[0] + v * across[0],
+                seg.origin[1] + u * d[1] + v * across[1],
+                seg.origin[2] + z,
+            )
+
+        u0, u1 = -seg.ext_before, seg.length + seg.ext_after
+        lu0, lu1 = seg.ext_before, seg.length - seg.ext_after
+        surfaces += [
+            # floor: normal +z
+            Surface(f"{prefix}floor", at(u0, -half_w, 0.0),
+                    scale(d, u1 - u0), scale(across, width), floor),
+            # ceiling: normal -z
+            Surface(f"{prefix}ceiling", at(u0, -half_w, height),
+                    scale(across, width), scale(d, u1 - u0), ceiling),
+            # left wall (v = +w/2): normal points right, into the duct
+            Surface(f"{prefix}left_wall", at(lu0, half_w, 0.0),
+                    scale(d, lu1 - lu0), scale(up, height), left),
+            # right wall (v = -w/2): normal points left
+            Surface(f"{prefix}right_wall", at(u0, -half_w, 0.0),
+                    scale(up, height), scale(d, u1 - u0), right),
+        ]
     return Environment(
         name=name,
         surfaces=tuple(surfaces),
-        obstacles=tuple(obstacles),
-        centerline=(CenterlineSegment(origin, axis, length),),
+        obstacles=(),
+        centerline=tuple(centerline),
         width=width,
         height=height,
-        axis_length=length,
+        axis_length=sum(seg.length for seg in centerline),
     )
 
 
@@ -344,8 +326,9 @@ def build_plain_corridor(length: float = 44.0,
         right = Material("plasterboard", PLASTERBOARD_EPS_R)
     else:
         left = right = Material("wall_blend", wall_eps_r)
-    return _straight_env("plain_corridor", length, width, height,
-                         floor, ceiling, left, right)
+    _check_sizes(length=length, width=width, height=height)
+    return _duct("plain_corridor", (CenterlineSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), length),),
+                 width, height, floor, ceiling, left, right)
 
 
 def default_corridor_obstacles(wood_eps_r: float = WOOD_EPS_R,
@@ -391,8 +374,9 @@ def build_straight_tunnel(length: float = 44.0,
                           eps_r: float = CONCRETE_EPS_R) -> Environment:
     """Straight concrete tunnel with a square cross-section."""
     concrete = Material("concrete", eps_r)
-    return _straight_env("straight_tunnel", length, width, height,
-                         concrete, concrete, concrete, concrete)
+    _check_sizes(length=length, width=width, height=height)
+    return _duct("straight_tunnel", (CenterlineSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), length),),
+                 width, height, concrete, concrete, concrete, concrete)
 
 
 def build_bent_tunnel(bend_angle_deg: float = 45.0,
@@ -402,51 +386,27 @@ def build_bent_tunnel(bend_angle_deg: float = 45.0,
                       eps_r: float = CONCRETE_EPS_R) -> Environment:
     """Concrete tunnel with one horizontal bend halfway along the centerline.
 
-    The bend is a mitered joint of two straight duct pieces: the side walls
-    of both pieces stop exactly at their mutual intersection line, while the
-    coplanar floor/ceiling rectangles of the two pieces overlap across the
-    elbow wedge (the tracer treats each such pair as one reflecting plane,
-    so a bounce in the overlap is traced once).
+    The bend is a mitered joint of two straight legs, each overhanging the
+    elbow by the miter's reach (ext_after on the first, ext_before on the
+    second), which sets all of their rectangles: the side walls of both legs
+    stop exactly at their mutual intersection line, while the coplanar
+    floor/ceiling rectangles of the two legs overlap across the elbow wedge
+    (the tracer treats each such pair as one reflecting plane, so a bounce
+    in the overlap is traced once).
     """
     if not 0.0 < bend_angle_deg < 90.0:
         raise ValueError(f"bend angle must be in (0, 90) degrees, got {bend_angle_deg}")
     _check_sizes(length=length, width=width, height=height)
     beta = math.radians(bend_angle_deg)
     half = length / 2.0
-    half_w = width / 2.0
     # Longitudinal reach of the miter past/short of the elbow point.
-    ext = half_w * math.tan(beta / 2.0)
-
+    ext = width / 2.0 * math.tan(beta / 2.0)
     concrete = Material("concrete", eps_r)
-    o1 = (0.0, 0.0, 0.0)
-    d1 = (1.0, 0.0, 0.0)
-    elbow = (half, 0.0, 0.0)
-    d2 = (math.cos(beta), math.sin(beta), 0.0)  # turn toward +y: left wall is inner
-
-    seg1 = _duct_segment_surfaces(
-        "a_", o1, d1, width, height, (0.0, half + ext),
-        concrete, concrete, concrete, concrete,
-        left_span=(0.0, half - ext),   # inner wall stops before the elbow
-        right_span=(0.0, half + ext),  # outer wall runs past it
-    )
-    seg2 = _duct_segment_surfaces(
-        "b_", elbow, d2, width, height, (-ext, half),
-        concrete, concrete, concrete, concrete,
-        left_span=(ext, half),
-        right_span=(-ext, half),
-    )
-    return Environment(
-        name="bent_tunnel",
-        surfaces=tuple(seg1 + seg2),
-        obstacles=(),
-        centerline=(
-            CenterlineSegment(o1, d1, half, ext_after=ext),
-            CenterlineSegment(elbow, d2, half, ext_before=ext),
-        ),
-        width=width,
-        height=height,
-        axis_length=length,
-    )
+    # The bend turns toward +y, so the left wall is the inner one.
+    legs = (CenterlineSegment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), half, ext_after=ext),
+            CenterlineSegment((half, 0.0, 0.0), (math.cos(beta), math.sin(beta), 0.0), half,
+                              ext_before=ext))
+    return _duct("bent_tunnel", legs, width, height, concrete, concrete, concrete, concrete)
 
 
 def free_space(length: float = 44.0) -> Environment:

@@ -755,12 +755,12 @@ def test_a_sweep_block_across_the_elbow_calls_gain_twice_per_system(monkeypatch)
     env = DUCTS["bent_tunnel"]
     distances = [12.0, 18.0, 26.0, 34.0]
     rx = np.array([env.axis_point(d, height=1.5) for d in distances])
-    boresight = -np.array([env.axis_direction(d) for d in distances])
-    assert len({tuple(b) for b in boresight.tolist()}) == 2
+    direction = np.array([env.axis_direction(d) for d in distances])
+    assert len({tuple(d) for d in direction.tolist()}) == 2
     calls = _spy_on_gain(monkeypatch, lambda args: args[0])
     ctx = (("power", "moments"), env, TX, tuple(PRESETS), (60e9,), mmray.Polarization.TE, 2,
            0.0)
-    mmray.channel._sweep_block(ctx, (rx, boresight, None))
+    mmray.channel._sweep_block(ctx, (rx, direction, None))
     assert calls == [s for s in PRESETS for _ in ("departure", "arrival")]
 
 
@@ -1051,7 +1051,18 @@ TABLE_SWEEP_ERRORS = [
     (dict(systems=[]), "at least one antenna system is required"),
     (dict(frequencies=[]), "at least one frequency is required"),
     (dict(frequencies=[60e9, -60e9]), "carrier frequency must be > 0 and finite"),
+    (dict(n_samples=2.5), "n_samples must be >= 2"),
+    (dict(n_samples=3.0), "n_samples must be >= 2"),
+    (dict(n_samples="4"), "n_samples must be >= 2"),
+    (dict(n_samples=True), "n_samples must be >= 2"),
 ]
+
+
+def test_a_numpy_integer_sample_count_sweeps_as_an_int():
+    env = build_straight_tunnel()
+    a = run_sweep_grid(env, [ISO], [60e9], n_samples=np.int64(4))
+    b = run_sweep_grid(env, [ISO], [60e9], n_samples=4)
+    assert a.power_dbm.tobytes() == b.power_dbm.tobytes()
 
 
 @pytest.mark.parametrize("kw, message", TABLE_SWEEP_ERRORS)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -318,6 +319,57 @@ def test_builders_reject_input_that_cannot_take_effect(builder, kwargs, message)
 def test_door_permittivities_still_set_the_stock_doors():
     env = build_obstacle_corridor(wood_eps_r=2.0, glass_eps_r=9.0)
     assert [o.material.eps_r for o in env.obstacles if not o.material.is_conductor] == [2.0, 9.0]
+
+
+PINNED_BUILDS = {f"{name}-defaults": (BUILDERS[name], {}) for name in BUILDERS}
+PINNED_BUILDS.update({f"bent-{a}": (build_bent_tunnel, {"bend_angle_deg": a})
+                      for a in (0.0001, 1.0, 10.0, 30.0, 45.0, 60.0, 80.0, 89.0, 89.999)})
+PINNED_BUILDS.update({
+    "bent-sized": (build_bent_tunnel, {"bend_angle_deg": 37.3, "length": 37.3, "width": 2.1,
+                                       "height": 3.3, "eps_r": 6.5}),
+    "plain-split-conductor": (build_plain_corridor, {"split_walls": True,
+                                                     "ceiling_is_conductor": True}),
+    "obstacle-custom": (build_obstacle_corridor, {"obstacles": (
+        ObstacleSlab("panel", 7.5, 0.25, Material("panel", 2.2)),
+        ObstacleSlab("grille", 31.0, 0.05, METAL))}),
+    "plain-sized": (build_plain_corridor, {"length": 30.5, "width": 1.9, "height": 3.1,
+                                           "wall_eps_r": 4.1, "floor_eps_r": 3.7,
+                                           "ceiling_eps_r": 1.3}),
+    "straight-sized": (build_straight_tunnel, {"length": 61.0, "width": 3.7, "height": 2.9,
+                                               "eps_r": 7.0}),
+})
+# SHA-256 of repr(builder(**kwargs)): every float of every surface, slab and
+# centerline segment, every name and the surface order.
+PINNED_DIGESTS = {
+    "plain_corridor-defaults": "de82604c577c6d3e720000c337341a865c7f904164882c0f878d923b0d8530ad",
+    "obstacle_corridor-defaults": "800385e4f421770ad40cb9a1738868407ac247343f2f1affb854d9af22f2894c",
+    "straight_tunnel-defaults": "d8cb04ef64be6b5d03273131d19a22f1db15de14b1b00908ab3b6274d0856711",
+    "bent_tunnel-defaults": "901336e1bd9534d71335489080725ad3648e07ddeb1d66478732960a46f89c46",
+    "free_space-defaults": "76736aade0d3aa55cdb7d9c1c3b313c654c1a52c571c13a46330ac5d9c3b9988",
+    "bent-0.0001": "083f174204aa57570a8be52eb1d1b8521c8bab33e8a4bdacc4205a5a864a848b",
+    "bent-1.0": "b62efef64e0e58e34bd9fbf7cfd0bc2dadc5ca50c18cc93a8be12defb0dcc31c",
+    "bent-10.0": "e6099c9166c3794cf7ba41306a0066c58ca3ac3d52d678c0d028cc1941f103bd",
+    "bent-30.0": "07375e12b77a2a7309368bf43eaaec4ef3c6b3c8752c80cdbc46eb5474c0cf4e",
+    "bent-45.0": "901336e1bd9534d71335489080725ad3648e07ddeb1d66478732960a46f89c46",
+    "bent-60.0": "67514e1ed99ee2e467d4b9de8f675f81d41a43a7a649e128a75fdc49bec6fcfb",
+    "bent-80.0": "7d9d88d790e9574e9684885c39e2cf953b277a4427628fad371950a56bdd2bc3",
+    "bent-89.0": "653dfb9acbf0cc6a49a0378061ad5a9f27ddc525cabcef8c8e2a6297cba712b8",
+    "bent-89.999": "47036ea2bb0f9c650853136e0209013e80ee18d9abae2ed4d5e53c6a8bc2133e",
+    "bent-sized": "acc4598d4a33f7722fa30c12bab3eb58c3b3b3bfb19b0a8b3891973029ecc77c",
+    "plain-split-conductor": "4d2e22b8a6a19bd35bab1743d804664c0ee2348aa359d5d7023065e022a1729d",
+    "obstacle-custom": "6412cc55a07cdd752e387747fdd01243f98c3a4ea48251458a74cbd8ce35f9a9",
+    "plain-sized": "d90e6f64c93044f30d8cba414ec0ae9da6943cdd6c03b049f3f80782e8e4b4dd",
+    "straight-sized": "5a62a6b713c70f580cb5d12fde105ea2e53f6e5f263a86dff737f84b22f1c333",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_BUILDS))
+def test_every_builder_s_geometry_is_pinned_bit_for_bit(key):
+    """A builder's surfaces, slabs and centerline keep their exact floats,
+    names and order: surface indices break ties in the path sort, and an
+    ulp moved in a leg's direction moves every bounce off that leg."""
+    builder, kwargs = PINNED_BUILDS[key]
+    assert hashlib.sha256(repr(builder(**kwargs)).encode()).hexdigest() == PINNED_DIGESTS[key]
 
 
 # ---------------------------------------------------------------------------

@@ -740,10 +740,9 @@ def test_sweep_windows_drop_no_pair(monkeypatch, name, order):
     for tx, height, pol, n in cases:
         distances = np.linspace(1.0, env.axis_length, n)
         rx, direction = env._axis(distances, height)
-        boresight = -direction
         # The blocks of the grid below: one system, one carrier.
         block_bytes = mmray.channel._block_bytes(env, tx, order, 1, 3)
-        _, jobs = mmray.channel._trace_jobs(env, tx, order, distances, rx, boresight, height,
+        _, jobs = mmray.channel._trace_jobs(env, tx, order, distances, rx, direction, height,
                                             block_bytes)
         candidates = tracer.candidate_count(env, tx, order)
         for block, _, live in jobs:
