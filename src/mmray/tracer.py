@@ -23,14 +23,14 @@ indices into the (candidates x receivers) grid, and writes each step's
 bounce points and surfaces straight into their path-order slot of one
 (slot, component, pair) vertex array: tx, the bounces, rx. Candidates
 stack by descending order, so the pairs of an order are one run, and a
-step writes each run with one take. A trace is then three stages, each
-dropping an array once it has read it: _sorted_paths forms the segment
+step writes each run with one take. A trace is then one pass,
+_trace_rows, that drops each array once it has read it: the segment
 lengths, the occlusion and slab tests and the one sort on that array;
-_bounce_records the bounce rows, surfaces and points; _row_fields the
-rows' fields and slab crossings, turning the vertices into segment
-directions in place. trace_receivers and enumerate_paths run all three.
-A sweep block (_trace_rows) skips the second, so its table has no
-bounce records: only PathTable.paths reads them.
+the bounce rows, surfaces and points, read from the vertices before they
+turn into segment directions in place; then the rows' fields and slab
+crossings. trace_receivers and enumerate_paths form the bounce records.
+A sweep block skips them, so its table has none: only PathTable.paths
+reads them.
 
 Two rejections are decided before any path is formed. A segment is tested
 for occlusion only against the surfaces whose plane has one of
@@ -390,37 +390,23 @@ def _reflectors(env: Environment) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-class _Planes(NamedTuple):
-    """Planes n . x = offset; the last axis runs over surfaces."""
-
-    normal: np.ndarray   # (3, ...)
-    offset: np.ndarray   # (...)
-
-    def at(self, i) -> "_Planes":
-        return _Planes(*(x.take(i, -1) for x in self))
-
-
-class _Rects(NamedTuple):
-    """Rectangles origin + a edge_u + b edge_v; the last axis runs over surfaces."""
-
-    origin: np.ndarray   # (3, ...)
-    edge_u: np.ndarray   # (3, ...)
-    edge_v: np.ndarray   # (3, ...)
-    inv_u2: np.ndarray   # (...) 1 / |edge_u|^2
-    inv_v2: np.ndarray   # (...) 1 / |edge_v|^2
-
-    def at(self, i) -> "_Rects":
-        return _Rects(*(x.take(i, -1) for x in self))
-
-
 class _Surfaces(NamedTuple):
-    plane: _Planes
-    rect: _Rects
-    eps_r: np.ndarray      # (S,)
-    conductor: np.ndarray  # (S,) bool
+    """Surfaces as arrays: planes n . x = offset, rectangles origin + a
+    edge_u + b edge_v in them, and materials; the last axis runs over
+    surfaces."""
+
+    normal: np.ndarray     # (3, ...)
+    offset: np.ndarray     # (...)
+    origin: np.ndarray     # (3, ...)
+    edge_u: np.ndarray     # (3, ...)
+    edge_v: np.ndarray     # (3, ...)
+    inv_u2: np.ndarray     # (...) 1 / |edge_u|^2
+    inv_v2: np.ndarray     # (...) 1 / |edge_v|^2
+    eps_r: np.ndarray      # (...)
+    conductor: np.ndarray  # (...) bool
 
     def at(self, i) -> "_Surfaces":
-        return _Surfaces(self.plane.at(i), self.rect.at(i), self.eps_r[i], self.conductor[i])
+        return _Surfaces(*(x.take(i, -1) for x in self))
 
 
 def _surfaces(env: Environment) -> _Surfaces:
@@ -430,10 +416,10 @@ def _surfaces(env: Environment) -> _Surfaces:
         return np.array(values, float).reshape(-1, n).T.copy()
 
     return _Surfaces(
-        _Planes(columns([f.normal for f in s], 3), columns([f.plane_offset for f in s], 1)[0]),
-        _Rects(columns([f.origin for f in s], 3), columns([f.edge_u for f in s], 3),
-               columns([f.edge_v for f in s], 3),
-               *columns([[1.0 / u2, 1.0 / v2] for u2, v2 in (f._edge_norms_sq for f in s)], 2)),
+        columns([f.normal for f in s], 3), columns([f.plane_offset for f in s], 1)[0],
+        columns([f.origin for f in s], 3), columns([f.edge_u for f in s], 3),
+        columns([f.edge_v for f in s], 3),
+        *columns([[1.0 / u2, 1.0 / v2] for u2, v2 in (f._edge_norms_sq for f in s)], 2),
         np.array([f.material.eps_r for f in s], float),
         np.array([f.material.is_conductor for f in s], bool))
 
@@ -447,14 +433,14 @@ class _Step(NamedTuple):
     """
 
     count: int
-    plane: _Planes         # plane of the bounce
+    plane: _Surfaces       # the first surface of the bounce's plane
     # Per surface slot j of the plane, in surface-index order: (the
     # candidates whose plane has a j-th surface, a slice of all of them at
-    # j = 0 and their indices after; its index; its rectangle)
-    members: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray, _Rects], ...]
+    # j = 0 and their indices after; its index; its surface, plane at j = 0)
+    members: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray, _Surfaces], ...]
     image: np.ndarray      # the image mirrored across that plane last
     image_side: np.ndarray  # the image's side of the plane (negative)
-    after: _Planes         # plane of the next bounce (unused at step 0)
+    after: _Surfaces       # plane of the next bounce (unused at step 0)
 
 
 def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
@@ -468,8 +454,8 @@ def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
     """
     if not env.surfaces:
         return None
-    plane = _Planes(surfaces.plane.normal[..., None], surfaces.plane.offset[:, None])
-    behind = _side(plane, env._corners.T[:, None]) < -_ON_PLANE
+    behind = _side(surfaces.normal[..., None], surfaces.offset[:, None],
+                   env._corners.T[:, None]) < -_ON_PLANE
     occluding = np.flatnonzero(behind.any(1))
     return surfaces.at(occluding) if len(occluding) else None
 
@@ -513,14 +499,14 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
     width = max(map(len, reflectors), default=1)
     members = np.array([[*g] + [-1] * (width - len(g)) for g in reflectors],
                        int).reshape(len(reflectors), width)
-    plane = surfaces.plane.at(members[:, 0])
+    plane = surfaces.at(members[:, 0])
     first = [env.surfaces[g[0]] for g in reflectors]
     coplanar = np.array([[a.coplanar_with(b) for b in first] for a in first], bool)
     levels = [(np.full((1, max_order), -1), np.array([[tx] + [(0.0, 0.0, 0.0)] * max_order]),
                np.zeros((1, max_order)))]
     for k in range(max_order):
         chain, images, _ = levels[-1]
-        side = _side(plane, images[:, 0].T[..., None])  # (chains, planes)
+        side = _side(plane.normal, plane.offset, images[:, 0].T[..., None])  # (chains, planes)
         reflects = side > _ON_PLANE
         if k:
             reflects &= ~coplanar[chain[:, 0]]
@@ -528,7 +514,8 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
         mirrored = images[c, 0] - (2.0 * side[c, p])[:, None] * plane.normal.T[p]
         # Each array gains a first column and drops its last, a padding one.
         levels.append(tuple(np.concatenate([new[:, None], old[c, :-1]], axis=1) for new, old in
-                            zip((p, mirrored, _side(plane.at(p), mirrored.T)), levels[-1])))
+                            zip((p, mirrored, _side(plane.normal[:, p], plane.offset[p],
+                                                    mirrored.T)), levels[-1])))
     order = np.repeat(np.arange(max_order, -1, -1), [len(c) for c, _, _ in levels[::-1]])
     tree = _Tree(surfaces, _occluders(env, surfaces), _slab_arrays(env.obstacles), members,
                  order, *(np.concatenate(x[::-1]) for x in zip(*levels)), ())
@@ -547,15 +534,15 @@ def _steps(tree: _Tree, live: np.ndarray) -> Tuple[_Step, ...]:
         c = live[:n]
         bounce = tree.members.take(tree.chain[:, s].take(c), 0)  # (n, W) surfaces
         first = bounce[:, :1]
-        plane = surfaces.plane.at(first)
+        plane = surfaces.at(first)
         # Per surface slot j: the candidates whose plane has a j-th surface;
         # every plane has a first.
-        members = [(slice(None), first, surfaces.rect.at(first))]
+        members = [(slice(None), first, plane)]
         for m in bounce.T[1:]:
             i = np.flatnonzero(m >= 0)
             index = m.take(i)[:, None]
-            members.append((i, index, surfaces.rect.at(index)))
-        after = _Planes(*(x[..., :n, :] for x in steps[-1].plane)) if s else plane
+            members.append((i, index, surfaces.at(index)))
+        after = _Surfaces(*(x[..., :n, :] for x in steps[-1].plane)) if s else plane
         steps.append(_Step(n, plane, tuple(members), tree.images[:, s].take(c, 0).T[..., None],
                            tree.image_side[:, s].take(c)[:, None], after))
     return tuple(steps)
@@ -588,14 +575,14 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _side(plane: _Planes, p: np.ndarray) -> np.ndarray:
+def _side(normal: np.ndarray, offset: np.ndarray, p: np.ndarray) -> np.ndarray:
     """n0*x + n1*y + n2*z - offset of points p (3, ...)."""
-    side = _dot(plane.normal, p)
-    side -= plane.offset
+    side = _dot(normal, p)
+    side -= offset
     return side
 
 
-def _on_rectangle(p: np.ndarray, rect: _Rects, tol: float) -> np.ndarray:
+def _on_rectangle(p: np.ndarray, rect: _Surfaces, tol: float) -> np.ndarray:
     """Whether points p (3, ...) in a rectangle's plane lie on it, up to tol."""
     r = p - rect.origin
     a = _dot(r, rect.edge_u)
@@ -631,7 +618,7 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
     for s, step in enumerate(tree.steps):
         n = step.count
         p = p[:, :n]
-        side = _side(step.plane, p)
+        side = _side(step.plane.normal, step.plane.offset, p)
         valid = side > _ON_PLANE
         # The tree keeps an image only behind its plane (da < 0), so with
         # the next vertex in front, t is in (0, 1) up to rounding. A relative
@@ -652,7 +639,7 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
             surface[cand] = np.where(hit, index, surface[cand])
         valid &= surface >= 0
         if s:
-            valid &= _side(step.after, p) > _ON_PLANE
+            valid &= _side(step.after.normal, step.after.offset, p) > _ON_PLANE
         ok[:n] &= valid
         points.append(p)
         recorded.append(surface)
@@ -701,9 +688,10 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
     m = verts.shape[-1]
     blocked = np.zeros(m, bool)
     p = verts.swapaxes(0, 1)  # (3, slots, rows)
-    normal, xyz = surfaces.plane.normal[:, :, None, None], m * np.arange(3)[:, None]
+    xyz = m * np.arange(3)[:, None]
     for i in range(len(surfaces.eps_r)):
-        side = _side(_Planes(normal[:, i], surfaces.plane.offset[i]), p)
+        surface = _Surfaces(*(x[..., i:i + 1] for x in surfaces))
+        side = _side(surface.normal[..., None], surface.offset, p)
         above, below = side > _ON_PLANE, side < -_ON_PLANE
         seg = np.flatnonzero((above[:-1] & below[1:]) | (below[:-1] & above[1:]))
         del above, below
@@ -722,8 +710,7 @@ def _blocked(verts: np.ndarray, surfaces: _Surfaces) -> np.ndarray:
         a += b
         del b
         # Occlusion uses a slightly shrunk rectangle so edge grazes do not block.
-        hit = _on_rectangle(a, _Rects(*(x[..., i:i + 1] for x in surfaces.rect)),
-                            -ON_SURFACE_TOL)
+        hit = _on_rectangle(a, surface, -ON_SURFACE_TOL)
         hit &= (t > _T_INTERIOR) & (t < 1.0 - _T_INTERIOR)
         blocked[seg[hit] % m] = True
     return blocked
@@ -799,181 +786,157 @@ def trace_receivers(env: Environment,
     1..max_order, sorted by (order, delay). Paths crossing a conductor slab
     are removed; dielectric slab crossings are recorded.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        paths = _sorted_paths(env, tx, receivers, max_order, None)
-        brow, bsurf, bpoint, at = _bounce_records(paths)
-        fields, angle = _row_fields(paths, polarization)
-    return PathTable(**fields, bounce_row=brow, bounce_surface=bsurf, bounce_point=bpoint,
-                     bounce_angle=angle.reshape(-1).take(at), polarization=polarization)
+    return _trace_rows(env, tx, receivers, max_order, polarization, None, bounces=True)
 
 
 def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int,
-                polarization: Polarization, live: np.ndarray) -> PathTable:
-    """A sweep block's trace: the rows and slab crossings of trace_receivers,
-    with empty bounce records, back-tracing only the stacked candidates live
-    (ascending). Rows are ordered by their sort keys, not by candidate, so a
-    subset that holds every path gives the same rows."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fields, _ = _row_fields(_sorted_paths(env, tx, receivers, max_order, live), polarization)
-    return PathTable(**fields, **_NO_BOUNCES, polarization=polarization)
-
-
-_NO_BOUNCES = dict(bounce_row=np.zeros(0, int), bounce_surface=np.zeros(0, int),
-                   bounce_point=np.zeros((0, 3)), bounce_angle=np.zeros(0))
-
-
-def _sorted_paths(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order: int,
-                  live: Optional[np.ndarray]) -> dict:
-    """A trace's first stage: the back-trace of the stacked candidates live
-    (all if None), the occlusion and slab tests, and the one sort.
+                polarization: Polarization, live: Optional[np.ndarray],
+                bounces: bool = False) -> PathTable:
+    """The trace: back-trace the stacked candidates live (ascending; all if
+    None), test occlusion and slabs, sort once and form the rows' fields.
+    Its table has bounce records only with bounces (trace_receivers); a
+    sweep block's has empty ones. Rows are ordered by their sort keys, not
+    by candidate, so a subset that holds every path gives the same rows.
 
     The back-trace's m pairs stay in stacked order while their segment
     lengths, the occlusion test and the slab crossings are formed on its
     path-order vertices. One stable sort then orders them, and the occluded
-    pairs and those through metal are dropped from that order. Returns the
-    arrays the later stages read, each of which drops what it has read:
-    tx, rx, the tree's surfaces, the slabs; rows, the pair of each row;
-    the rows' receiver, order and length; by pair, the vertices (slot,
-    component, pair), bounce surfaces (slot, pair), segment lengths (slot,
-    pair) and slab crossings (slab, segment, pair; None without slabs);
-    and bounces, the most bounces of any pair."""
-    tx = vec3(tx)
-    rx = np.array(receivers, float).reshape(-1, 3)
-    _check_order(max_order)
-    K = int(max_order)
-    tree = _image_tree(env, tx, K)
-    if live is not None and len(live) < len(tree.order):
-        tree = tree._replace(order=tree.order.take(live), steps=_steps(tree, live))
-    # The first receiver outside, or closer to tx than _MIN_SEPARATION, is named.
-    inside = env.contains(rx)
-    good = inside & (((rx - tx) ** 2).sum(1) >= _MIN_SEPARATION ** 2)
-    if not good.all():
-        r = int(good.argmin())
-        p = tuple(rx[r].tolist())
-        if not inside[r]:
-            raise ValueError(f"receiver {p} outside environment {env.name!r}")
-        raise ValueError(f"transmitter and receiver coincide at {p} "
-                         f"(closer than {_MIN_SEPARATION:g} m)")
-    slabs = tree.slabs
-    lit = _lit(slabs, tx, rx)
-    recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
-    recv = lit.take(recv)
-    m = len(recv)
+    pairs and those through metal are dropped from that order. Every array
+    is dropped once read. The bounce points are read from the vertices
+    before they become the unit directions of the segments in place;
+    every field is then a gather from those arrays by (slot, pair), and
+    the reflection product multiplies the coefficients in bounce order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = vec3(tx)
+        rx = np.array(receivers, float).reshape(-1, 3)
+        _check_order(max_order)
+        K = int(max_order)
+        tree = _image_tree(env, tx, K)
+        if live is not None and len(live) < len(tree.order):
+            tree = tree._replace(order=tree.order.take(live), steps=_steps(tree, live))
+        # The first receiver outside, or closer to tx than _MIN_SEPARATION, is named.
+        inside = env.contains(rx)
+        good = inside & (((rx - tx) ** 2).sum(1) >= _MIN_SEPARATION ** 2)
+        if not good.all():
+            r = int(good.argmin())
+            p = tuple(rx[r].tolist())
+            if not inside[r]:
+                raise ValueError(f"receiver {p} outside environment {env.name!r}")
+            raise ValueError(f"transmitter and receiver coincide at {p} "
+                             f"(closer than {_MIN_SEPARATION:g} m)")
+        del inside, good
+        slabs, surfaces = tree.slabs, tree.surfaces
+        lit = _lit(slabs, tx, rx)
+        recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
+        recv = lit.take(recv)
+        del lit
+        m = len(recv)
 
-    # Segment j of a pair joins verts[j] to verts[j + 1]; those past its
-    # order join rx to itself.
-    keep = np.ones(m, bool)
-    if tree.occluders is not None:
-        keep = ~_blocked(verts, tree.occluders)
-    crosses = None
-    if len(slabs.lo):
-        # A live segment crosses a slab if their x-intervals overlap.
-        x = verts[:, 0]
-        crosses = _overlaps(x[:-1], x[1:], slabs.lo[:, None, None], slabs.hi[:, None, None])
-        del x  # a view that would keep the vertices alive
-        crosses &= np.arange(K + 1)[:, None] <= order  # (slabs, K + 1, m)
-        keep &= ~crosses.take(slabs.metal, 0).any(axis=(0, 1))
+        # Segment j of a pair joins verts[j] to verts[j + 1]; those past its
+        # order join rx to itself.
+        keep = np.ones(m, bool)
+        if tree.occluders is not None:
+            keep = ~_blocked(verts, tree.occluders)
+        crosses = None
+        if len(slabs.lo):
+            # A live segment crosses a slab if their x-intervals overlap.
+            x = verts[:, 0]
+            crosses = _overlaps(x[:-1], x[1:], slabs.lo[:, None, None], slabs.hi[:, None, None])
+            del x  # a view that would keep the vertices alive
+            crosses &= np.arange(K + 1)[:, None] <= order  # (slabs, K + 1, m)
+            keep &= ~crosses.take(slabs.metal, 0).any(axis=(0, 1))
 
-    # Segment lengths, with the components summed in order, as _dot does.
-    seg = verts[1:, 0] - verts[:-1, 0]
-    seg *= seg
-    for i in (1, 2):
-        d = verts[1:, i] - verts[:-1, i]
-        d *= d
-        seg += d
-    del d
-    np.sqrt(seg, out=seg)
-    length = seg[0]
-    for j in range(1, K + 1):
-        length = length + seg[j]
+        # Segment lengths, with the components summed in order, as _dot does.
+        seg = verts[1:, 0] - verts[:-1, 0]
+        seg *= seg
+        for i in (1, 2):
+            d = verts[1:, i] - verts[:-1, i]
+            d *= d
+            seg += d
+        del d
+        np.sqrt(seg, out=seg)
+        length = seg[0]
+        for j in range(1, K + 1):
+            length = length + seg[j]
 
-    # The one sort, of the pairs in stacked order; paths of equal delay
-    # keep the order of their bounce surfaces. Dropping rows after a
-    # stable sort leaves the others in the order a sort of them gives.
-    # Receiver and order sort as one key.
-    rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
-    if not keep.all():
-        rows = rows[keep.take(rows)]
-    # Pairs stack by descending order, so the first has the most bounces.
-    return dict(tx=tx, rx=rx, surfaces=tree.surfaces, slabs=env.obstacles, rows=rows,
-                receiver=recv.take(rows), order=order.take(rows), length=length.take(rows),
-                verts=verts, surf=surf, seg=seg, crosses=crosses,
-                bounces=int(order[0]) if m else 0)
+        # The one sort, of the pairs in stacked order; paths of equal delay
+        # keep the order of their bounce surfaces. Dropping rows after a
+        # stable sort leaves the others in the order a sort of them gives.
+        # Receiver and order sort as one key.
+        rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
+        if not keep.all():
+            rows = rows[keep.take(rows)]
+        del keep
+        # Pairs stack by descending order, so the first has the most bounces.
+        k = int(order[0]) if m else 0
+        receiver, order, length = recv.take(rows), order.take(rows), length.take(rows)
+        del recv
 
+        if bounces:
+            # Every bounce in row, then bounce order, as its row, surface and
+            # point, and the flat index slot * m + pair of its incidence angle
+            # in the (slot, pair) angles below. Bounce j of a row is its
+            # vertex j + 1.
+            brow, src = np.arange(len(rows)).repeat(order), rows.repeat(order)
+            slot = np.arange(len(brow)) - (order.cumsum() - order).repeat(order)
+            at, at3 = slot * m + src, slot * (3 * m) + src  # 3 m j + i: x of slot j
+            bpoint = verts[1:].reshape(-1).take(at3 + m * np.arange(3)[:, None]).T.copy()
+            bsurf = surf.reshape(-1).take(at)
+            del src, slot, at3
+        else:
+            brow = bsurf = at = np.zeros(0, int)
+            bpoint = np.zeros((0, 3))
 
-def _bounce_records(paths: dict) -> Tuple[np.ndarray, ...]:
-    """A trace's second stage, which only trace_receivers runs: every bounce
-    in row, then bounce order, as its row, surface and point, and the flat
-    index slot * m + pair of its incidence angle in _row_fields' (slot,
-    pair) angles. Bounce j of a row is its vertex j + 1."""
-    rows, order, verts = paths["rows"], paths["order"], paths["verts"]
-    m = verts.shape[-1]
-    brow, src = np.arange(len(rows)).repeat(order), rows.repeat(order)
-    slot = np.arange(len(brow)) - (order.cumsum() - order).repeat(order)
-    at, at3 = slot * m + src, slot * (3 * m) + src  # 3 m j + i: x of slot j
-    bpoint = verts[1:].reshape(-1).take(at3 + m * np.arange(3)[:, None]).T.copy()
-    return brow, paths["surf"].reshape(-1).take(at), bpoint, at
+        # The vertices become the unit directions of the segments in place:
+        # segment j, from verts[j] to verts[j + 1], is (verts[j + 1] -
+        # verts[j]) / seg[j], and bounce j is reached by segment j.
+        dirs = verts
+        del verts
+        for j in range(K + 1):
+            np.subtract(dirs[j + 1], dirs[j], out=dirs[j])
+        dirs[:-1] /= seg[:, None]
 
+        if crosses is not None:
+            # In row, then segment, then slab order.
+            crow, cseg, cslab = np.nonzero(crosses.take(rows, 2).transpose(2, 1, 0))
+            pair = rows.take(crow)
+            # |dx| / seg = |dx / seg|: division rounds the same for either sign.
+            ux = np.where(seg[cseg, pair] > 0.0, np.abs(dirs[cseg, 0, pair]), 0.0)
+            cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
+        else:
+            crow = cslab = np.zeros(0, int)
+            cangle = np.zeros(0)
+        del seg, crosses
 
-def _row_fields(paths: dict, polarization: Polarization) -> Tuple[dict, np.ndarray]:
-    """A trace's last stage: the PathTable fields of its rows and slab
-    crossings, and the incidence angles (slot, pair) of the slots some row
-    has a bounce in (meaningless past a pair's order). It drops the arrays
-    of the first stage once it has read them.
+        # The incidence angles (slot, pair) of the slots some row has a
+        # bounce in (meaningless past a pair's order): bounce j, whose
+        # surface is surf[j], from the direction of segment j; its dot with
+        # the normal sums the components in order, as _dot does.
+        surf, normal = surf[:k], surfaces.normal
+        angle = dirs[:k, 0] * normal[0].take(surf)
+        for i in (1, 2):
+            angle += dirs[:k, i] * normal[i].take(surf)
+        np.minimum(np.abs(angle, out=angle), 1.0, out=angle)
+        np.minimum(np.arccos(angle, out=angle), math.pi / 2 - 1e-12, out=angle)
+        eps_r, metal, past = surfaces.eps_r.take(surf), surfaces.conductor.take(surf), surf < 0
+        del surf
 
-    The vertices become the unit directions of the segments in place:
-    segment j, from verts[j] to verts[j + 1], is (verts[j + 1] - verts[j]) /
-    seg[j], and bounce j is reached by segment j. Every field is then a
-    gather from those arrays by (slot, pair); the reflection product
-    multiplies the coefficients in bounce order."""
-    rows, order, surfaces = paths["rows"], paths["order"], paths["surfaces"]
-    dirs, surf, seg, crosses = (paths.pop(k) for k in ("verts", "surf", "seg", "crosses"))
-    k = paths["bounces"]
-    for j in range(len(seg)):
-        np.subtract(dirs[j + 1], dirs[j], out=dirs[j])
-    dirs[:-1] /= seg[:, None]
+        # Arrival along segment `order`, departure along segment 0.
+        arrival = dirs[order, :, rows]
+        departure = dirs[0, :, rows]
+        del dirs
 
-    if crosses is not None:
-        # In row, then segment, then slab order.
-        crow, cseg, cslab = np.nonzero(crosses.take(rows, 2).transpose(2, 1, 0))
-        pair = rows.take(crow)
-        # |dx| / seg = |dx / seg|: division rounds the same for either sign.
-        ux = np.where(seg[cseg, pair] > 0.0, np.abs(dirs[cseg, 0, pair]), 0.0)
-        cangle = np.minimum(np.arccos(np.minimum(ux, 1.0)), math.pi / 2 - 1e-9)
-    else:
-        crow = cslab = np.zeros(0, int)
-        cangle = np.zeros(0)
-    del seg, crosses
-
-    # The incidence angle of bounce j, whose surface is surf[j], from the
-    # direction of segment j; its dot with the normal sums the components
-    # in order, as _dot does.
-    surf, normal = surf[:k], surfaces.plane.normal
-    angle = dirs[:k, 0] * normal[0].take(surf)
-    for i in (1, 2):
-        angle += dirs[:k, i] * normal[i].take(surf)
-    np.minimum(np.abs(angle, out=angle), 1.0, out=angle)
-    np.minimum(np.arccos(angle, out=angle), math.pi / 2 - 1e-12, out=angle)
-    eps_r, metal, past = surfaces.eps_r.take(surf), surfaces.conductor.take(surf), surf < 0
-    del surf
-
-    # Arrival along segment `order`, departure along segment 0.
-    arrival = dirs[order, :, rows]
-    departure = dirs[0, :, rows]
-    del dirs
-
-    # Coefficients of 1 past each pair's order; the product over slots
-    # multiplies them in bounce order.
-    coeff = _fresnel(eps_r, angle, polarization)
-    np.copyto(coeff, -1.0 if polarization is Polarization.TE else 1.0, where=metal)
-    np.copyto(coeff, 1.0, where=past)
-    del eps_r, metal, past
-    reflection = coeff.take(rows, 1).prod(0)
-    fields = dict(tx=paths["tx"], rx=paths["rx"], receiver=paths["receiver"], order=order,
-                  length=paths["length"], reflection=reflection, departure=departure,
-                  arrival=arrival, crossing_row=crow, crossing_slab=cslab,
-                  crossing_angle=cangle, slabs=paths["slabs"])
-    return fields, angle
+        # Coefficients of 1 past each pair's order; the product over slots
+        # multiplies them in bounce order.
+        coeff = _fresnel(eps_r, angle, polarization)
+        np.copyto(coeff, -1.0 if polarization is Polarization.TE else 1.0, where=metal)
+        np.copyto(coeff, 1.0, where=past)
+        del eps_r, metal, past
+        reflection = coeff.take(rows, 1).prod(0)
+        del coeff
+    return PathTable(tx, rx, receiver, order, length, reflection, departure, arrival, brow,
+                     bsurf, bpoint, angle.reshape(-1).take(at), crow, cslab, cangle,
+                     env.obstacles, polarization)
 
 
 # ---------------------------------------------------------------------------

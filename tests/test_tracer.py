@@ -612,7 +612,7 @@ def _occluder_names(env):
     occluders = tracer._image_tree(env, TX, 2).occluders
     if occluders is None:
         return []
-    normals = set(map(tuple, occluders.plane.normal.T.tolist()))
+    normals = set(map(tuple, occluders.normal.T.tolist()))
     return [s.name for s in env.surfaces if s.normal in normals]
 
 
