@@ -866,7 +866,7 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
         if not keep.all():
             rows = rows[keep.take(rows)]
-        del keep
+        del keep, tree  # the live steps
         # Pairs stack by descending order, so the first has the most bounces.
         k = int(order[0]) if m else 0
         receiver, order, length = recv.take(rows), order.take(rows), length.take(rows)
@@ -906,17 +906,26 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         else:
             crow = cslab = np.zeros(0, int)
             cangle = np.zeros(0)
+        # Bounce j joins segments j and j + 1, whose angles with its normal
+        # specular reflection makes equal; the longer gives it, and on a tie
+        # the larger |cos|. The reversed path takes the same segment, so a
+        # bounce nanometres from the next gets one angle either way.
+        shorter, tie = seg[:k] < seg[1:k + 1], seg[:k] == seg[1:k + 1]
         del seg, crosses
 
         # The incidence angles (slot, pair) of the slots some row has a
-        # bounce in (meaningless past a pair's order): bounce j, whose
-        # surface is surf[j], from the direction of segment j; its dot with
-        # the normal sums the components in order, as _dot does.
+        # bounce in (meaningless past a pair's order), a slot at a time:
+        # bounce j's surface is surf[j], and |cos| is the dot of a segment's
+        # direction with its normal.
         surf, normal = surf[:k], surfaces.normal
-        angle = dirs[:k, 0] * normal[0].take(surf)
-        for i in (1, 2):
-            angle += dirs[:k, i] * normal[i].take(surf)
-        np.minimum(np.abs(angle, out=angle), 1.0, out=angle)
+        angle = np.empty((k, m))
+        for j in range(k):
+            n = normal.take(surf[j], 1)
+            a, b = (np.abs(_dot(d, n)) for d in dirs[j:j + 2])
+            angle[j] = np.where(shorter[j] | tie[j] & (b > a), b, a)
+            del n, a, b
+        del shorter, tie
+        np.minimum(angle, 1.0, out=angle)
         np.minimum(np.arccos(angle, out=angle), math.pi / 2 - 1e-12, out=angle)
         eps_r, metal, past = surfaces.eps_r.take(surf), surfaces.conductor.take(surf), surf < 0
         del surf
