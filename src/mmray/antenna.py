@@ -43,6 +43,9 @@ class AntennaSystem:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown antenna kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("tx_power_dbm", "peak_gain_dbi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         b = self.boresight
         n = norm(b)
         if not 1e-12 < n < math.inf:
@@ -188,8 +191,10 @@ def gain(sys: AntennaSystem,
     if pts.shape[-1] != 3:
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    if (np.abs(norms - 1.0) > 1e-6).any():
-        raise ValueError("direction must be a unit vector")
+    unit = np.abs(norms - 1.0) <= 1e-6  # False for NaN
+    if not unit.all():
+        bad = tuple(pts[unit.argmin()].tolist())
+        raise ValueError(f"direction must be a unit vector, got {bad}")
 
     if sys.kind == "isotropic":
         out = np.ones(pts.shape[0])

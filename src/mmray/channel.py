@@ -271,6 +271,8 @@ def _cell(paths: Sequence[PathContribution], sys: AntennaSystem, frequency: floa
     key = ("cell", sys, rx_boresight, atmos, frequency)
     cell = memo.get(key)
     if cell is None:
+        if not atmos >= 0.0:
+            raise ValueError(f"atmospheric_loss_db_per_m must be >= 0, got {atmos}")
         h, optical = _memo(memo, ("factors", atmos), lambda: _path_factors(table, atmos))
         away = None if rx_boresight is None else neg(rx_boresight)
         g = _memo(memo, ("gain", sys, rx_boresight, atmos), lambda: _geo(table, sys, away) * h)

@@ -305,7 +305,11 @@ class PathTable:
 
     @classmethod
     def from_paths(cls, paths: Sequence[PathContribution]) -> "PathTable":
-        """One receiver's (non-empty) path list as a table."""
+        """One receiver's (non-empty) path list, of one polarization, as a table."""
+        polarization = paths[0].polarization
+        if any(p.polarization is not polarization for p in paths):
+            raise ValueError("paths must share one polarization, got "
+                             f"{sorted({p.polarization.name for p in paths})}")
         bounces = [(i, b) for i, p in enumerate(paths) for b in p.bounces]
         crossings = [(i, c) for i, p in enumerate(paths) for c in p.crossings]
         slabs = {c.obstacle_index: c.slab for _, c in crossings}
@@ -326,7 +330,7 @@ class PathTable:
             crossing_slab=np.array([c.obstacle_index for _, c in crossings], int),
             crossing_angle=np.array([c.incidence_angle for _, c in crossings], float),
             slabs=tuple(slabs.get(i) for i in range(max(slabs, default=-1) + 1)),
-            polarization=paths[0].polarization,
+            polarization=polarization,
         )
 
 

@@ -139,9 +139,30 @@ def test_gain_accepts_batches():
 
 
 def test_gain_requires_unit_vectors():
+    """A NaN direction passed the unit-length check: the omni read 7.08 for it."""
     s = system_preset("system1")
     with pytest.raises(ValueError):
         gain(s, (2.0, 0.0, 0.0))
+    for name in ("system1", "system2", "system3"):
+        s = system_preset(name)
+        with pytest.raises(ValueError, match=r"direction must be a unit vector, got \(nan"):
+            gain(s, (math.nan, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"direction must be a unit vector, got \(0.0, nan"):
+            gain(s, np.array([(1.0, 0.0, 0.0), (0.0, math.nan, 0.0)]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_system("omni", 20.0, math.nan), "peak_gain_dbi must be finite, got nan"),
+    (lambda: make_system("omni", math.inf, 8.5), "tx_power_dbm must be finite, got inf"),
+    (lambda: AntennaSystem("horn", -math.inf, 20.8, pattern_exponent=59.0),
+     "tx_power_dbm must be finite, got -inf"),
+    (lambda: AntennaSystem("isotropic", 20.0, math.nan), "peak_gain_dbi must be finite, got nan"),
+])
+def test_a_system_rejects_a_non_finite_power_or_gain(make, message):
+    """make_system("omni", 20.0, nan) gave pattern exponent 9.3e-10, and
+    make_system("omni", inf, 8.5) a system of infinite power."""
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,31 @@ def test_a_slab_of_air_changes_no_power(rx):
     assert with_slab == pytest.approx(plain, abs=1e-9)
 
 
+@pytest.mark.parametrize("loss", [math.nan, -5.0])
+def test_a_nan_or_negative_atmospheric_loss_is_rejected(tunnel_paths, loss):
+    """Both read -41.59 dBm for the omni, the lossless power."""
+    omni, carrier = system_preset("system2"), CarrierConfig(60e9)
+    assert round(received_power(tunnel_paths, omni, carrier), 2) == -41.59
+    message = f"atmospheric_loss_db_per_m must be >= 0, got {loss}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        received_power(tunnel_paths, omni, carrier, atmospheric_loss_db_per_m=loss)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        impulse_response(list(tunnel_paths), omni, carrier, atmospheric_loss_db_per_m=loss)
+
+
+def test_paths_of_mixed_polarizations_are_rejected():
+    """Every slab crossing took the first path's polarization: the TE
+    direct path and the TM reflections in the obstacle corridor read
+    -71.024 dBm (isotropic), and in reverse order -71.031 dBm."""
+    env, rx = build_obstacle_corridor(), (15.0, 0.3, 1.2)
+    te, tm = (enumerate_paths(env, TX, rx, polarization=p) for p in Polarization)
+    mixed = te[:1] + tm[1:]
+    for paths in (mixed, mixed[::-1]):
+        with pytest.raises(ValueError, match=re.escape("paths must share one polarization, got "
+                                                       "['TE', 'TM']")):
+            received_power(paths, ISO, CarrierConfig(60e9))
+
+
 def test_atmospheric_loss_scales_with_distance():
     env = free_space()
     carrier = CarrierConfig(60e9)

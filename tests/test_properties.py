@@ -14,7 +14,7 @@ from mmray import (
     impulse_response, mean_excess_delay, power_delay_profile, received_power,
     rms_delay_spread, run_sweep_grid, system_preset,
 )
-from mmray.geometry import distance
+from mmray.geometry import distance, scale
 from mmray.tracer import _MIN_SEPARATION, candidate_count
 
 ENVIRONMENTS = {
@@ -39,17 +39,21 @@ def placements(draw, environments=ENVIRONMENTS):
     env = environments[draw(st.sampled_from(sorted(environments)))]
 
     def point():
-        s = draw(st.floats(0.0, env.axis_length))
-        lateral = draw(st.floats(-0.45, 0.45)) * env.width
-        height = draw(st.floats(0.05, 0.95)) * env.height
-        axis = env.axis_direction(s)
-        p = env.axis_point(s, height=height)
-        return (p[0] - lateral * axis[1], p[1] + lateral * axis[0], p[2])
+        return _at(env, draw(st.floats(0.0, env.axis_length)), draw(st.floats(-0.45, 0.45)),
+                   draw(st.floats(0.05, 0.95)))
 
     tx, rx = point(), point()
     # enumerate_paths rejects endpoints closer than the floor (tested in test_tracer).
     assume(env.contains(tx) and env.contains(rx) and distance(tx, rx) >= _MIN_SEPARATION)
     return env, tx, rx
+
+
+def _at(env, s, lateral, height):
+    """The point at arclength s along env's axis, lateral times its width to
+    the axis' left and height times its height up."""
+    lateral *= env.width
+    axis, p = env.axis_direction(s), env.axis_point(s, height=height * env.height)
+    return (p[0] - lateral * axis[1], p[1] + lateral * axis[0], p[2])
 
 
 def _length_multiset(paths):
@@ -122,8 +126,14 @@ def _assert_reciprocal(env, tx, rx, polarization, tx_boresight, rx_boresight, fr
                          carrier, rx_boresight)
         back = _channel(backward, dataclasses.replace(preset, boresight=rx_boresight),
                         carrier, tx_boresight)
-        assert abs(there[0] - back[0]) <= 1e-9 * there[1], (preset.kind, there, back)
-        assert abs(there[2] - back[2]) <= 1e-9 * there[3], (preset.kind, there, back)
+        _assert_close(there, back, preset.kind)
+
+
+def _assert_close(there, back, label):
+    """_channel results equal to 1e-9 dB times the fade depth and to 1e-9
+    of the second moment."""
+    assert abs(there[0] - back[0]) <= 1e-9 * there[1], (label, there, back)
+    assert abs(there[2] - back[2]) <= 1e-9 * there[3], (label, there, back)
 
 
 @pytest.mark.parametrize("polarization", list(Polarization), ids=lambda p: p.name)
@@ -165,6 +175,70 @@ def test_reciprocity_fails_where_the_trace_does(name, tx, rx, polarization, bore
     """Reciprocity where a trace broke it: at a corner, which holds now,
     and at a bounce inside a slab, which still fails."""
     _assert_reciprocal(DUCTS[name], tx, rx, polarization, *boresights, 60e9)
+
+
+# Slab-free ducts k times the default size, with their origin fixed.
+SCALED = {
+    "straight_tunnel": lambda k: build_straight_tunnel(44.0 * k, 2.5 * k, 2.5 * k),
+    "bent_tunnel": lambda k: build_bent_tunnel(45.0, 44.0 * k, 2.5 * k, 2.5 * k),
+}
+
+
+@settings(PROPERTY, max_examples=25)
+@given(name=st.sampled_from(sorted(SCALED)), k=st.floats(0.2, 5.0),
+       ends=st.tuples(*[st.floats(0.05, 0.95)] * 2 + [st.floats(-0.4, 0.4)] * 2
+                      + [st.floats(0.1, 0.9)] * 2))
+def test_scaling_a_duct_scales_its_delays_and_powers(name, k, ends):
+    """Scale (ROADMAP item 7): a duct and both endpoints k times as large
+    keep every path, by its bounce surfaces; each delay and the RMS delay
+    spread scale by k and each isotropic tap power by 1 / k^2, to a
+    relative 1e-9. The endpoints keep a twentieth of the axis from its
+    ends, and a tenth of the width and height from the walls, so no bounce
+    lies near the edge of a rectangle."""
+    small, large = SCALED[name](1.0), SCALED[name](k)
+    s_tx, s_rx, a_tx, a_rx, h_tx, h_rx = ends
+    tx = _at(small, s_tx * small.axis_length, a_tx, h_tx)
+    rx = _at(small, s_rx * small.axis_length, a_rx, h_rx)
+    assume(distance(tx, rx) > 0.1)
+    iso, carrier = PRESETS[0], CarrierConfig(60e9)
+    paths, scaled = (enumerate_paths(env, scale(tx, f), scale(rx, f))
+                     for env, f in ((small, 1.0), (large, k)))
+
+    def by_surfaces(paths):
+        return {tuple(b.surface_index for b in p.bounces): p for p in paths}
+
+    one, other = by_surfaces(paths), by_surfaces(scaled)
+    assert len(one) == len(paths) and one.keys() == other.keys()
+    for chain, p in one.items():
+        q = other[chain]
+        assert q.delay == pytest.approx(k * p.delay, rel=1e-9)
+        power = impulse_response([p], iso, carrier)[0].power
+        assert impulse_response([q], iso, carrier)[0].power == pytest.approx(power / k ** 2,
+                                                                             rel=1e-9)
+    if paths:  # none past the elbow of the bent duct
+        spread = (rms_delay_spread(power_delay_profile(impulse_response(x, iso, carrier)))
+                  for x in (paths, scaled))
+        assert next(spread) * k == pytest.approx(next(spread), rel=1e-9)
+
+
+@pytest.mark.parametrize("polarization", list(Polarization), ids=lambda p: p.name)
+@settings(PROPERTY, max_examples=20)
+@given(placement=placements({name: DUCTS[name] for name in ("straight_tunnel", "plain_corridor")}),
+       freq=st.sampled_from([60e9, 70e9, 80e9]))
+def test_mirroring_both_endpoints_across_the_axis_keeps_the_channel(polarization, placement,
+                                                                   freq):
+    """Mirror (ROADMAP item 7): the straight tunnel and the plain corridor
+    are symmetric about y = 0, and so is each system's boresight, so with
+    both endpoints mirrored y -> -y each system's received power and delay
+    variance hold to the reciprocity property's tolerances."""
+    env, tx, rx = placement
+    carrier = CarrierConfig(freq)
+    paths, mirrored = (enumerate_paths(env, a, b, polarization=polarization)
+                       for a, b in ((tx, rx), ((tx[0], -tx[1], tx[2]), (rx[0], -rx[1], rx[2]))))
+    assert len(paths) == len(mirrored)
+    for preset in PRESETS:
+        _assert_close(_channel(paths, preset, carrier, None),
+                      _channel(mirrored, preset, carrier, None), preset.kind)
 
 
 SWEEP_CARRIERS = [60e9, 80e9]
