@@ -726,7 +726,7 @@ def _pair_words(env: Environment, tx: Vec3, max_order: int) -> int:
     - the back-trace and sort: its vertices (3 K + 6 words), a point and a
       surface per back-trace step (4 K), its bounce surfaces (K), its
       receiver, order and flat index (3), a gather's buffer (3), and a byte
-      per (slab, segment) for the slab test; the later stages hold less;
+      per (slab, segment) for the slab test; what follows holds less;
     - where some surface can occlude, the occlusion test: the vertices,
       bounce surfaces, receiver and order (4 K + 8) and the work on one
       crossing segment (17)."""
@@ -828,12 +828,10 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
                 raise ValueError(f"receiver {p} outside environment {env.name!r}")
             raise ValueError(f"transmitter and receiver coincide at {p} "
                              f"(closer than {_MIN_SEPARATION:g} m)")
-        del inside, good
         slabs, surfaces = tree.slabs, tree.surfaces
         lit = _lit(slabs, tx, rx)
         recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
         recv = lit.take(recv)
-        del lit
         m = len(recv)
 
         # Segment j of a pair joins verts[j] to verts[j + 1]; those past its
@@ -870,7 +868,7 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
         if not keep.all():
             rows = rows[keep.take(rows)]
-        del keep, tree  # the live steps
+        del keep, tree, lit, inside, good  # tree holds the live steps
         # Pairs stack by descending order, so the first has the most bounces.
         k = int(order[0]) if m else 0
         receiver, order, length = recv.take(rows), order.take(rows), length.take(rows)
@@ -910,10 +908,11 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         else:
             crow = cslab = np.zeros(0, int)
             cangle = np.zeros(0)
-        # Bounce j joins segments j and j + 1, whose angles with its normal
-        # specular reflection makes equal; the longer gives it, and on a tie
-        # the larger |cos|. The reversed path takes the same segment, so a
-        # bounce nanometres from the next gets one angle either way.
+
+        # Bounce j joins segments j and j + 1, and specular reflection makes
+        # their angles with its normal equal. The longer gives it, or on a
+        # tie the one of larger |cos|; the reversed path takes the same one,
+        # so a bounce nanometres from the next gets one angle either way.
         shorter, tie = seg[:k] < seg[1:k + 1], seg[:k] == seg[1:k + 1]
         del seg, crosses
 
@@ -924,10 +923,10 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         surf, normal = surf[:k], surfaces.normal
         angle = np.empty((k, m))
         for j in range(k):
-            n = normal.take(surf[j], 1)
-            a, b = (np.abs(_dot(d, n)) for d in dirs[j:j + 2])
+            cos = _dot(dirs[j:j + 2].swapaxes(0, 1), normal.take(surf[j], 1)[:, None])
+            a, b = np.abs(cos, out=cos)  # along segments j and j + 1
             angle[j] = np.where(shorter[j] | tie[j] & (b > a), b, a)
-            del n, a, b
+            del cos, a, b
         del shorter, tie
         np.minimum(angle, 1.0, out=angle)
         np.minimum(np.arccos(angle, out=angle), math.pi / 2 - 1e-12, out=angle)

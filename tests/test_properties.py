@@ -169,7 +169,8 @@ def test_the_channel_is_reciprocal(name, polarization, data, tx_boresight, rx_bo
     pytest.param("obstacle_corridor", (8.0, 0.99, 0.6875), (12.0, 0.99, 0.9642080702890178),
                  Polarization.TE, ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
                  id="bounce inside a slab",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                         reason="ROADMAP item 6, fault A")),
 ])
 def test_reciprocity_fails_where_the_trace_does(name, tx, rx, polarization, boresights):
     """Reciprocity where a trace broke it: at a corner, which holds now,
