@@ -440,7 +440,7 @@ class _Step(NamedTuple):
     plane: _Surfaces       # the first surface of the bounce's plane
     # Per surface slot j of the plane, in surface-index order: (the
     # candidates whose plane has a j-th surface, a slice of all of them at
-    # j = 0 and their indices after; its index; its surface, plane at j = 0)
+    # j = 0 and their indices after; its index; its surface, `plane` at j = 0)
     members: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray, _Surfaces], ...]
     image: np.ndarray      # the image mirrored across that plane last
     image_side: np.ndarray  # the image's side of the plane (negative)
