@@ -46,6 +46,8 @@ class AntennaSystem:
         for name in ("tx_power_dbm", "peak_gain_dbi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.pattern_exponent < math.inf:
+            raise ValueError(f"pattern_exponent must be in [0, inf), got {self.pattern_exponent}")
         b = self.boresight
         n = norm(b)
         if not 1e-12 < n < math.inf:

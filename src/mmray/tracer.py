@@ -5,8 +5,9 @@ face the same way form one. One image tree per transmitter lists every
 chain of up to MAX_ORDER planes with the transmitter mirrored across each
 in turn (the empty chain is the direct ray). It is built an order at a
 time on arrays and held as arrays per candidate (order, plane chain,
-images); one function, _steps, forms the back-trace steps of any set of
-candidates.
+images), each candidate once. _steps forms the back-trace steps one at a
+time, as a trace or the sweep windows reach them; only whole-tree traces
+(trace_receivers, enumerate_paths) keep theirs, per transmitter.
 trace_receivers back-traces every chain from a block of receivers at once,
 as array operations over (candidates x receivers), and writes the
 surviving paths into a PathTable: one row per path, the rows of a receiver
@@ -69,7 +70,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -438,13 +439,12 @@ class _Step(NamedTuple):
 
     count: int
     plane: _Surfaces       # the first surface of the bounce's plane
-    # Per surface slot j of the plane, in surface-index order: (the
-    # candidates whose plane has a j-th surface, a slice of all of them at
-    # j = 0 and their indices after; its index; its surface, `plane` at j = 0)
-    members: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray, _Surfaces], ...]
+    # Per surface slot j of the plane, in surface-index order: (its index,
+    # its surface); a plane with fewer surfaces repeats its first.
+    members: Tuple[Tuple[np.ndarray, _Surfaces], ...]
     image: np.ndarray      # the image mirrored across that plane last
     image_side: np.ndarray  # the image's side of the plane (negative)
-    after: _Surfaces       # plane of the next bounce (unused at step 0)
+    after: Optional[_Surfaces]  # plane of the next bounce (None at step 0)
 
 
 def _occluders(env: Environment, surfaces: _Surfaces) -> Optional[_Surfaces]:
@@ -468,19 +468,16 @@ class _Tree(NamedTuple):
     """A transmitter's image tree as arrays per candidate, stacked by
     descending order. Column s of a candidate of order k holds, counted back
     from the receiver, the plane of its s-th bounce and images[:, s + 1]
-    mirrored across it; images[:, k] is tx and later columns are padding.
-    order and steps are those of the candidates a trace tests: all of them
-    in the cached tree, a sweep block's in _trace_rows."""
+    mirrored across it; images[:, k] is tx and later columns are padding."""
 
     surfaces: _Surfaces
     occluders: Optional[_Surfaces]  # the surfaces that can occlude a segment
     slabs: "_Slabs"                 # the environment's obstacle slabs
-    members: np.ndarray             # (P, W) surfaces of each plane, padded with -1
+    members: np.ndarray             # (P, W) surfaces of each plane, padded with its first
     order: np.ndarray               # (C,) order of each candidate
     chain: np.ndarray               # (C, K) planes, padded with -1
     images: np.ndarray              # (C, K + 1, 3)
     image_side: np.ndarray          # (C, K) side of images[:, s] of chain[:, s], held for _steps
-    steps: Tuple[_Step, ...]        # one per step 0..K - 1
 
 
 @lru_cache(maxsize=64)
@@ -501,7 +498,7 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
     reflectors = _reflectors(env)
     surfaces = _surfaces(env)
     width = max(map(len, reflectors), default=1)
-    members = np.array([[*g] + [-1] * (width - len(g)) for g in reflectors],
+    members = np.array([[*g] + [g[0]] * (width - len(g)) for g in reflectors],
                        int).reshape(len(reflectors), width)
     plane = surfaces.at(members[:, 0])
     first = [env.surfaces[g[0]] for g in reflectors]
@@ -521,35 +518,35 @@ def _image_tree(env: Environment, tx: Vec3, max_order: int) -> _Tree:
                             zip((p, mirrored, _side(plane.normal[:, p], plane.offset[p],
                                                     mirrored.T)), levels[-1])))
     order = np.repeat(np.arange(max_order, -1, -1), [len(c) for c, _, _ in levels[::-1]])
-    tree = _Tree(surfaces, _occluders(env, surfaces), _slab_arrays(env.obstacles), members,
-                 order, *(np.concatenate(x[::-1]) for x in zip(*levels)), ())
-    return tree._replace(steps=_steps(tree, np.arange(len(order))))
+    return _Tree(surfaces, _occluders(env, surfaces), _slab_arrays(env.obstacles), members,
+                 order, *(np.concatenate(x[::-1]) for x in zip(*levels)))
 
 
-def _steps(tree: _Tree, live: np.ndarray) -> Tuple[_Step, ...]:
-    """The back-trace steps of the stacked candidates live (ascending). Those
-    with a bounce at step s stack first, so they are a prefix of live and of
-    those at step s - 1, whose plane is the one after step s."""
-    surfaces = tree.surfaces
-    order = tree.order.take(live)
+def _steps(tree: _Tree, live: Optional[np.ndarray]) -> Iterator[_Step]:
+    """The back-trace steps, one at a time, of the stacked candidates live
+    (ascending), or of the whole tree if None. Those with a bounce at step s
+    stack first, so they are a prefix of live and of those at step s - 1,
+    whose plane is the one after step s."""
+    order = tree.order if live is None else tree.order.take(live)
     counts = len(order) - np.searchsorted(order[::-1], np.arange(tree.chain.shape[1]), "right")
-    steps = []
+    plane = None
     for s, n in enumerate(counts.tolist()):
-        c = live[:n]
-        bounce = tree.members.take(tree.chain[:, s].take(c), 0)  # (n, W) surfaces
-        first = bounce[:, :1]
-        plane = surfaces.at(first)
-        # Per surface slot j: the candidates whose plane has a j-th surface;
-        # every plane has a first.
-        members = [(slice(None), first, plane)]
-        for m in bounce.T[1:]:
-            i = np.flatnonzero(m >= 0)
-            index = m.take(i)[:, None]
-            members.append((i, index, surfaces.at(index)))
-        after = _Surfaces(*(x[..., :n, :] for x in steps[-1].plane)) if s else plane
-        steps.append(_Step(n, plane, tuple(members), tree.images[:, s].take(c, 0).T[..., None],
-                           tree.image_side[:, s].take(c)[:, None], after))
-    return tuple(steps)
+        after = _Surfaces(*(x[..., :n, :] for x in plane)) if s else None
+        # The whole tree's candidates at step s are its first n.
+        c = slice(n) if live is None else live[:n]
+        bounce = tree.members.take(tree.chain[c, s], 0)  # (n, W) surfaces
+        members = tuple((m[:, None], tree.surfaces.at(m[:, None])) for m in bounce.T)
+        plane = members[0][1]
+        # Contiguous along the candidates, which a one-receiver trace runs along.
+        yield _Step(n, plane, members, np.ascontiguousarray(tree.images[c, s].T)[..., None],
+                    np.ascontiguousarray(tree.image_side[c, s])[:, None], after)
+
+
+@lru_cache(maxsize=64)
+def _tree_steps(env: Environment, tx: Vec3, max_order: int) -> Tuple[_Step, ...]:
+    """The steps of tx's whole image tree, kept for trace_receivers and
+    enumerate_paths: a one-receiver trace would form them on every call."""
+    return tuple(_steps(_image_tree(env, tx, max_order), None))
 
 
 def candidate_count(env: Environment, tx: Vec3, max_order: int = 2) -> int:
@@ -596,9 +593,10 @@ def _on_rectangle(p: np.ndarray, rect: _Surfaces, tol: float) -> np.ndarray:
     return (a >= -tol) & (a <= 1.0 + tol) & (b >= -tol) & (b <= 1.0 + tol)
 
 
-def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
+def _back_trace(steps: Iterable[_Step], order: np.ndarray, tx: Vec3, rx: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked candidates x receivers that unfold into a valid polyline.
+    """Stacked candidates, of the given orders, x receivers that unfold
+    into a valid polyline, tested by their back-trace steps.
 
     Each bounce, from the last to the first, is where the segment from its
     image to the next vertex crosses the plane. It must land on a rectangle
@@ -616,10 +614,10 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
     run, and the bounce at step s of each goes to slot k - s: a slice copy
     per (step, order) from one flat take of the step's points.
     """
-    ok = np.ones((len(tree.order), len(rx)), bool)
+    ok = np.ones((len(order), len(rx)), bool)
     p = rx.T[:, None, :]
     points, recorded = [], []
-    for s, step in enumerate(tree.steps):
+    for s, step in enumerate(steps):
         n = step.count
         p = p[:, :n]
         side = _side(step.plane.normal, step.plane.offset, p)
@@ -638,9 +636,8 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
         p += step.image
         # Rectangles tested last to first, so the first that holds p wins.
         surface = np.full(p.shape[1:], -1)
-        for cand, index, rect in reversed(step.members):
-            hit = _on_rectangle(p[:, cand], rect, ON_SURFACE_TOL)
-            surface[cand] = np.where(hit, index, surface[cand])
+        for index, rect in reversed(step.members):
+            np.copyto(surface, index, where=_on_rectangle(p, rect, ON_SURFACE_TOL))
         valid &= surface >= 0
         if s:
             valid &= _side(step.after.normal, step.after.offset, p) > _ON_PLANE
@@ -650,11 +647,12 @@ def _back_trace(tree: _Tree, tx: Vec3, rx: np.ndarray
     pair = ok.reshape(-1).nonzero()[0]
     del ok
     c, r = np.divmod(pair, len(rx))
-    K, m = len(tree.steps), len(pair)
+    K, m = len(points), len(pair)
     # Pairs [edge[k + 1], edge[k]) are of order k; those with a bounce at
-    # step s, which stack first, are the prefix [0, edge[s + 1]).
-    edge = [m, *np.searchsorted(c, [step.count for step in tree.steps]).tolist(), 0]
-    order = tree.order.take(c)
+    # step s, which stack first, are the prefix [0, edge[s + 1]): the
+    # candidates below step s's count, the width of its points.
+    edge = [m, *np.searchsorted(c, [q.shape[1] for q in points]).tolist(), 0]
+    order = order.take(c)
     del c
     verts = np.empty((K + 2, 3, m))
     verts[0].T[...] = tx
@@ -816,8 +814,6 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         _check_order(max_order)
         K = int(max_order)
         tree = _image_tree(env, tx, K)
-        if live is not None and len(live) < len(tree.order):
-            tree = tree._replace(order=tree.order.take(live), steps=_steps(tree, live))
         # The first receiver outside, or closer to tx than _MIN_SEPARATION, is named.
         inside = env.contains(rx)
         good = inside & (((rx - tx) ** 2).sum(1) >= _MIN_SEPARATION ** 2)
@@ -830,7 +826,9 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
                              f"(closer than {_MIN_SEPARATION:g} m)")
         slabs, surfaces = tree.slabs, tree.surfaces
         lit = _lit(slabs, tx, rx)
-        recv, order, surf, verts = _back_trace(tree, tx, rx[lit])
+        steps = _tree_steps(env, tx, K) if live is None else _steps(tree, live)
+        order = tree.order if live is None else tree.order.take(live)
+        recv, order, surf, verts = _back_trace(steps, order, tx, rx[lit])
         recv = lit.take(recv)
         m = len(recv)
 
@@ -868,7 +866,7 @@ def _trace_rows(env: Environment, tx: Vec3, receivers: Sequence[Vec3], max_order
         rows = np.lexsort((*surf[::-1], length / SPEED_OF_LIGHT, recv * (K + 1) + order))
         if not keep.all():
             rows = rows[keep.take(rows)]
-        del keep, tree, lit, inside, good  # tree holds the live steps
+        del keep, tree, lit, inside, good
         # Pairs stack by descending order, so the first has the most bounces.
         k = int(order[0]) if m else 0
         receiver, order, length = recv.take(rows), order.take(rows), length.take(rows)
@@ -998,7 +996,7 @@ def _segment_windows(tree: _Tree, start: np.ndarray, end: np.ndarray,
 
     x = np.stack([start, end], axis=-1)[:, None]  # (3, 1, ends)
     w = np.ones((1, 2))
-    for s, step in enumerate(tree.steps):
+    for s, step in enumerate(_steps(tree, None)):
         n = step.count
         x, w = x[:, :n], w[:n]
         side = _dot(step.plane.normal, x) - step.plane.offset * w
@@ -1006,17 +1004,16 @@ def _segment_windows(tree: _Tree, start: np.ndarray, end: np.ndarray,
         x = side * step.image - step.image_side * x
         w = side - step.image_side * w
         rect_lo, rect_hi = np.full(n, np.inf), np.full(n, -np.inf)
-        for cand, _, rect in step.members:
-            wc = w[cand]
-            r = x[:, cand] - rect.origin * wc
+        for _, rect in step.members:
+            r = x - rect.origin * w
             # The bounce's coordinates along both edges, times w, and the
             # relaxed bounds 0 <= a <= 1 on them.
             inv = np.stack([rect.inv_u2, rect.inv_v2])
             a = np.stack([_dot(r, rect.edge_u), _dot(r, rect.edge_v)]) * inv
-            slack = (ON_SURFACE_TOL + E * np.sqrt(inv)) * wc
-            a_lo, a_hi = _positive_on(np.concatenate([a + slack, wc + slack - a]), length)
-            rect_lo[cand] = np.minimum(rect_lo[cand], a_lo.max(0))
-            rect_hi[cand] = np.maximum(rect_hi[cand], a_hi.min(0))
+            slack = (ON_SURFACE_TOL + E * np.sqrt(inv)) * w
+            a_lo, a_hi = _positive_on(np.concatenate([a + slack, w + slack - a]), length)
+            np.minimum(rect_lo, a_lo.max(0), out=rect_lo)
+            np.maximum(rect_hi, a_hi.min(0), out=rect_hi)
         keep(n, (rect_lo, rect_hi))
         if s:
             keep(n, _positive_on(_dot(step.after.normal, x) - (step.after.offset - E) * w, length))

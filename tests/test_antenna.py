@@ -157,10 +157,19 @@ def test_gain_requires_unit_vectors():
     (lambda: AntennaSystem("horn", -math.inf, 20.8, pattern_exponent=59.0),
      "tx_power_dbm must be finite, got -inf"),
     (lambda: AntennaSystem("isotropic", 20.0, math.nan), "peak_gain_dbi must be finite, got nan"),
+    (lambda: AntennaSystem("horn", 10.0, 20.8, pattern_exponent=math.nan),
+     r"pattern_exponent must be in \[0, inf\), got nan"),
+    (lambda: AntennaSystem("omni", 20.0, 8.5, pattern_exponent=-3.0),
+     r"pattern_exponent must be in \[0, inf\), got -3.0"),
+    (lambda: AntennaSystem("omni", 20.0, 8.5, pattern_exponent=math.inf),
+     r"pattern_exponent must be in \[0, inf\), got inf"),
 ])
 def test_a_system_rejects_a_non_finite_power_or_gain(make, message):
     """make_system("omni", 20.0, nan) gave pattern exponent 9.3e-10, and
-    make_system("omni", inf, 8.5) a system of infinite power."""
+    make_system("omni", inf, 8.5) a system of infinite power. A horn of
+    exponent NaN read NaN off boresight, an omni of -3 read 32.8 at 53
+    degrees elevation, above its 7.08 peak, and one of +inf 0.0 off the
+    horizon."""
     with pytest.raises(ValueError, match=message):
         make()
 

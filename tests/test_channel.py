@@ -686,6 +686,7 @@ OUTPUTS = {"grid": ("power", "moments"), "sweep": ("power",), "table": ("moments
     pytest.param("bent_tunnel_80", 3, 6, "tm", "grid", id="bent_tunnel_80-3-tm-order_6"),
     pytest.param("straight_tunnel", 3, 6, "tm", "grid", id="straight_tunnel-3-tm-order_6"),
     pytest.param("straight_tunnel", 3, 8, "te", "grid", id="straight_tunnel-3-order_8"),
+    pytest.param("bent_tunnel_80", 3, 8, "te", "grid", id="bent_tunnel_80-3-order_8"),
     pytest.param("obstacle_corridor", 3, 8, "te", "sweep", id="obstacle_corridor-3-sweep-order_8"),
 ])
 def test_every_sweep_block_stays_within_the_trace_budget(monkeypatch, name, carriers, order,
@@ -734,6 +735,38 @@ def test_the_shipped_scenarios_sweep_in_few_trace_blocks(monkeypatch, name, most
         assert max(counts) <= most
     else:
         assert counts == [most, most]
+
+
+def test_only_the_whole_tree_traces_keep_their_steps(monkeypatch, tmp_path):
+    """A sweep forms the back-trace steps of each block's candidates and
+    keeps none: run_sweep_grid, delay_spread_table and `mmray sweep` at
+    order 4 never call tracer._tree_steps, which forms and caches the whole
+    tree's steps, nor does an order-1 sweep whose one block holds every
+    candidate. Two enumerate_paths calls from one transmitter form them
+    once; without the cache a one-receiver trace would form them on every
+    call."""
+    monkeypatch.setattr(mmray.tracer, "MAX_ORDER", 4)
+    cached, calls = mmray.tracer._tree_steps, []
+
+    def spy(*args):
+        calls.append(args)
+        return cached(*args)
+
+    monkeypatch.setattr(mmray.tracer, "_tree_steps", spy)
+    env = DUCTS["bent_tunnel"]
+    run_sweep_grid(env, PRESETS, [60e9], n_samples=64, max_order=4)
+    run_sweep_grid(DUCTS["straight_tunnel"], PRESETS, [60e9], n_samples=64, max_order=1)
+    delay_spread_table([env], PRESETS, [60e9], n_samples=64, max_order=4)
+    config = mmray.cli.parse_scenario((SCENARIOS / "bent_tunnel.yaml").read_text())
+    config = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, n_samples=64),
+                                 physics=dataclasses.replace(config.physics, max_order=4))
+    assert mmray.cli.run_sweep_command(config, tmp_path)
+    assert calls == []
+    cached.cache_clear()
+    for rx in ((10.0, 0.3, 1.5), (20.0, -0.2, 1.0)):
+        enumerate_paths(env, TX, rx, max_order=4)
+    info = cached.cache_info()
+    assert len(calls) == 2 and (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
